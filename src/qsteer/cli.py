@@ -17,6 +17,7 @@ from . import acceptance, jointmeas, scenarios, steering
 from .entropy import (
     JointDistribution,
     conditional_renyi,
+    conditional_tsallis,
     dual_order,
     renyi_entropy,
     tsallis_entropy,
@@ -207,6 +208,16 @@ def _grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("value must be at least 1")
+    return value
+
+
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -275,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tightness", help="compare entropic and exact eta(chi) curves")
     p.add_argument("--d", type=_int_range, default=list(range(2, 11)), help="e.g. 2..10")
-    p.add_argument("--grid-points", type=int, default=21)
+    p.add_argument("--grid-points", type=_positive_int, default=21)
     p.add_argument("--tol", type=_positive_float, default=1e-8)
 
     p = sub.add_parser("lhs-test", help="local-hidden-state falsification run")
@@ -306,8 +317,12 @@ def _cmd_entropy(args) -> int:
         else:
             rows = [[float(v) for v in row.split(",")] for row in args.joint.split(";")]
             joint = JointDistribution(rows)
-            value = conditional_renyi(joint, args.alpha)
-            print(f"{value:.9g} bits (conditional Renyi alpha={args.alpha:g})")
+            if args.tsallis_q is not None:
+                value = conditional_tsallis(joint, args.tsallis_q)
+                print(f"{value:.9g} nats (conditional Tsallis q={args.tsallis_q:g})")
+            else:
+                value = conditional_renyi(joint, args.alpha)
+                print(f"{value:.9g} bits (conditional Renyi alpha={args.alpha:g})")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -383,15 +398,7 @@ def _cmd_scan_d3(args) -> int:
 def _cmd_tightness(args) -> int:
     worst = 0.0
     for d in args.d:
-        chis = np.linspace(0.0, 1.0, args.grid_points)
-        devs = [
-            abs(
-                jointmeas.renyi_eta_of_chi(d, chi, args.tol).value
-                - jointmeas.exact_eta_of_chi(d, chi, args.tol).value
-            )
-            for chi in chis
-        ]
-        dev = max(devs)
+        dev = jointmeas.eta_tightness_gap(d, args.grid_points, args.tol)
         worst = max(worst, dev)
         print(f"d={d}: max |eta_renyi(chi) - eta_exact(chi)| = {dev:.3e}")
     print(f"overall max deviation {worst:.3e}")

@@ -11,8 +11,6 @@ class Tolerances:
 
     Attributes
     ----------
-    unitarity : float
-        Unitarity of basis matrices and ket normalization.
     structural : float
         Hermiticity, unit trace, effect positivity and POVM completeness.
     prob_negativity : float
@@ -30,7 +28,6 @@ class Tolerances:
         this much (bisection always reports the detecting side).
     """
 
-    unitarity: float = 1e-12
     structural: float = 1e-10
     prob_negativity: float = 1e-12
     prob_sum: float = 1e-10

@@ -16,10 +16,6 @@ import numpy as np
 from .config import DEFAULT_TOLS
 
 
-class NonBracketingError(ValueError):
-    """Bisection endpoints do not straddle the predicate boundary."""
-
-
 class ThresholdSolution(NamedTuple):
     """Solver result; ``saturated`` marks a boundary-pinned solution."""
 
@@ -57,50 +53,31 @@ class ThresholdRecord:
             object.__setattr__(self, "gap", gap)
 
 
-def bisect_threshold(
-    pred: Callable[[float], bool],
-    tol: float,
-    *,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    side: str = "midpoint",
-    check_monotone: bool = False,
-) -> float:
-    """Locate the switching point of a monotone boolean predicate.
+def bisect_threshold(pred: Callable[[float], bool], tol: float) -> ThresholdSolution:
+    """Switching point of a predicate that is False below it on [0, 1] and
+    True above it.
 
-    ``side`` selects what is returned once the bracket is narrower than
-    ``tol``: the bracket midpoint, or the endpoint on which the predicate
-    is True/False (useful when the answer must not undershoot a boundary).
-    Monotonicity is the caller's responsibility; ``check_monotone`` scans 16
-    points and rejects predicates that switch more than once.
+    ``pred(1)`` and ``pred(0)`` are evaluated once each.  If ``pred(1)`` is
+    False the answer saturates to ``(1.0, True)``; if ``pred(0)`` is True it
+    saturates to ``(0.0, True)``.  Otherwise the bracket is halved until it
+    is narrower than ``tol`` and its True end is returned, the side that
+    never undershoots the boundary.  Monotonicity is the caller's
+    responsibility.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    if side not in ("midpoint", "true", "false"):
-        raise ValueError(f"unknown side {side!r}")
-    p_lo, p_hi = pred(lo), pred(hi)
-    if p_lo == p_hi:
-        raise NonBracketingError(
-            f"predicate does not change over [{lo}, {hi}] (both {p_lo})"
-        )
-    if check_monotone:
-        values = [pred(v) for v in np.linspace(lo, hi, 16)]
-        switches = sum(a != b for a, b in zip(values, values[1:]))
-        if switches != 1:
-            raise NonBracketingError(f"predicate switches {switches} times; not monotone")
-    a, b = lo, hi
+    if not pred(1.0):
+        return ThresholdSolution(1.0, saturated=True)
+    if pred(0.0):
+        return ThresholdSolution(0.0, saturated=True)
+    a, b = 0.0, 1.0
     while b - a > tol:
         mid = 0.5 * (a + b)
-        if pred(mid) == p_lo:
-            a = mid
-        else:
+        if pred(mid):
             b = mid
-    if side == "midpoint":
-        return 0.5 * (a + b)
-    want_true = side == "true"
-    if p_lo == want_true:
-        return a
-    return b
+        else:
+            a = mid
+    return ThresholdSolution(b)
 
 
 def _check_visibility(v: float, name: str) -> float:
@@ -160,28 +137,32 @@ def renyi_mub_holds(d: int, va: float, vx: float) -> bool:
 
 def renyi_mub_threshold_symmetric(d: int, tol: float = 1e-9) -> float:
     """Symmetric visibility threshold of the entropic criterion, by bisection."""
-    return bisect_threshold(lambda v: renyi_mub_holds(d, v, v), tol)
-
-
-def _eta_of_chi(pred: Callable[[float], bool], tol: float) -> ThresholdSolution:
-    if not pred(0.0):
-        # cannot happen for valid inputs: zero visibility is always compatible
-        return ThresholdSolution(0.0, saturated=True)
-    if pred(1.0):
-        return ThresholdSolution(1.0, saturated=True)
-    return ThresholdSolution(bisect_threshold(pred, tol))
+    return bisect_threshold(lambda v: not renyi_mub_holds(d, v, v), tol).value
 
 
 def renyi_eta_of_chi(d: int, vx: float, tol: float = 1e-9) -> ThresholdSolution:
-    """Largest va for which the entropic criterion stays silent, given vx."""
+    """Boundary va of the entropic criterion given vx: the first va it flags,
+    within ``tol`` above the largest one on which it stays silent."""
     vx = _check_visibility(vx, "vx")
-    return _eta_of_chi(lambda va: renyi_mub_holds(d, va, vx), tol)
+    return bisect_threshold(lambda va: not renyi_mub_holds(d, va, vx), tol)
 
 
 def exact_eta_of_chi(d: int, vx: float, tol: float = 1e-9) -> ThresholdSolution:
-    """Largest va keeping the noisy MUB pair jointly measurable, given vx."""
+    """Joint-measurability boundary va of the noisy MUB pair given vx: the
+    first incompatible va, within ``tol`` above the largest compatible one."""
     vx = _check_visibility(vx, "vx")
-    return _eta_of_chi(lambda va: mub_jm_holds(d, va, vx), tol)
+    return bisect_threshold(lambda va: not mub_jm_holds(d, va, vx), tol)
+
+
+def eta_tightness_gap(d: int, grid_points: int, tol: float) -> float:
+    """Largest |eta_renyi(chi) - eta_exact(chi)| over ``grid_points`` evenly
+    spaced partner visibilities chi in [0, 1]."""
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points!r}")
+    return max(
+        abs(renyi_eta_of_chi(d, chi, tol).value - exact_eta_of_chi(d, chi, tol).value)
+        for chi in np.linspace(0.0, 1.0, grid_points)
+    )
 
 
 def qubit_exact_threshold(z, x) -> float:

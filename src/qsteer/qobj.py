@@ -1,4 +1,4 @@
-"""Quantum objects: kets, density matrices, POVMs, noise, Born statistics.
+"""Quantum objects: density matrices, POVMs, noise, Born statistics.
 
 Complex linear algebra lives here. Conventions: 0-based basis labels,
 ``omega = exp(2 pi i / d)``, subsystem A first in tensor products, and
@@ -37,28 +37,6 @@ def _check_dim(d: int) -> int:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     return d
-
-
-@dataclass(frozen=True)
-class Ket:
-    """Normalized state vector."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > DEFAULT_TOLS.unitarity:
-            raise ValueError(f"ket norm is {norm!r}, not 1")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 class DensityMatrix:

@@ -21,6 +21,7 @@ from .config import DEFAULT_TOLS
 from .entropy import _conditional_max_entropy, _conditional_min_entropy, dual_order
 from .jointmeas import (
     ThresholdRecord,
+    ThresholdSolution,
     bisect_threshold,
     mub_jm_threshold_symmetric,
     qubit_exact_threshold,
@@ -51,34 +52,34 @@ class ScanResult:
             raise ValueError("scan records must be sorted by parameter")
 
 
-def _detect_threshold(detects: Callable[[float], bool], tol: float) -> tuple[float, bool]:
-    """Smallest visibility known to trigger detection; saturated if none does."""
-    if not detects(1.0):
-        return 1.0, True
-    if detects(0.0):  # cannot happen for valid scenarios; keep the record sane
-        return 0.0, False
-    return bisect_threshold(detects, tol, side="true"), False
-
-
-def _mub_scenario_detects(d: int, alpha: float) -> Callable[[float], bool]:
-    rho = max_entangled_state(d)
-    comp, four = mub_pair(d)
+def _pipeline_threshold(
+    rho: DensityMatrix,
+    alice_x: Povm,
+    alice_z: Povm,
+    bob_x: Povm,
+    bob_z: Povm,
+    alpha: float,
+    tol: float,
+) -> ThresholdSolution:
+    """Smallest visibility, applied to both of Alice's measurements, at which
+    the full pipeline detects steering; saturated at 1 if none does."""
 
     def detects(v: float) -> bool:
         cert = steering.evaluate(
-            rho, depolarize(four, v), depolarize(comp, v), four, comp, alpha
+            rho, depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z, alpha
         )
         return cert.violation > 0.0
 
-    return detects
+    return bisect_threshold(detects, tol)
 
 
 def mub_pipeline_threshold(d: int, alpha: float, tol: float = 1e-6) -> float:
     """Detected symmetric visibility threshold for noisy MUBs, full pipeline."""
     if not alpha >= 0.5:
         raise ValueError(f"criterion needs alpha >= 1/2, got {alpha!r}")
-    detected, _ = _detect_threshold(_mub_scenario_detects(d, alpha), tol)
-    return detected
+    rho = max_entangled_state(d)
+    comp, four = mub_pair(d)
+    return _pipeline_threshold(rho, four, comp, four, comp, alpha, tol).value
 
 
 def fig1_scan(
@@ -275,18 +276,9 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
         if np.abs(jz.table - expected).max() > 1e-12:
             raise RuntimeError("pipeline statistics deviate from the closed form")
 
-        def detects(v: float, dz=dir_z, dx=dir_x) -> bool:
-            cert = steering.evaluate(
-                rho,
-                qubit_povm(0.0, v * dx),
-                qubit_povm(0.0, v * dz),
-                bob_x,
-                bob_z,
-                0.5,
-            )
-            return cert.violation > 0.0
-
-        detected, saturated = _detect_threshold(detects, tol)
+        detected, saturated = _pipeline_threshold(
+            rho, qubit_povm(0.0, dir_x), qubit_povm(0.0, dir_z), bob_x, bob_z, 0.5, tol
+        )
         records.append(
             ThresholdRecord(
                 parameter=t,
@@ -357,8 +349,7 @@ def _qubit_case_threshold(
     def detects(v: float) -> bool:
         return _qubit_violation(v, bias_z, bloch_z, bias_x, bloch_x, u_x, u_z) > 0.0
 
-    detected, _ = _detect_threshold(detects, tol)
-    return detected
+    return bisect_threshold(detects, tol).value
 
 
 def _optimize_bob_qubit(
@@ -442,21 +433,15 @@ def qubit_random_povm_check(
         )
 
         # re-derive the winning threshold through the full Born-rule pipeline
-        bob_x = qubit_povm(0.0, opt_dirs[0])
-        bob_z = qubit_povm(0.0, opt_dirs[1])
-
-        def detects(v: float) -> bool:
-            cert = steering.evaluate(
-                rho,
-                qubit_povm(bias_x, v * bloch_x),
-                qubit_povm(bias_z, v * bloch_z),
-                bob_x,
-                bob_z,
-                0.5,
-            )
-            return cert.violation > 0.0
-
-        detected, saturated = _detect_threshold(detects, tol)
+        detected, saturated = _pipeline_threshold(
+            rho,
+            qubit_povm(bias_x, bloch_x),
+            qubit_povm(bias_z, bloch_z),
+            qubit_povm(0.0, opt_dirs[0]),
+            qubit_povm(0.0, opt_dirs[1]),
+            0.5,
+            tol,
+        )
 
         if kind == "biased":
             exact = None
@@ -557,16 +542,7 @@ def d3_family_scan(
         alice_z, alice_x = rotated_d3_bases(t)
         bob_z, bob_x = _conjugate_povm(alice_z), _conjugate_povm(alice_x)
 
-        def detects_with(bx: Povm, bz: Povm) -> Callable[[float], bool]:
-            def detects(v: float) -> bool:
-                cert = steering.evaluate(
-                    rho, depolarize(alice_x, v), depolarize(alice_z, v), bx, bz, 0.5
-                )
-                return cert.violation > 0.0
-
-            return detects
-
-        detected, saturated = _detect_threshold(detects_with(bob_x, bob_z), tol)
+        detected, saturated = _pipeline_threshold(rho, alice_x, alice_z, bob_x, bob_z, 0.5, tol)
 
         if refine_bob and not saturated:
             base_x, base_z = np.stack(bob_x.effects), np.stack(bob_z.effects)
@@ -576,8 +552,8 @@ def d3_family_scan(
                 uz = _givens_unitary(3, params[6:])
                 bx = Povm([ux @ e @ ux.conj().T for e in base_x])
                 bz = Povm([uz @ e @ uz.conj().T for e in base_z])
-                value, _ = _detect_threshold(detects_with(bx, bz), tol * 0.25)
-                return value
+                solution = _pipeline_threshold(rho, alice_x, alice_z, bx, bz, 0.5, tol * 0.25)
+                return solution.value
 
             starts = [np.zeros(12)]
             for k in range(1, max(1, int(refine_restarts))):

@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,14 @@ class TestRunExitCodes:
         out = capsys.readouterr().out
         assert out.startswith("0.152003093")
 
+    def test_conditional_tsallis_command(self, capsys):
+        joint = "0.4,0.1;0.1,0.4"
+        assert run(["entropy", "--joint", joint, "--tsallis-q", "2"]) == 0
+        # sum_y p(y)^2 (1 - sum_x p(x|y)^2) = 2 * 0.25 * (1 - 0.68) = 0.16 nats
+        assert capsys.readouterr().out.startswith("0.16 nats (conditional Tsallis q=2)")
+        assert run(["entropy", "--joint", joint]) == 0
+        assert "bits (conditional Renyi alpha=1)" in capsys.readouterr().out
+
     def test_check_command_detects(self, capsys):
         assert run(["check", "--d", "2", "--alpha", "0.5", "--va", "0.8", "--vx", "0.8"]) == 0
         assert "detected" in capsys.readouterr().out
@@ -53,6 +65,10 @@ class TestRunExitCodes:
     def test_tightness_command(self, capsys):
         assert run(["tightness", "--d", "2..3", "--grid-points", "5", "--tol", "1e-8"]) == 0
         assert "overall max deviation" in capsys.readouterr().out
+
+    def test_tightness_rejects_empty_grid(self, capsys):
+        assert run(["tightness", "--d", "2", "--grid-points", "0"]) == 2
+        assert "value must be at least 1" in capsys.readouterr().err
 
     def test_lhs_test_command(self, capsys):
         assert run(["lhs-test", "--seed", "5", "--n-models", "50"]) == 0
@@ -68,6 +84,24 @@ class TestRunExitCodes:
         assert code == 0
         assert csv_path.exists() and svg_path.exists()
         capsys.readouterr()
+
+
+class TestModuleEntryPoint:
+    def test_python_m_qsteer(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "qsteer", "entropy", "--probs", "0.9,0.1", "--alpha", "inf"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("0.152003093")
 
 
 class TestCsv:

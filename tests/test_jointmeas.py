@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qsteer.jointmeas import (
-    NonBracketingError,
     ThresholdRecord,
     bisect_threshold,
+    eta_tightness_gap,
     exact_eta_of_chi,
     mub_jm_holds,
     mub_jm_threshold_symmetric,
@@ -22,37 +22,36 @@ SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 class TestBisect:
     def test_step_predicate(self):
-        assert bisect_threshold(lambda v: v < 0.3, 1e-6) == pytest.approx(0.3, abs=1e-6)
+        solution = bisect_threshold(lambda v: v >= 0.3, 1e-6)
+        # the True end of the final bracket: at or above the switch, within tol
+        assert 0.3 <= solution.value <= 0.3 + 1e-6
+        assert not solution.saturated
 
-    def test_sides(self):
-        pred = lambda v: v < 0.3
-        true_side = bisect_threshold(pred, 1e-6, side="true")
-        false_side = bisect_threshold(pred, 1e-6, side="false")
-        assert true_side < 0.3 < false_side
-        assert false_side - true_side <= 1e-6
+    def test_constant_predicates_saturate(self):
+        assert bisect_threshold(lambda v: False, 1e-6) == (1.0, True)
+        assert bisect_threshold(lambda v: True, 1e-6) == (0.0, True)
 
-    def test_constant_predicate_rejected(self):
-        with pytest.raises(NonBracketingError):
-            bisect_threshold(lambda v: True, 1e-6)
-
-    def test_monotone_check_rejects_oscillation(self):
-        with pytest.raises(NonBracketingError):
-            bisect_threshold(lambda v: 0.2 < v < 0.4 or v > 0.8, 1e-6, check_monotone=True)
+    def test_nonpositive_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            bisect_threshold(lambda v: v >= 0.3, 0.0)
 
     def test_evaluation_budget(self):
         calls = []
 
         def pred(v):
             calls.append(v)
-            return v < 0.37
+            return v >= 0.37
 
         bisect_threshold(pred, 1e-6)
         # bracket endpoints plus one halving per bit of resolution
         assert len(calls) <= math.ceil(math.log2(1e6)) + 2
+        assert calls[:2] == [1.0, 0.0]
+        assert calls.count(1.0) == calls.count(0.0) == 1
 
     def test_entropic_boundary_d2(self):
-        value = bisect_threshold(lambda v: renyi_mub_holds(2, v, v), 1e-9)
-        assert value == pytest.approx(SQRT2_INV, abs=1e-8)
+        solution = bisect_threshold(lambda v: not renyi_mub_holds(2, v, v), 1e-9)
+        assert solution.value == pytest.approx(SQRT2_INV, abs=1e-8)
+        assert not renyi_mub_holds(2, solution.value, solution.value)
 
 
 class TestMubJm:
@@ -139,6 +138,24 @@ class TestEtaOfChi:
 
     def test_sharp_partner_gives_zero(self):
         assert renyi_eta_of_chi(3, 1.0, tol=1e-9).value == pytest.approx(0.0, abs=1e-8)
+
+    def test_reports_detecting_end(self):
+        # the returned va is the first one the criterion flags, never a silent one
+        for chi in (0.1, 0.5, 0.9):
+            sol = renyi_eta_of_chi(4, chi, tol=1e-9)
+            assert not renyi_mub_holds(4, sol.value, chi)
+            assert renyi_mub_holds(4, sol.value - 1e-9, chi)
+
+    def test_tightness_gap_matches_pointwise_curves(self):
+        chis = np.linspace(0.0, 1.0, 5)
+        pointwise = max(
+            abs(renyi_eta_of_chi(3, c, 1e-8).value - exact_eta_of_chi(3, c, 1e-8).value)
+            for c in chis
+        )
+        assert eta_tightness_gap(3, 5, 1e-8) == pointwise
+        assert pointwise <= 2e-6
+        with pytest.raises(ValueError):
+            eta_tightness_gap(3, 0, 1e-8)
 
     def test_monotone_in_chi(self):
         chis = np.linspace(0.0, 1.0, 9)

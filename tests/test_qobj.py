@@ -3,7 +3,6 @@ import pytest
 
 from qsteer.qobj import (
     DensityMatrix,
-    Ket,
     Povm,
     QubitBinaryPovm,
     depolarize,
@@ -234,11 +233,6 @@ class TestRotatedD3:
 
 
 class TestValidation:
-    def test_ket_norm(self):
-        Ket(np.array([1, 1]) / np.sqrt(2))
-        with pytest.raises(ValueError):
-            Ket(np.array([1.0, 1.0]))
-
     def test_density_matrix_invariants(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[0.5, 0.1j], [0.1j, 0.5]]))  # not Hermitian

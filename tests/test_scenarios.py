@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from qsteer import scenarios, steering
 from qsteer.entropy import dual_order
 from qsteer.jointmeas import mub_jm_threshold_symmetric, renyi_mub_threshold_symmetric
-from qsteer.qobj import depolarize, joint_distribution, max_entangled_state, mub_pair
+from qsteer.qobj import (
+    depolarize,
+    joint_distribution,
+    max_entangled_state,
+    mub_pair,
+    qubit_povm,
+)
 from qsteer.scenarios import (
     alpha_optimality_check,
     d3_family_scan,
@@ -76,6 +83,33 @@ class TestBisectionStability:
         coarse = mub_pipeline_threshold(2, alpha, tol=1e-6)
         fine = mub_pipeline_threshold(2, alpha, tol=5e-7)
         assert abs(coarse - fine) <= 1e-6
+
+
+class TestPipelineSolveCost:
+    """Every solver probe of a pipeline threshold is one steering.evaluate."""
+
+    @pytest.fixture
+    def evaluate_calls(self, monkeypatch):
+        calls = []
+        original = steering.evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(steering, "evaluate", counted)
+        return calls
+
+    @pytest.mark.parametrize("d, alpha", [(2, 0.5), (3, 1.0), (5, math.inf)])
+    def test_mub_solve_costs_22_evaluations(self, evaluate_calls, d, alpha):
+        # v = 1 and v = 0 once each, then 20 halvings down to 1e-6
+        mub_pipeline_threshold(d, alpha, tol=1e-6)
+        assert len(evaluate_calls) == 22
+
+    def test_never_detecting_scenario_costs_one_evaluation(self, evaluate_calls):
+        scan = d3_family_scan([0.5], tol=1e-6)
+        assert scan.records[0].saturated and scan.records[0].detected == 1.0
+        assert len(evaluate_calls) == 1
 
 
 class TestAlphaOptimality:
@@ -153,6 +187,47 @@ class TestQubitRandomPovmCheck:
         again = qubit_random_povm_check(n_cases=6, seed=7, tol=1e-6)
         for a, b in zip(scan.records, again.records):
             assert a.detected == b.detected and a.exact == b.exact
+
+
+class TestQubitClosedForm:
+    """The closed-form qubit violation agrees with the Born-rule pipeline."""
+
+    @staticmethod
+    def _cases(rng):
+        for kind in ("unbiased-symmetric", "unbiased-asymmetric", "biased") * 4:
+            dir_z = scenarios._unit(rng.normal(size=3))
+            dir_x = scenarios._unit(rng.normal(size=3))
+            if kind == "unbiased-symmetric":
+                len_z = len_x = 1.0
+                bias_z = bias_x = 0.0
+            elif kind == "unbiased-asymmetric":
+                len_z, len_x = rng.uniform(0.55, 1.0, size=2)
+                bias_z = bias_x = 0.0
+            else:
+                len_z, len_x = rng.uniform(0.55, 0.95, size=2)
+                bias_z = rng.uniform(-1.0, 1.0) * 0.9 * (1.0 - len_z)
+                bias_x = rng.uniform(-1.0, 1.0) * 0.9 * (1.0 - len_x)
+            u_x = scenarios._unit(rng.normal(size=3))
+            u_z = scenarios._unit(rng.normal(size=3))
+            yield kind, bias_z, len_z * dir_z, bias_x, len_x * dir_x, u_x, u_z
+
+    def test_matches_evaluate_on_depolarized_pipeline(self):
+        rng = np.random.default_rng(2024)
+        rho = max_entangled_state(2)
+        worst = {}
+        for kind, bias_z, bloch_z, bias_x, bloch_x, u_x, u_z in self._cases(rng):
+            alice_x, alice_z = qubit_povm(bias_x, bloch_x), qubit_povm(bias_z, bloch_z)
+            bob_x, bob_z = qubit_povm(0.0, u_x), qubit_povm(0.0, u_z)
+            for v in (0.0, 0.25, 0.6, 0.85, 1.0):
+                closed = scenarios._qubit_violation(
+                    v, bias_z, bloch_z, bias_x, bloch_x, u_x, u_z
+                )
+                pipeline = evaluate(
+                    rho, depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z, 0.5
+                ).violation
+                worst[kind] = max(worst.get(kind, 0.0), abs(closed - pipeline))
+        assert set(worst) == {"unbiased-symmetric", "unbiased-asymmetric", "biased"}
+        assert max(worst.values()) <= 1e-12, worst
 
 
 class TestD3FamilyScan:
