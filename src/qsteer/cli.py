@@ -332,14 +332,10 @@ def _cmd_entropy(args) -> int:
 def _cmd_check(args) -> int:
     rho = max_entangled_state(args.d)
     comp, four = mub_pair(args.d)
-    cert = steering.evaluate(
-        rho,
-        depolarize(four, args.vx),
-        depolarize(comp, args.va),
-        four,
-        comp,
-        args.alpha,
+    jx, jz = steering.born_statistics(
+        rho, depolarize(four, args.vx), depolarize(comp, args.va), four, comp
     )
+    cert = steering.evaluate(jx, jz, steering.overlap_bound(four, comp), args.alpha)
     print(f"lhs       {cert.lhs:.9g} bits")
     print(f"bound     {cert.bound:.9g} bits")
     print(f"violation {cert.violation:.9g} bits")

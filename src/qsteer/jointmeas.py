@@ -61,11 +61,11 @@ def bisect_threshold(pred: Callable[[float], bool], tol: float) -> ThresholdSolu
     False the answer saturates to ``(1.0, True)``; if ``pred(0)`` is True it
     saturates to ``(0.0, True)``.  Otherwise the bracket is halved until it
     is narrower than ``tol`` and its True end is returned, the side that
-    never undershoots the boundary.  Monotonicity is the caller's
-    responsibility.
+    never undershoots the boundary; ``tol`` must lie in (0, 1).
+    Monotonicity is the caller's responsibility.
     """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
     if not pred(1.0):
         return ThresholdSolution(1.0, saturated=True)
     if pred(0.0):

@@ -213,7 +213,7 @@ def joint_distribution(rho: DensityMatrix, alice: Povm, bob: Povm) -> JointDistr
     f = np.stack(bob.effects)
     rho4 = rho.matrix.reshape(da, db, da, db)
     # tr[(E (x) F) rho] = sum E[i,j] F[k,l] rho[(j,l),(i,k)]
-    table = np.einsum("aij,bkl,jlik->ab", e, f, rho4).real
+    table = np.einsum("aij,bkl,jlik->ab", e, f, rho4, optimize=True).real
     return JointDistribution(table)
 
 

@@ -1,7 +1,7 @@
 """End-to-end experiment drivers: noise-threshold scans over the full
-pipeline (state -> noisy measurements -> Born statistics -> entropic
-criterion -> bisected threshold) and the local-hidden-state falsification
-suite.
+pipeline (state -> Born tables at visibility 1 and 0 -> their mixture ->
+entropic criterion -> bisected threshold) and the local-hidden-state
+falsification suite.
 
 Detected thresholds always come from bisection of the actual pipeline and
 report the detecting side of the final bracket, so they can undershoot an
@@ -18,7 +18,8 @@ import numpy as np
 
 from . import steering
 from .config import DEFAULT_TOLS
-from .entropy import _conditional_max_entropy, _conditional_min_entropy, dual_order
+from .entropy import JointDistribution, dual_order
+from .entropy import _conditional_max_entropy, _conditional_min_entropy
 from .jointmeas import (
     ThresholdRecord,
     ThresholdSolution,
@@ -62,13 +63,20 @@ def _pipeline_threshold(
     tol: float,
 ) -> ThresholdSolution:
     """Smallest visibility, applied to both of Alice's measurements, at which
-    the full pipeline detects steering; saturated at 1 if none does."""
+    the full pipeline detects steering; saturated at 1 if none does.
+
+    ``depolarize`` is affine in v and the Born rule linear, so the tables are
+    T(v) = v T(1) + (1 - v) T(0): the four tables and Bob's bound are computed
+    once per solve, and a probe mixes them and makes one ``steering.evaluate``."""
+    t1 = steering.born_statistics(rho, alice_x, alice_z, bob_x, bob_z)
+    t0 = steering.born_statistics(
+        rho, depolarize(alice_x, 0.0), depolarize(alice_z, 0.0), bob_x, bob_z
+    )
+    bound = steering.overlap_bound(bob_x, bob_z)
 
     def detects(v: float) -> bool:
-        cert = steering.evaluate(
-            rho, depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z, alpha
-        )
-        return cert.violation > 0.0
+        jx, jz = (JointDistribution(v * a.table + (1.0 - v) * b.table) for a, b in zip(t1, t0))
+        return steering.evaluate(jx, jz, bound, alpha).violation > 0.0
 
     return bisect_threshold(detects, tol)
 

@@ -5,9 +5,10 @@ The criterion evaluated here is
 
     H_a(X_B | X_A) + H_b(Z_B | Z_A) >= q(X_B, Z_B),    1/a + 1/b = 2,
 
-with ``q`` the overlap bound of Bob's two measurements.  A positive
-violation (bound minus left-hand side) certifies steering; statistics
-produced by any local-hidden-state model can never violate it.
+with ``q`` the overlap bound of Bob's two measurements.  ``evaluate`` tests
+Bob-first statistics, from ``born_statistics`` or ``lhs_statistics``, against
+``q``: a positive violation (bound minus left-hand side) certifies steering;
+statistics produced by any local-hidden-state model can never violate it.
 """
 
 from __future__ import annotations
@@ -76,22 +77,24 @@ def steering_lhs(jx: JointDistribution, jz: JointDistribution, alpha: float) -> 
     return conditional_renyi(jx, alpha) + conditional_renyi(jz, beta)
 
 
-def evaluate(
-    rho: DensityMatrix,
-    alice_x: Povm,
-    alice_z: Povm,
-    bob_x: Povm,
-    bob_z: Povm,
-    alpha: float,
-) -> SteeringCertificate:
-    """Run the steering test end to end on a shared state.
+def born_statistics(
+    rho: DensityMatrix, alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm
+) -> tuple[JointDistribution, JointDistribution]:
+    """Bob-first Born tables p(b, a) = tr[(E_a (x) F_b) rho] for both settings."""
+    return (
+        joint_distribution(rho, alice_x, bob_x).swapped(),
+        joint_distribution(rho, alice_z, bob_z).swapped(),
+    )
 
-    Statistics come from the Born rule; the bound depends on Bob's
+
+def evaluate(
+    jx: JointDistribution, jz: JointDistribution, bound: float, alpha: float
+) -> SteeringCertificate:
+    """Steering test of Bob-first tables, from ``born_statistics`` or ``lhs_statistics``.
+
+    ``bound`` is ``overlap_bound(bob_x, bob_z)``: it depends on Bob's
     measurements only (Alice's devices stay uncharacterized).
     """
-    jx = joint_distribution(rho, alice_x, bob_x).swapped()
-    jz = joint_distribution(rho, alice_z, bob_z).swapped()
-    bound = overlap_bound(bob_x, bob_z)
     lhs = steering_lhs(jx, jz, alpha)
     return SteeringCertificate(
         lhs=lhs,

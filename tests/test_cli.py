@@ -37,6 +37,12 @@ class TestRunExitCodes:
         assert lines[0].startswith("0.707107")
         assert lines[1].startswith("0.292893")
 
+    def test_tolerance_of_one_or_more_exits_2(self, capsys):
+        assert run(["threshold", "--d", "3", "--tol", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tolerance must lie in (0, 1)" in captured.err
+
     def test_unknown_flag_exits_2(self):
         assert run(["threshold", "--d", "2", "--bogus"]) == 2
 

@@ -35,6 +35,17 @@ class TestBisect:
         with pytest.raises(ValueError):
             bisect_threshold(lambda v: v >= 0.3, 0.0)
 
+    @pytest.mark.parametrize("tol", [1.0, 2.0, math.inf])
+    def test_tolerance_of_one_or_more_rejected(self, tol):
+        # such a tolerance never halves [0, 1] and would return 1.0 unsaturated
+        with pytest.raises(ValueError, match="tolerance"):
+            bisect_threshold(lambda v: v >= 0.3, tol)
+
+    def test_coarse_tolerance_below_one(self):
+        solution = bisect_threshold(lambda v: v >= 0.3, 0.9)
+        assert 0.3 <= solution.value <= 0.3 + 0.9
+        assert not solution.saturated
+
     def test_evaluation_budget(self):
         calls = []
 

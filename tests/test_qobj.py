@@ -150,6 +150,20 @@ class TestJointDistributionOp:
             expected = np.trace(e @ reduced_a).real
             assert j[a].sum() == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 3)])
+    def test_matches_kron_reference(self, da, db):
+        rng = np.random.default_rng(10 * da + db)
+        a = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
+        rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        assert np.linalg.eigvalsh(rho.matrix).min() > 1e-6  # full rank
+        alice = random_povm(rng, da, 3)
+        bob = random_povm(rng, db, 4)
+        expected = np.array(
+            [[np.trace(np.kron(e, f) @ rho.matrix).real for f in bob.effects] for e in alice.effects]
+        )
+        table = joint_distribution(rho, alice, bob).table
+        assert np.abs(table - expected).max() <= 1e-12
+
     def test_dimension_mismatch(self):
         rho = max_entangled_state(2)
         comp2, _ = mub_pair(2)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from qsteer.scenarios import (
     qubit_angle_scan,
     qubit_random_povm_check,
 )
-from qsteer.steering import evaluate
+from qsteer.steering import born_statistics, evaluate, overlap_bound
+
+
+def certify(rho, alice_x, alice_z, bob_x, bob_z, alpha):
+    """The criterion on the Born-rule statistics of a shared state."""
+    jx, jz = born_statistics(rho, alice_x, alice_z, bob_x, bob_z)
+    return evaluate(jx, jz, overlap_bound(bob_x, bob_z), alpha)
 
 
 class TestPipelineFormulaEquivalence:
@@ -46,6 +53,10 @@ class TestPipelineFormulaEquivalence:
         pipeline = mub_pipeline_threshold(d, 0.5, tol=1e-7)
         formula = renyi_mub_threshold_symmetric(d, tol=1e-9)
         assert pipeline == pytest.approx(formula, abs=2e-7)
+
+    def test_large_d_meets_exact_boundary(self):
+        exact = mub_jm_threshold_symmetric(30)
+        assert exact <= mub_pipeline_threshold(30, 0.5, tol=1e-6) <= exact + 1e-6
 
 
 class TestFig1Scan:
@@ -86,30 +97,41 @@ class TestBisectionStability:
 
 
 class TestPipelineSolveCost:
-    """Every solver probe of a pipeline threshold is one steering.evaluate."""
+    """A pipeline threshold computes its Born tables and Bob's bound once per
+    solve; every solver probe is one steering.evaluate."""
 
     @pytest.fixture
-    def evaluate_calls(self, monkeypatch):
-        calls = []
-        original = steering.evaluate
+    def calls(self, monkeypatch):
+        # the bindings the pipeline calls: steering.born_statistics contracts
+        # through steering.joint_distribution
+        counts = Counter()
+        for name in ("evaluate", "joint_distribution", "overlap_bound"):
+            original = getattr(steering, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(steering, "evaluate", counted)
-        return calls
+            monkeypatch.setattr(steering, name, counted)
+        return counts
 
     @pytest.mark.parametrize("d, alpha", [(2, 0.5), (3, 1.0), (5, math.inf)])
-    def test_mub_solve_costs_22_evaluations(self, evaluate_calls, d, alpha):
+    def test_mub_solve_costs_22_evaluations(self, calls, d, alpha):
         # v = 1 and v = 0 once each, then 20 halvings down to 1e-6
         mub_pipeline_threshold(d, alpha, tol=1e-6)
-        assert len(evaluate_calls) == 22
+        assert calls["evaluate"] == 22
 
-    def test_never_detecting_scenario_costs_one_evaluation(self, evaluate_calls):
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8])
+    @pytest.mark.parametrize("d, alpha", [(2, 0.5), (5, math.inf)])
+    def test_tables_and_bound_once_per_solve(self, calls, d, alpha, tol):
+        mub_pipeline_threshold(d, alpha, tol=tol)
+        assert calls["joint_distribution"] == 4  # T(1) and T(0) for both settings
+        assert calls["overlap_bound"] == 1
+
+    def test_never_detecting_scenario_costs_one_evaluation(self, calls):
         scan = d3_family_scan([0.5], tol=1e-6)
         assert scan.records[0].saturated and scan.records[0].detected == 1.0
-        assert len(evaluate_calls) == 1
+        assert calls == {"evaluate": 1, "joint_distribution": 4, "overlap_bound": 1}
 
 
 class TestAlphaOptimality:
@@ -131,10 +153,10 @@ class TestAlphaOptimality:
         comp, four = mub_pair(3)
         v = 0.72
         for alpha in (0.7, 2.0, 5.0):
-            direct = evaluate(
+            direct = certify(
                 rho, depolarize(four, v), depolarize(comp, v), four, comp, alpha
             )
-            swapped = evaluate(
+            swapped = certify(
                 rho, depolarize(comp, v), depolarize(four, v), comp, four, dual_order(alpha)
             )
             assert direct.lhs == pytest.approx(swapped.lhs, abs=1e-12)
@@ -222,7 +244,7 @@ class TestQubitClosedForm:
                 closed = scenarios._qubit_violation(
                     v, bias_z, bloch_z, bias_x, bloch_x, u_x, u_z
                 )
-                pipeline = evaluate(
+                pipeline = certify(
                     rho, depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z, 0.5
                 ).violation
                 worst[kind] = max(worst.get(kind, 0.0), abs(closed - pipeline))

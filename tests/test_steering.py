@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from qsteer.entropy import JointDistribution, NoDualOrderError
-from qsteer.qobj import DensityMatrix, Povm, depolarize, max_entangled_state, mub_pair, qubit_povm
+from qsteer.qobj import (
+    DensityMatrix,
+    Povm,
+    depolarize,
+    max_entangled_state,
+    mub_pair,
+    qubit_povm,
+    rotated_d3_bases,
+)
 from qsteer.steering import (
     UnsupportedBoundError,
+    born_statistics,
     evaluate,
     lhs_statistics,
     overlap_bound,
@@ -16,6 +25,12 @@ from qsteer.steering import (
 
 LHS_V08_ORACLE = 0.83007499855768763709  # log2(1.6) - log2(0.9), 50-digit evaluation
 BOUND_60DEG = 0.41503749927884381855  # -log2 cos^2(pi/6)
+
+
+def certify(rho, alice_x, alice_z, bob_x, bob_z, alpha):
+    """The criterion on the Born-rule statistics of a shared state."""
+    jx, jz = born_statistics(rho, alice_x, alice_z, bob_x, bob_z)
+    return evaluate(jx, jz, overlap_bound(bob_x, bob_z), alpha)
 
 
 class TestOverlapBound:
@@ -72,21 +87,21 @@ class TestEvaluate:
     def test_ideal_mubs_violate_by_one_bit(self):
         rho = max_entangled_state(2)
         comp, four = mub_pair(2)
-        cert = evaluate(rho, four, comp, four, comp, 0.5)
+        cert = certify(rho, four, comp, four, comp, 0.5)
         assert cert.violation == pytest.approx(1.0, abs=1e-10)
         assert cert.detected
 
     def test_zero_visibility_never_detects(self):
         rho = max_entangled_state(2)
         comp, four = mub_pair(2)
-        cert = evaluate(rho, depolarize(four, 0.0), depolarize(comp, 0.0), four, comp, 0.5)
+        cert = certify(rho, depolarize(four, 0.0), depolarize(comp, 0.0), four, comp, 0.5)
         assert cert.violation == pytest.approx(-1.0, abs=1e-10)
         assert not cert.detected
 
     def test_visibility_08_pipeline_matches_closed_form(self):
         rho = max_entangled_state(2)
         comp, four = mub_pair(2)
-        cert = evaluate(rho, depolarize(four, 0.8), depolarize(comp, 0.8), four, comp, 0.5)
+        cert = certify(rho, depolarize(four, 0.8), depolarize(comp, 0.8), four, comp, 0.5)
         assert cert.lhs == pytest.approx(LHS_V08_ORACLE, abs=1e-12)
         assert cert.violation == pytest.approx(1.0 - LHS_V08_ORACLE, abs=1e-12)
 
@@ -96,13 +111,13 @@ class TestEvaluate:
         tilted = qubit_povm(0.0, (math.sin(0.9), 0, math.cos(0.9)))
         for alpha in (0.5, 1.0, 2.0, math.inf):
             for bx, bz in ((four, comp), (tilted, comp)):
-                cert = evaluate(rho, four, comp, bx, bz, alpha)
+                cert = certify(rho, four, comp, bx, bz, alpha)
                 assert cert.violation <= 0.0
 
     def test_certificate_consistency_bit_for_bit(self):
         rho = max_entangled_state(3)
         comp, four = mub_pair(3)
-        cert = evaluate(rho, depolarize(four, 0.71), depolarize(comp, 0.71), four, comp, 0.7)
+        cert = certify(rho, depolarize(four, 0.71), depolarize(comp, 0.71), four, comp, 0.7)
         assert cert.violation == cert.bound - cert.lhs
         assert cert.beta == pytest.approx(0.7 / (2 * 0.7 - 1), abs=1e-15)
 
@@ -112,11 +127,62 @@ class TestEvaluate:
         for alpha in (0.5, 1.0, 2.0):
             previous = -np.inf
             for v in np.linspace(0.0, 1.0, 9):
-                cert = evaluate(
+                cert = certify(
                     rho, depolarize(four, v), depolarize(comp, v), four, comp, alpha
                 )
                 assert cert.violation >= previous - 1e-12
                 previous = cert.violation
+
+
+class TestBornStatistics:
+    """Born tables are affine in Alice's visibility, T(v) = v T(1) + (1 - v) T(0):
+    the identity the threshold solver's once-per-solve tables rest on."""
+
+    @staticmethod
+    def _conjugate(p):
+        return Povm([e.conj() for e in p.effects])
+
+    def _scenario(self, name):
+        if name.startswith("mub"):
+            d = int(name[-1])
+            comp, four = mub_pair(d)
+            return max_entangled_state(d), four, comp, four, comp
+        if name == "biased-qubit":
+            alice_x = qubit_povm(0.3, 0.6 * np.array([0.6, 0.0, 0.8]))
+            alice_z = qubit_povm(-0.2, 0.7 * np.array([0.0, 0.6, -0.8]))
+            comp, four = mub_pair(2)
+            return max_entangled_state(2), alice_x, alice_z, four, comp
+        alice_z, alice_x = rotated_d3_bases(float(name.split("-t")[1]))
+        bob_x, bob_z = self._conjugate(alice_x), self._conjugate(alice_z)
+        return max_entangled_state(3), alice_x, alice_z, bob_x, bob_z
+
+    @pytest.mark.parametrize(
+        "name", ["mub-2", "mub-3", "mub-5", "biased-qubit", "d3-t0.2", "d3-t0.5"]
+    )
+    def test_tables_affine_in_visibility(self, name):
+        rho, alice_x, alice_z, bob_x, bob_z = self._scenario(name)
+        sharp = born_statistics(rho, alice_x, alice_z, bob_x, bob_z)
+        noisy = born_statistics(
+            rho, depolarize(alice_x, 0.0), depolarize(alice_z, 0.0), bob_x, bob_z
+        )
+        for v in (0.0, 0.3, 0.71, 1.0):
+            direct = born_statistics(
+                rho, depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z
+            )
+            for j, t1, t0 in zip(direct, sharp, noisy):
+                mixed = v * t1.table + (1.0 - v) * t0.table
+                assert np.abs(j.table - mixed).max() <= 1e-12
+
+    def test_tables_are_bob_first(self):
+        # Alice's reduced state is I/2, so her biased outcome has marginal
+        # (1 +- bias)/2 on the second (conditioning) axis; Bob's is uniform
+        rho = max_entangled_state(2)
+        comp, four = mub_pair(2)
+        alice_x, alice_z = qubit_povm(0.3, (0.6, 0, 0)), qubit_povm(-0.2, (0, 0, 0.7))
+        jx, jz = born_statistics(rho, alice_x, alice_z, four, comp)
+        assert np.abs(jx.marginal_y() - [0.65, 0.35]).max() < 1e-12
+        assert np.abs(jz.marginal_y() - [0.4, 0.6]).max() < 1e-12
+        assert np.abs(jx.marginal_x() - 0.5).max() < 1e-12
 
 
 class TestLhsModel:
