@@ -153,13 +153,16 @@ def _alpha_value(text: str) -> float:
         value = math.inf if text.strip() == "inf" else float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an entropy order: {text!r}")
-    if value < 0.5:
+    if not value >= 0.5:
         raise argparse.ArgumentTypeError("entropy order must be >= 0.5 for steering")
     return value
 
 
 def _alpha_list(text: str) -> list[float]:
-    return [_alpha_value(part) for part in text.split(",") if part.strip()]
+    alphas = [_alpha_value(part) for part in text.split(",") if part.strip()]
+    if not alphas:
+        raise argparse.ArgumentTypeError("at least one entropy order is required")
+    return alphas
 
 
 def _int_range(text: str) -> list[int]:
@@ -316,6 +319,8 @@ def _cmd_entropy(args) -> int:
                 print(f"{value:.9g} bits (Renyi alpha={args.alpha:g})")
         else:
             rows = [[float(v) for v in row.split(",")] for row in args.joint.split(";")]
+            if len({len(row) for row in rows}) != 1:
+                raise ValueError("--joint rows must have equal length")
             joint = JointDistribution(rows)
             if args.tsallis_q is not None:
                 value = conditional_tsallis(joint, args.tsallis_q)

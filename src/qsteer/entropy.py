@@ -8,6 +8,7 @@ conditional distribution for each value of the conditioning variable:
     H_a(X|Y) = a/(1-a) * log2( sum_y p(y) * ||p(.|y)||_a )
 
 The conditioning variable is always the *second* axis of a joint table.
+An unconditional entropy is the conditional one of a one-column table.
 Orders 0, 1/2, 1 and infinity dispatch to closed forms; everything else
 goes through a numerically careful generic evaluator (expm1/log1p near
 order one, max-factoring for large orders).
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 
 # Orders within this window of 1 are routed to the Shannon closed form.
 ALPHA_ONE_WINDOW = 1e-9
@@ -31,16 +32,15 @@ class NoDualOrderError(ValueError):
     """The Renyi order has no dual partner under 1/a + 1/b = 2."""
 
 
-def as_distribution(probs, tol: Tolerances | None = None) -> np.ndarray:
+def as_distribution(probs) -> np.ndarray:
     """Validate and return a probability vector, clamping tiny negativity."""
-    t = tol or DEFAULT_TOLS
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("a distribution must be a nonempty 1-d vector")
-    if p.min() < -t.prob_negativity:
+    if p.min() < -DEFAULT_TOLS.prob_negativity:
         raise ValueError(f"distribution has negative entry {p.min():.3e}")
-    total = p.sum()
-    if abs(total - 1.0) > t.prob_sum:
+    total = float(p.sum())
+    if abs(total - 1.0) > DEFAULT_TOLS.prob_sum:
         raise ValueError(f"distribution sums to {total!r}, not 1")
     return np.clip(p, 0.0, None)
 
@@ -55,16 +55,15 @@ class JointDistribution:
 
     __slots__ = ("table",)
 
-    def __init__(self, table, tol: Tolerances | None = None):
-        t = tol or DEFAULT_TOLS
+    def __init__(self, table):
         arr = np.array(table, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("a joint distribution must be a nonempty 2-d table")
-        if arr.min() < -t.prob_negativity:
+        if arr.min() < -DEFAULT_TOLS.prob_negativity:
             raise ValueError(f"joint table has negative entry {arr.min():.3e}")
         arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
-        if abs(total - 1.0) > t.prob_sum:
+        total = float(arr.sum())
+        if abs(total - 1.0) > DEFAULT_TOLS.prob_sum:
             raise ValueError(f"joint table sums to {total!r}, not 1")
         arr.setflags(write=False)
         self.table = arr
@@ -114,35 +113,6 @@ def _check_order(alpha: float) -> float:
 def _shannon_bits(p: np.ndarray) -> float:
     p = p[p > 0.0]
     return float(-np.sum(p * np.log2(p)))
-
-
-def _renyi_generic(p: np.ndarray, alpha: float) -> float:
-    """(1/(1-a)) log2 sum p^a for a > 0, a != 1, finite."""
-    p = p[p > 0.0]
-    if alpha < 2.0:
-        # sum p^a - 1 evaluated without cancellation: p^a = p * e^{(a-1) ln p}
-        d = float(np.sum(p * np.expm1((alpha - 1.0) * np.log(p))))
-        return math.log1p(d) / ((1.0 - alpha) * _LN2)
-    m = float(p.max())
-    s = float(np.sum((p / m) ** alpha))
-    return (alpha * math.log(m) + math.log(s)) / ((1.0 - alpha) * _LN2)
-
-
-def renyi_entropy(probs, alpha: float) -> float:
-    """Renyi entropy of order ``alpha`` in bits.
-
-    Order 1 is the Shannon limit, order infinity the min-entropy
-    ``-log2 max p``, order 0 the logarithm of the support size.
-    """
-    alpha = _check_order(alpha)
-    p = as_distribution(probs)
-    if alpha == 0.0:
-        return float(np.log2(np.count_nonzero(p > 0.0)))
-    if math.isinf(alpha):
-        return float(-np.log2(p.max()))
-    if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
-        return _shannon_bits(p)
-    return _renyi_generic(p, alpha)
 
 
 def _column_conditionals(table: np.ndarray):
@@ -214,6 +184,15 @@ def conditional_renyi(joint, alpha: float) -> float:
     return _conditional_renyi_generic(table, alpha)
 
 
+def renyi_entropy(probs, alpha: float) -> float:
+    """Renyi entropy of order ``alpha`` in bits.
+
+    Order 1 is the Shannon limit, order infinity the min-entropy
+    ``-log2 max p``, order 0 the logarithm of the support size.
+    """
+    return conditional_renyi(as_distribution(probs)[:, None], alpha)
+
+
 def _check_tsallis_order(q: float) -> float:
     q = float(q)
     if not q > 0.0:
@@ -232,8 +211,7 @@ def _tsallis_nats(p: np.ndarray, q: float) -> float:
 
 def tsallis_entropy(probs, q: float) -> float:
     """Tsallis q-entropy in nats: -sum_x p(x)^q ln_q p(x)."""
-    q = _check_tsallis_order(q)
-    return _tsallis_nats(as_distribution(probs), q)
+    return conditional_tsallis(as_distribution(probs)[:, None], q)
 
 
 def conditional_tsallis(joint, q: float) -> float:

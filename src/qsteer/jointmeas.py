@@ -8,7 +8,7 @@ complementary convention is ``1 - v``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,15 +27,15 @@ class ThresholdSolution(NamedTuple):
 class ThresholdRecord:
     """One scan row: parameter, detected and exact visibility thresholds.
 
-    ``exact`` is None when the true boundary is not computable for that
-    parameter; the gap then stays undefined.  A detected threshold may never
-    undershoot a known exact boundary by more than the sufficiency slack.
+    ``exact`` is None when the true boundary is not computable; the derived
+    ``gap`` = detected - exact then stays None.  A detected threshold may
+    never undershoot a known exact boundary by more than the sufficiency slack.
     """
 
     parameter: float
     detected: float
     exact: float | None = None
-    gap: float | None = None
+    gap: float | None = field(default=None, init=False)
     alpha: float | None = None
     saturated: bool = False
 

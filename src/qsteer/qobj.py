@@ -9,11 +9,10 @@ visibility ``v`` meaning ``measurement = v * ideal + (1 - v) * white noise``
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .entropy import JointDistribution
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -22,14 +21,14 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLS.structural) -> bool:
-    return bool(np.abs(a - a.conj().T).max() <= tol)
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(np.abs(a - a.conj().T).max() <= DEFAULT_TOLS.structural)
 
 
-def is_psd(a: np.ndarray, tol: float = DEFAULT_TOLS.structural) -> bool:
-    if not is_hermitian(a, tol):
+def is_psd(a: np.ndarray) -> bool:
+    if not is_hermitian(a):
         return False
-    return bool(np.linalg.eigvalsh(a).min() >= -tol)
+    return bool(np.linalg.eigvalsh(a).min() >= -DEFAULT_TOLS.structural)
 
 
 def _check_dim(d: int) -> int:
@@ -44,17 +43,16 @@ class DensityMatrix:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, tol: Tolerances | None = None):
-        t = tol or DEFAULT_TOLS
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        if np.abs(m - m.conj().T).max() > t.structural:
+        if np.abs(m - m.conj().T).max() > DEFAULT_TOLS.structural:
             raise ValueError("density matrix is not Hermitian")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > t.structural:
+        tr = float(np.trace(m).real)
+        if abs(tr - 1.0) > DEFAULT_TOLS.structural:
             raise ValueError(f"density matrix has trace {tr!r}, not 1")
-        if np.linalg.eigvalsh(m).min() < -t.structural:
+        if np.linalg.eigvalsh(m).min() < -DEFAULT_TOLS.structural:
             raise ValueError("density matrix has a negative eigenvalue")
         m.setflags(write=False)
         self.matrix = m
@@ -75,8 +73,7 @@ class Povm:
 
     __slots__ = ("effects",)
 
-    def __init__(self, effects, tol: Tolerances | None = None):
-        t = tol or DEFAULT_TOLS
+    def __init__(self, effects):
         mats = tuple(np.array(e, dtype=complex) for e in effects)
         if not mats:
             raise ValueError("a POVM needs at least one effect")
@@ -84,11 +81,11 @@ class Povm:
         for e in mats:
             if e.ndim != 2 or e.shape != (d, d):
                 raise ValueError("POVM effects must be square matrices of equal size")
-            if not is_psd(e, t.structural):
+            if not is_psd(e):
                 raise ValueError("POVM effect is not positive semidefinite")
             e.setflags(write=False)
         total = sum(mats)
-        if np.abs(total - np.eye(d)).max() > t.structural:
+        if np.abs(total - np.eye(d)).max() > DEFAULT_TOLS.structural:
             raise ValueError("POVM effects do not sum to the identity")
         self.effects = mats
 
@@ -106,7 +103,8 @@ class Povm:
     def n_outcomes(self) -> int:
         return len(self.effects)
 
-    def is_rank1_projective(self, tol: float = DEFAULT_TOLS.projective) -> bool:
+    def is_rank1_projective(self) -> bool:
+        tol = DEFAULT_TOLS.projective
         for e in self.effects:
             if abs(np.trace(e).real - 1.0) > tol:
                 return False
@@ -118,41 +116,21 @@ class Povm:
         return f"Povm(dim={self.dim}, n_outcomes={self.n_outcomes})"
 
 
-@dataclass(frozen=True)
-class QubitBinaryPovm:
+def qubit_povm(bias: float, bloch) -> Povm:
     """Two-outcome qubit measurement (I +- (b I + r.sigma))/2.
 
     ``bias`` is the outcome imbalance b; ``bloch`` the subnormalized Bloch
-    vector r.  Validity of both effects requires |b| + |r| <= 1; the
-    visibility of the measurement is |r|.
+    vector r.  Validity of both effects requires |b| + |r| <= 1, and the call
+    raises ``ValueError`` otherwise; the visibility of the measurement is |r|.
     """
-
-    bias: float
-    bloch: tuple[float, float, float]
-
-    def __post_init__(self):
-        r = np.asarray(self.bloch, dtype=float)
-        if r.shape != (3,):
-            raise ValueError("bloch must be a real 3-vector")
-        if abs(self.bias) + np.linalg.norm(r) > 1.0 + DEFAULT_TOLS.prob_negativity:
-            raise ValueError(
-                f"invalid qubit POVM: |bias| + |bloch| = "
-                f"{abs(self.bias) + np.linalg.norm(r):.6f} exceeds 1"
-            )
-        object.__setattr__(self, "bloch", (float(r[0]), float(r[1]), float(r[2])))
-
-    def to_povm(self) -> Povm:
-        shift = self.bias * np.eye(2) + sum(c * s for c, s in zip(self.bloch, PAULI))
-        return Povm([(np.eye(2) + shift) / 2.0, (np.eye(2) - shift) / 2.0])
-
-
-def qubit_povm(bias: float, bloch) -> Povm:
-    """Two-effect qubit POVM from a bias and a subnormalized Bloch vector.
-
-    The effects are (I +- (bias I + bloch.sigma))/2, as in ``QubitBinaryPovm``;
-    they are valid, and the call succeeds, iff |bias| + |bloch| <= 1.
-    """
-    return QubitBinaryPovm(float(bias), tuple(np.asarray(bloch, dtype=float))).to_povm()
+    bias, r = float(bias), np.asarray(bloch, dtype=float)
+    if r.shape != (3,):
+        raise ValueError("bloch must be a real 3-vector")
+    size = abs(bias) + np.linalg.norm(r)
+    if size > 1.0 + DEFAULT_TOLS.prob_negativity:
+        raise ValueError(f"invalid qubit POVM: |bias| + |bloch| = {size:.6f} exceeds 1")
+    shift = bias * np.eye(2) + sum(c * s for c, s in zip(r, PAULI))
+    return Povm([(np.eye(2) + shift) / 2.0, (np.eye(2) - shift) / 2.0])
 
 
 def fourier_matrix(d: int) -> np.ndarray:

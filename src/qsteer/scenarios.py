@@ -102,6 +102,8 @@ def fig1_scan(
     """
     dims = sorted(int(d) for d in d_range)
     alphas = [float(a) for a in alphas]
+    if not dims or not alphas:
+        raise ValueError("fig1_scan needs at least one dimension and one order")
     for a in alphas:
         if not a >= 0.5:
             raise ValueError(f"criterion needs alpha >= 1/2, got {a!r}")
@@ -323,14 +325,13 @@ def _coordinate_search(
     objective: Callable[[np.ndarray], float],
     start: Sequence[float],
     step0: float = 0.3,
-    min_step: float = 1e-4,
     ftol: float = 1e-8,
 ) -> tuple[np.ndarray, float]:
-    """Deterministic pattern search: cycle coordinates, halve the step."""
+    """Deterministic pattern search: cycle coordinates, halve the step to 1e-4."""
     x = np.asarray(start, dtype=float).copy()
     f = objective(x)
     step = step0
-    while step > min_step:
+    while step > 1e-4:
         improved = False
         for i in range(x.size):
             for s in (step, -step):
@@ -528,7 +529,6 @@ def d3_family_scan(
     t_grid: Sequence[float],
     tol: float = 1e-6,
     refine_bob: bool = False,
-    refine_restarts: int = 2,
 ) -> ScanResult:
     """Threshold scan over the d=3 rotated-basis family.
 
@@ -538,7 +538,8 @@ def d3_family_scan(
     the MUB boundary; at t = 1/2 the bases coincide, the bound vanishes and
     nothing is ever detected.  Interior exact boundaries are not computable
     here and stay unset.  ``refine_bob`` additionally searches small unitary
-    perturbations of Bob's bases for a lower detected threshold.
+    perturbations of Bob's bases for a lower detected threshold, from two
+    starts: Bob's ideal bases and one fixed small perturbation of them.
     """
     ts = [float(t) for t in t_grid]
     for t in ts:
@@ -563,11 +564,8 @@ def d3_family_scan(
                 solution = _pipeline_threshold(rho, alice_x, alice_z, bx, bz, 0.5, tol * 0.25)
                 return solution.value
 
-            starts = [np.zeros(12)]
-            for k in range(1, max(1, int(refine_restarts))):
-                starts.append(0.15 * k * np.arange(1, 13) / 12.0)
             best = detected
-            for st in starts:
+            for st in (np.zeros(12), 0.15 * np.arange(1, 13) / 12.0):
                 _, f = _coordinate_search(objective, st, step0=0.2, ftol=tol * 0.5)
                 best = min(best, f)
             detected = best
@@ -634,21 +632,22 @@ def _bob_pairs(d: int) -> list[tuple[str, Povm, Povm]]:
     return pairs
 
 
-def lhs_falsification_suite(
-    seed: int,
-    n_models: int,
-    dims: tuple[int, ...] = (2, 3),
-    alphas: tuple[float, ...] = (0.5, 0.7, 1.0, 2.0, math.inf),
-    n_lambdas: tuple[int, ...] = (1, 2, 4, 8),
-) -> LhsFalsificationReport:
+LHS_DIMS = (2, 3)
+LHS_ALPHAS = (0.5, 0.7, 1.0, 2.0, math.inf)
+# hidden-variable counts, cycled over the models of each dimension
+LHS_N_LAMBDAS = (1, 2, 4, 8)
+
+
+def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     """Hammer the steering inequality with random local-hidden-state models.
 
     ``n_models`` is the total number of models, split evenly over the
-    dimensions; every model is tested against every entropy order and two
-    projective measurement pairs for Bob.  Statistics from any such model
-    satisfy the inequality, so the maximum observed violation must stay at
-    floating-point scale; anything larger falsifies the implementation.
-    Fully deterministic in ``seed``.
+    dimensions ``LHS_DIMS`` (the first takes the remainder); every model is
+    tested against every entropy order of ``LHS_ALPHAS`` and two projective
+    measurement pairs for Bob.  Statistics from any such model satisfy the
+    inequality, so the maximum observed violation must stay at floating-point
+    scale; anything larger falsifies the implementation.  Fully deterministic
+    in ``seed``.
     """
     if n_models < 1:
         raise ValueError("n_models must be at least 1")
@@ -656,9 +655,9 @@ def lhs_falsification_suite(
     max_violation = -math.inf
     worst: dict = {}
     n_evals = 0
-    per_dim = [n_models // len(dims)] * len(dims)
+    per_dim = [n_models // len(LHS_DIMS)] * len(LHS_DIMS)
     per_dim[0] += n_models - sum(per_dim)
-    for d, count in zip(dims, per_dim):
+    for d, count in zip(LHS_DIMS, per_dim):
         pairs = [
             (name, bx, bz, steering.overlap_bound(bx, bz))
             for name, bx, bz in _bob_pairs(d)
@@ -666,11 +665,11 @@ def lhs_falsification_suite(
         model_seeds = master.integers(0, 2**63 - 1, size=count)
         for index in range(count):
             model = steering.sample_lhs_model(
-                int(model_seeds[index]), d, n_lambdas[index % len(n_lambdas)]
+                int(model_seeds[index]), d, LHS_N_LAMBDAS[index % len(LHS_N_LAMBDAS)]
             )
             for name, bx, bz, bound in pairs:
                 jx, jz = steering.lhs_statistics(model, bx, bz)
-                for alpha in alphas:
+                for alpha in LHS_ALPHAS:
                     violation = bound - steering.steering_lhs(jx, jz, alpha)
                     n_evals += 1
                     if violation > max_violation:
@@ -686,8 +685,8 @@ def lhs_falsification_suite(
     return LhsFalsificationReport(
         seed=int(seed),
         n_models=int(n_models),
-        dims=tuple(dims),
-        alphas=tuple(alphas),
+        dims=LHS_DIMS,
+        alphas=LHS_ALPHAS,
         n_evaluations=n_evals,
         max_violation=float(max_violation),
         worst_case=worst,

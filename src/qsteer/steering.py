@@ -35,7 +35,7 @@ def overlap_bound(x: Povm, z: Povm) -> float:
     rejected rather than guessed at.
     """
     for p in (x, z):
-        if not p.is_rank1_projective(DEFAULT_TOLS.projective):
+        if not p.is_rank1_projective():
             raise UnsupportedBoundError(
                 "overlap bound requires rank-1 projective measurements"
             )

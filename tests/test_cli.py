@@ -43,6 +43,26 @@ class TestRunExitCodes:
         assert captured.out == ""
         assert "error: tolerance must lie in (0, 1)" in captured.err
 
+    def test_bad_order_lists_exit_2(self, capsys):
+        assert run(["scan-fig1", "--d", "2", "--alphas", ","]) == 2
+        assert "at least one entropy order is required" in capsys.readouterr().err
+        assert run(["check", "--d", "2", "--alpha", "nan"]) == 2
+        assert "entropy order must be >= 0.5" in capsys.readouterr().err
+
+    def test_sum_errors_print_plain_floats(self, capsys):
+        assert run(["entropy", "--probs", "0.7,0.7"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: distribution sums to 1.4, not 1"]
+        assert run(["entropy", "--joint", "0.4,0.1;0.1,0.6"]) == 2
+        err += capsys.readouterr().err
+        assert "error: joint table sums to 1.2, not 1" in err
+        assert "np.float64" not in err
+
+    def test_ragged_joint_rows_exit_2(self, capsys):
+        assert run(["entropy", "--joint", "0.4,0.1;0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: --joint rows must have equal length"]
+
     def test_unknown_flag_exits_2(self):
         assert run(["threshold", "--d", "2", "--bogus"]) == 2
 

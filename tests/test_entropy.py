@@ -25,6 +25,10 @@ TABLE_2X3 = [[0.15, 0.05, 0.30], [0.20, 0.10, 0.20]]
 ORACLES_2X3 = {1.5: 0.95284935556083276487, 3.0: 0.91232237770163042176,
                0.6: 0.98064903686795713377}
 MIN_ENTROPY_09 = 0.15200309344504998496  # -log2(0.9)
+P_532 = [0.5, 0.3, 0.2]
+RENYI_532 = {0.7: 1.5146747925518439809, 2.0: 1.3959286763311392019,
+             3.0: 1.3219280948873623479}
+TSALLIS_532 = {0.5: 1.4040858683833431543, 2.0: 0.62}
 
 
 def distributions(max_size=6):
@@ -45,6 +49,10 @@ class TestRenyiEntropy:
         assert renyi_entropy([0.9, 0.1], math.inf) == pytest.approx(
             MIN_ENTROPY_09, abs=1e-14
         )
+
+    def test_generic_order_oracles(self):
+        for alpha, value in RENYI_532.items():
+            assert renyi_entropy(P_532, alpha) == pytest.approx(value, abs=1e-14)
 
     def test_deterministic_distribution_is_zero(self):
         for alpha in (0.0, 0.5, 1.0, 2.0, math.inf):
@@ -149,6 +157,10 @@ class TestDualOrder:
 class TestTsallis:
     def test_deterministic_is_zero(self):
         assert tsallis_entropy([1.0, 0.0], 2.0) == 0.0
+
+    def test_oracles(self):
+        for q, value in TSALLIS_532.items():
+            assert tsallis_entropy(P_532, q) == pytest.approx(value, abs=1e-14)
 
     def test_uniform_q2(self):
         for d in (2, 3, 5):

@@ -215,6 +215,10 @@ class TestThresholdRecord:
         with pytest.raises(ValueError):
             ThresholdRecord(parameter=2.0, detected=0.69, exact=0.70)
 
+    def test_gap_is_not_settable(self):
+        with pytest.raises(TypeError):
+            ThresholdRecord(parameter=0.2, detected=0.9, gap=0.1)
+
     def test_unknown_exact_allowed(self):
         rec = ThresholdRecord(parameter=0.2, detected=0.9)
         assert rec.exact is None and rec.gap is None

@@ -4,7 +4,6 @@ import pytest
 from qsteer.qobj import (
     DensityMatrix,
     Povm,
-    QubitBinaryPovm,
     depolarize,
     fourier_matrix,
     is_hermitian,
@@ -198,8 +197,7 @@ class TestQubitPovm:
             qubit_povm(0.5, (0.8, 0, 0))
 
     def test_roundtrip_through_type(self):
-        qb = QubitBinaryPovm(0.2, (0.1, 0.2, 0.3))
-        total = sum(qb.to_povm().effects)
+        total = sum(qubit_povm(0.2, (0.1, 0.2, 0.3)).effects)
         assert np.abs(total - np.eye(2)).max() < 1e-14
 
 
@@ -254,6 +252,10 @@ class TestValidation:
             DensityMatrix(np.eye(2))  # trace 2
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+    def test_trace_message_is_a_plain_float(self):
+        with pytest.raises(ValueError, match=r"has trace 2\.0, not 1$"):
+            DensityMatrix(np.eye(2))
 
     def test_povm_invariants(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,12 @@ class TestFig1Scan:
         with pytest.raises(ValueError):
             fig1_scan([2], [0.4])
 
+    def test_rejects_empty_dimensions_or_orders(self):
+        with pytest.raises(ValueError, match="at least one dimension and one order"):
+            fig1_scan([], [0.5])
+        with pytest.raises(ValueError, match="at least one dimension and one order"):
+            fig1_scan([2], [])
+
 
 class TestBisectionStability:
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -277,7 +283,7 @@ class TestD3FamilyScan:
     def test_refinement_never_hurts(self):
         grid = [0.2]
         plain = d3_family_scan(grid, tol=1e-5)
-        refined = d3_family_scan(grid, tol=1e-5, refine_bob=True, refine_restarts=1)
+        refined = d3_family_scan(grid, tol=1e-5, refine_bob=True)
         assert refined.records[0].detected <= plain.records[0].detected + 1e-5
 
     def test_grid_validation(self):
@@ -294,7 +300,7 @@ class TestLhsFalsification:
         assert report.worst_case == again.worst_case
 
     def test_single_deterministic_model_has_margin(self):
-        report = lhs_falsification_suite(seed=1, n_models=1, dims=(2,))
+        report = lhs_falsification_suite(seed=1, n_models=1)
         assert report.max_violation < 0.0
 
     def test_dims_split(self):
