@@ -192,7 +192,7 @@ def _dimension(text: str) -> int:
 
 def _probs(text: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        return [float(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad probability list: {text!r}")
 

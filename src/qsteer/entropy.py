@@ -68,16 +68,6 @@ class JointDistribution:
         arr.setflags(write=False)
         self.table = arr
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.table.shape
-
-    def marginal_x(self) -> np.ndarray:
-        return self.table.sum(axis=1)
-
-    def marginal_y(self) -> np.ndarray:
-        return self.table.sum(axis=0)
-
     def swapped(self) -> "JointDistribution":
         """The same joint with the roles of the two variables exchanged."""
         return JointDistribution(self.table.T)

@@ -60,8 +60,9 @@ def bisect_threshold(pred: Callable[[float], bool], tol: float) -> ThresholdSolu
     ``pred(1)`` and ``pred(0)`` are evaluated once each.  If ``pred(1)`` is
     False the answer saturates to ``(1.0, True)``; if ``pred(0)`` is True it
     saturates to ``(0.0, True)``.  Otherwise the bracket is halved until it
-    is narrower than ``tol`` and its True end is returned, the side that
-    never undershoots the boundary; ``tol`` must lie in (0, 1).
+    is narrower than ``tol``, or its ends are adjacent doubles, and its True
+    end is returned, the side that never undershoots the boundary; ``tol``
+    must lie in (0, 1).
     Monotonicity is the caller's responsibility.
     """
     if not 0.0 < tol < 1.0:
@@ -73,6 +74,8 @@ def bisect_threshold(pred: Callable[[float], bool], tol: float) -> ThresholdSolu
     a, b = 0.0, 1.0
     while b - a > tol:
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:  # tol is below the float spacing here
+            break
         if pred(mid):
             b = mid
         else:

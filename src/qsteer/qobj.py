@@ -61,9 +61,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
 
@@ -163,17 +160,6 @@ def max_entangled_state(d: int) -> DensityMatrix:
     d = _check_dim(d)
     phi = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     return DensityMatrix(np.outer(phi, phi.conj()))
-
-
-def partial_trace(matrix: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one factor of a bipartite operator; ``keep`` is 0 (A) or 1 (B)."""
-    da, db = dims
-    m = np.asarray(matrix, dtype=complex).reshape(da, db, da, db)
-    if keep == 0:
-        return np.einsum("ikjk->ij", m)
-    if keep == 1:
-        return np.einsum("kikj->ij", m)
-    raise ValueError("keep must be 0 or 1")
 
 
 def joint_distribution(rho: DensityMatrix, alice: Povm, bob: Povm) -> JointDistribution:

@@ -127,46 +127,6 @@ def fig1_scan(
     return ScanResult(tuple(records), metadata)
 
 
-def alpha_optimality_check(
-    d: int, alpha_grid: Sequence[float], tol: float = 1e-6
-) -> ScanResult:
-    """Symmetric-noise thresholds as a function of the entropy order.
-
-    The grid must contain 1/2, 1 and infinity.  The Shannon order must come
-    out as the grid maximum and the min/max-entropy pair as the minimum;
-    anything else is reported as a failure of the scan itself.
-    """
-    grid = sorted(float(a) for a in alpha_grid)
-    if not all(a >= 0.5 for a in grid):
-        raise ValueError("alpha grid must lie in [1/2, inf]")
-    if not {0.5, 1.0}.issubset(grid) or not any(math.isinf(a) for a in grid):
-        raise ValueError("alpha grid must include 1/2, 1 and inf")
-    exact = mub_jm_threshold_symmetric(d)
-    thresholds = {a: mub_pipeline_threshold(d, a, tol) for a in grid}
-    slack = 2.0 * tol
-    worst = max(thresholds.values())
-    best = min(thresholds.values())
-    if thresholds[1.0] < worst - slack:
-        raise RuntimeError("Shannon order is not the threshold maximum on the grid")
-    if thresholds[0.5] > best + slack:
-        raise RuntimeError("min/max-entropy order is not the threshold minimum")
-    records = tuple(
-        ThresholdRecord(parameter=a, detected=thresholds[a], exact=exact, alpha=a)
-        for a in grid
-    )
-    metadata = {
-        "scenario": "alpha-optimality",
-        "parameter_name": "alpha",
-        "d": int(d),
-        "alphas": grid,
-        "betas": [dual_order(a) for a in grid],
-        "grid": grid,
-        "tol": tol,
-        "seed": None,
-    }
-    return ScanResult(records, metadata)
-
-
 # ---------------------------------------------------------------------------
 # qubit scenarios
 # ---------------------------------------------------------------------------

@@ -109,9 +109,9 @@ def evaluate(
 class LhsModel:
     """Local-hidden-state model: weights, Bob's states, Alice's responses.
 
-    ``responses[label]`` is a row-stochastic array of shape
-    (n_lambda, n_outcomes): the distribution of Alice's announced outcome
-    for each hidden variable and measurement label.
+    ``responses[label]``, for each label of ``MEASUREMENT_LABELS`` and no
+    other, is a row-stochastic array of shape (n_lambda, n_outcomes): the
+    distribution of Alice's announced outcome for each hidden variable.
     """
 
     weights: np.ndarray
@@ -124,10 +124,15 @@ class LhsModel:
         object.__setattr__(self, "weights", w)
         if len(self.hidden_states) != w.size:
             raise ValueError("one hidden state per weight is required")
+        odd = sorted(set(self.responses) ^ set(MEASUREMENT_LABELS))
+        if odd:
+            raise ValueError(f"response map {odd[0]!r} is missing or unknown")
         for label, resp in self.responses.items():
             r = np.asarray(resp, dtype=float)
-            if r.shape[0] != w.size:
-                raise ValueError(f"response map {label!r} has wrong row count")
+            if r.ndim != 2 or r.shape[0] != w.size:
+                raise ValueError(
+                    f"response map {label!r} must have shape ({w.size}, k), got {r.shape}"
+                )
             if r.min() < -DEFAULT_TOLS.prob_negativity:
                 raise ValueError(f"response map {label!r} has negative entries")
             if np.abs(r.sum(axis=1) - 1.0).max() > DEFAULT_TOLS.structural:

@@ -63,6 +63,13 @@ class TestRunExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: --joint rows must have equal length"]
 
+    @pytest.mark.parametrize("probs", ["0.5,,0.5", "0.5,0.5,"])
+    def test_empty_probability_field_exits_2(self, capsys, probs):
+        assert run(["entropy", "--probs", probs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad probability list: {probs!r}" in captured.err
+
     def test_unknown_flag_exits_2(self):
         assert run(["threshold", "--d", "2", "--bogus"]) == 2
 
@@ -111,23 +118,45 @@ class TestRunExitCodes:
         assert csv_path.exists() and svg_path.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, grid, name",
+        [("scan-qubit", ["--thetas", "0:0.7:3"], "theta"),
+         ("scan-d3", ["--t-grid", "0:0.5:3"], "t")],
+    )
+    def test_scan_commands_write_csv(self, tmp_path, capsys, command, grid, name):
+        csv_path = tmp_path / "scan.csv"
+        assert run([command, *grid, "--tol", "1e-5", "--csv", str(csv_path)]) == 0
+        capsys.readouterr()
+        header, *rows = csv_path.read_text(encoding="utf-8").splitlines()
+        assert header.startswith(f"{name},alpha,beta,")
+        assert len(rows) == 3
+
+
+def run_module(*args):
+    """``python -m qsteer`` on this checkout's sources, in a subprocess."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "qsteer", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
 
 class TestModuleEntryPoint:
     def test_python_m_qsteer(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "-m", "qsteer", "entropy", "--probs", "0.9,0.1", "--alpha", "inf"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        out = run_module("entropy", "--probs", "0.9,0.1", "--alpha", "inf")
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("0.152003093")
+
+    def test_tolerance_below_float_spacing_ends(self):
+        # a tolerance finer than the float spacing at the switch must still end
+        out = run_module("threshold", "--d", "2", "--tol", "1e-20")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("0.707107")
 
 
 class TestCsv:

@@ -59,6 +59,19 @@ class TestBisect:
         assert calls[:2] == [1.0, 0.0]
         assert calls.count(1.0) == calls.count(0.0) == 1
 
+    def test_tolerance_below_float_spacing_ends(self):
+        calls = []
+
+        def pred(v):
+            calls.append(v)
+            if len(calls) > 200:
+                raise RuntimeError("bisection does not end")
+            return v >= 0.7
+
+        # the bracket ends become adjacent doubles long before it is 1e-20 wide
+        assert bisect_threshold(pred, 1e-20) == (0.7, False)
+        assert len(calls) == 55
+
     def test_entropic_boundary_d2(self):
         solution = bisect_threshold(lambda v: not renyi_mub_holds(2, v, v), 1e-9)
         assert solution.value == pytest.approx(SQRT2_INV, abs=1e-8)

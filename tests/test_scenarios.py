@@ -15,7 +15,6 @@ from qsteer.qobj import (
     qubit_povm,
 )
 from qsteer.scenarios import (
-    alpha_optimality_check,
     d3_family_scan,
     fig1_scan,
     lhs_falsification_suite,
@@ -142,17 +141,13 @@ class TestPipelineSolveCost:
 
 class TestAlphaOptimality:
     def test_grid_extremes(self):
-        scan = alpha_optimality_check(3, [0.5, 0.7, 1.0, 2.0, math.inf], tol=1e-6)
-        by_alpha = {r.parameter: r.detected for r in scan.records}
+        scan = fig1_scan([3], [0.5, 0.7, 1.0, 2.0, math.inf], tol=1e-6)
+        by_alpha = {r.alpha: r.detected for r in scan.records}
         top = max(by_alpha.values())
         bottom = min(by_alpha.values())
         assert by_alpha[1.0] == pytest.approx(top, abs=2e-6)
         assert by_alpha[0.5] == pytest.approx(bottom, abs=2e-6)
         assert by_alpha[0.5] == pytest.approx(mub_jm_threshold_symmetric(3), abs=2e-6)
-
-    def test_requires_anchor_orders(self):
-        with pytest.raises(ValueError):
-            alpha_optimality_check(3, [0.5, 1.0])  # missing inf
 
     def test_dual_symmetry_under_measurement_swap(self):
         rho = max_entangled_state(3)

@@ -14,6 +14,7 @@ from qsteer.qobj import (
     rotated_d3_bases,
 )
 from qsteer.steering import (
+    LhsModel,
     UnsupportedBoundError,
     born_statistics,
     evaluate,
@@ -180,9 +181,9 @@ class TestBornStatistics:
         comp, four = mub_pair(2)
         alice_x, alice_z = qubit_povm(0.3, (0.6, 0, 0)), qubit_povm(-0.2, (0, 0, 0.7))
         jx, jz = born_statistics(rho, alice_x, alice_z, four, comp)
-        assert np.abs(jx.marginal_y() - [0.65, 0.35]).max() < 1e-12
-        assert np.abs(jz.marginal_y() - [0.4, 0.6]).max() < 1e-12
-        assert np.abs(jx.marginal_x() - 0.5).max() < 1e-12
+        assert np.abs(jx.table.sum(axis=0) - [0.65, 0.35]).max() < 1e-12
+        assert np.abs(jz.table.sum(axis=0) - [0.4, 0.6]).max() < 1e-12
+        assert np.abs(jx.table.sum(axis=1) - 0.5).max() < 1e-12
 
 
 class TestLhsModel:
@@ -208,7 +209,7 @@ class TestLhsModel:
         comp, four = mub_pair(2)
         jx, jz = lhs_statistics(model, four, comp)
         for j in (jx, jz):
-            outer = np.outer(j.marginal_x(), j.marginal_y())
+            outer = np.outer(j.table.sum(axis=1), j.table.sum(axis=0))
             assert np.abs(j.table - outer).max() < 1e-12
 
     def test_lambda_blind_responses_decouple_alice(self):
@@ -221,8 +222,16 @@ class TestLhsModel:
         )
         comp, four = mub_pair(2)
         jx, _ = lhs_statistics(blind, four, comp)
-        outer = np.outer(jx.marginal_x(), jx.marginal_y())
+        outer = np.outer(jx.table.sum(axis=1), jx.table.sum(axis=0))
         assert np.abs(jx.table - outer).max() < 1e-12
+
+    def test_malformed_responses_rejected(self):
+        model = sample_lhs_model(9, 2, 3)
+        with pytest.raises(ValueError, match="response map 'z' is missing"):
+            LhsModel(model.weights, model.hidden_states, {"x": model.responses["x"]})
+        flat = {"x": model.responses["x"], "z": np.full(3, 1.0)}
+        with pytest.raises(ValueError, match=r"response map 'z' must have shape \(3, k\)"):
+            LhsModel(model.weights, model.hidden_states, flat)
 
     def test_statistics_never_violate_bound(self):
         comp, four = mub_pair(2)
