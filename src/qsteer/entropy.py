@@ -11,7 +11,9 @@ The conditioning variable is always the *second* axis of a joint table.
 An unconditional entropy is the conditional one of a one-column table.
 Orders 0, 1/2, 1 and infinity dispatch to closed forms; everything else
 goes through a numerically careful generic evaluator (expm1/log1p near
-order one, max-factoring for large orders).
+order one, max-factoring for large orders).  Every evaluator is
+column-vectorised: it reduces the matrix of conditionals p(x|y) of all
+positive-weight columns at once, with no Python loop over y.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ def as_distribution(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("a distribution must be a nonempty 1-d vector")
-    if p.min() < -DEFAULT_TOLS.prob_negativity:
-        raise ValueError(f"distribution has negative entry {p.min():.3e}")
+    if not p.min() >= -DEFAULT_TOLS.prob_negativity:  # also rejects NaN
+        raise ValueError(f"distribution has negative or NaN entry {p.min():.3e}")
     total = float(p.sum())
-    if abs(total - 1.0) > DEFAULT_TOLS.prob_sum:
+    if not abs(total - 1.0) <= DEFAULT_TOLS.prob_sum:
         raise ValueError(f"distribution sums to {total!r}, not 1")
     return np.clip(p, 0.0, None)
 
@@ -59,11 +61,11 @@ class JointDistribution:
         arr = np.array(table, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("a joint distribution must be a nonempty 2-d table")
-        if arr.min() < -DEFAULT_TOLS.prob_negativity:
-            raise ValueError(f"joint table has negative entry {arr.min():.3e}")
+        if not arr.min() >= -DEFAULT_TOLS.prob_negativity:  # also rejects NaN
+            raise ValueError(f"joint table has negative or NaN entry {arr.min():.3e}")
         arr = np.clip(arr, 0.0, None)
         total = float(arr.sum())
-        if abs(total - 1.0) > DEFAULT_TOLS.prob_sum:
+        if not abs(total - 1.0) <= DEFAULT_TOLS.prob_sum:
             raise ValueError(f"joint table sums to {total!r}, not 1")
         arr.setflags(write=False)
         self.table = arr
@@ -100,21 +102,24 @@ def _check_order(alpha: float) -> float:
     return alpha
 
 
-def _shannon_bits(p: np.ndarray) -> float:
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
-
-
-def _column_conditionals(table: np.ndarray):
-    """Yield (weight, conditional) for every column with positive weight."""
+def _conditionals(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights p(y) of the positive-weight columns and their conditionals
+    p(x|y), one column each."""
     p_y = table.sum(axis=0)
-    for y in range(table.shape[1]):
-        if p_y[y] > 0.0:
-            yield p_y[y], table[:, y] / p_y[y]
+    keep = p_y > 0.0
+    w = p_y[keep]
+    return w, table[:, keep] / w
+
+
+def _power_excess(c: np.ndarray, k: float) -> np.ndarray:
+    """Per column sum_x c^(1+k) - 1, without cancellation for small k."""
+    log_c = np.log(np.where(c > 0.0, c, 1.0))  # zero entries carry no weight
+    return np.sum(c * np.expm1(k * log_c), axis=0)
 
 
 def _conditional_shannon(table: np.ndarray) -> float:
-    return float(sum(w * _shannon_bits(c) for w, c in _column_conditionals(table)))
+    w, c = _conditionals(table)
+    return float(w @ -np.sum(c * np.log2(np.where(c > 0.0, c, 1.0)), axis=0))
 
 
 def _conditional_min_entropy(table: np.ndarray) -> float:
@@ -133,22 +138,15 @@ def _conditional_renyi_generic(table: np.ndarray, alpha: float) -> float:
     Exposed separately so the dispatch boundary can be probed: this path
     agrees with the Shannon and min-entropy closed forms in the limits.
     """
+    w, c = _conditionals(table)
     if alpha < 2.0:
         # Track sums relative to 1 so that alpha near 1 stays well conditioned.
-        excess = 0.0
-        for w, c in _column_conditionals(table):
-            c = c[c > 0.0]
-            d = float(np.sum(c * np.expm1((alpha - 1.0) * np.log(c))))
-            log_norm = math.log1p(d) / alpha
-            excess += w * math.expm1(log_norm)
+        log_norm = np.log1p(_power_excess(c, alpha - 1.0)) / alpha
+        excess = float(w @ np.expm1(log_norm))
         return alpha / (1.0 - alpha) * math.log1p(excess) / _LN2
-    total = 0.0
-    for w, c in _column_conditionals(table):
-        c = c[c > 0.0]
-        m = float(c.max())
-        s = float(np.sum((c / m) ** alpha))
-        total += w * m * s ** (1.0 / alpha)
-    return alpha / (1.0 - alpha) * math.log2(total)
+    m = c.max(axis=0)
+    s = np.sum((c / m) ** alpha, axis=0)
+    return alpha / (1.0 - alpha) * math.log2(float(w @ (m * s ** (1.0 / alpha))))
 
 
 def conditional_renyi(joint, alpha: float) -> float:
@@ -161,10 +159,7 @@ def conditional_renyi(joint, alpha: float) -> float:
     alpha = _check_order(alpha)
     table = _as_table(joint)
     if alpha == 0.0:
-        support = max(
-            int(np.count_nonzero(c > 0.0)) for _, c in _column_conditionals(table)
-        )
-        return float(np.log2(support))
+        return float(np.log2(np.count_nonzero(table > 0.0, axis=0).max()))
     if math.isinf(alpha):
         return _conditional_min_entropy(table)
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
@@ -192,13 +187,6 @@ def _check_tsallis_order(q: float) -> float:
     return q
 
 
-def _tsallis_nats(p: np.ndarray, q: float) -> float:
-    p = p[p > 0.0]
-    # (sum p^q - 1)/(1-q) without cancellation near q=1.
-    d = float(np.sum(p * np.expm1((q - 1.0) * np.log(p))))
-    return -d / (q - 1.0)
-
-
 def tsallis_entropy(probs, q: float) -> float:
     """Tsallis q-entropy in nats: -sum_x p(x)^q ln_q p(x)."""
     return conditional_tsallis(as_distribution(probs)[:, None], q)
@@ -208,6 +196,6 @@ def conditional_tsallis(joint, q: float) -> float:
     """Conditional Tsallis entropy sum_y p(y)^q S_q(X|Y=y), in nats."""
     q = _check_tsallis_order(q)
     table = _as_table(joint)
-    return float(
-        sum(w**q * _tsallis_nats(c, q) for w, c in _column_conditionals(table))
-    )
+    w, c = _conditionals(table)
+    # (sum_x c^q - 1)/(1-q) without cancellation near q=1.
+    return float(w**q @ _power_excess(c, q - 1.0)) / (1.0 - q)

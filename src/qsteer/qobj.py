@@ -22,10 +22,12 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    return bool(np.abs(a - a.conj().T).max() <= DEFAULT_TOLS.structural)
+    """True when ``a``, or every matrix of a ``(..., d, d)`` stack, is Hermitian."""
+    return bool(np.abs(a - np.swapaxes(a, -1, -2).conj()).max() <= DEFAULT_TOLS.structural)
 
 
 def is_psd(a: np.ndarray) -> bool:
+    """True when ``a``, or every matrix of a ``(..., d, d)`` stack, is PSD."""
     if not is_hermitian(a):
         return False
     return bool(np.linalg.eigvalsh(a).min() >= -DEFAULT_TOLS.structural)
@@ -78,13 +80,13 @@ class Povm:
         for e in mats:
             if e.ndim != 2 or e.shape != (d, d):
                 raise ValueError("POVM effects must be square matrices of equal size")
-            if not is_psd(e):
-                raise ValueError("POVM effect is not positive semidefinite")
-            e.setflags(write=False)
-        total = sum(mats)
-        if np.abs(total - np.eye(d)).max() > DEFAULT_TOLS.structural:
+        stack = np.stack(mats)
+        if not is_psd(stack):
+            raise ValueError("POVM effect is not positive semidefinite")
+        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > DEFAULT_TOLS.structural:
             raise ValueError("POVM effects do not sum to the identity")
-        self.effects = mats
+        stack.setflags(write=False)
+        self.effects = tuple(stack)
 
     @classmethod
     def from_basis(cls, basis: np.ndarray) -> "Povm":
@@ -101,13 +103,9 @@ class Povm:
         return len(self.effects)
 
     def is_rank1_projective(self) -> bool:
-        tol = DEFAULT_TOLS.projective
-        for e in self.effects:
-            if abs(np.trace(e).real - 1.0) > tol:
-                return False
-            if np.abs(e @ e - e).max() > tol:
-                return False
-        return True
+        e, tol = np.stack(self.effects), DEFAULT_TOLS.projective
+        traces = np.trace(e, axis1=1, axis2=2).real
+        return bool(np.abs(traces - 1.0).max() <= tol and np.abs(e @ e - e).max() <= tol)
 
     def __repr__(self) -> str:
         return f"Povm(dim={self.dim}, n_outcomes={self.n_outcomes})"

@@ -30,7 +30,6 @@ from .jointmeas import (
 from .qobj import (
     DensityMatrix,
     Povm,
-    depolarize,
     joint_distribution,
     max_entangled_state,
     mub_pair,
@@ -53,26 +52,28 @@ class ScanResult:
             raise ValueError("scan records must be sorted by parameter")
 
 
-def _pipeline_threshold(
-    rho: DensityMatrix,
-    alice_x: Povm,
-    alice_z: Povm,
-    bob_x: Povm,
-    bob_z: Povm,
-    alpha: float,
-    tol: float,
-) -> ThresholdSolution:
+def _pipeline_tables(
+    rho: DensityMatrix, alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm
+) -> tuple:
+    """Bob-first Born tables at visibility 1 and 0 for both settings, and Bob's
+    bound: what a threshold solve needs, whatever the order.
+
+    At v = 0 Alice's effect E_a is tr(E_a) I/d, and the E_a sum to I, so that
+    table is Bob's marginal times tr(E_a)/d and needs no contraction."""
+    t1 = steering.born_statistics(rho, alice_x, alice_z, bob_x, bob_z)
+    traces = (np.trace(a.effects, axis1=1, axis2=2).real / a.dim for a in (alice_x, alice_z))
+    t0 = tuple(JointDistribution(np.outer(t.table.sum(axis=1), w)) for t, w in zip(t1, traces))
+    return t1, t0, steering.overlap_bound(bob_x, bob_z)
+
+
+def _pipeline_threshold(tables: tuple, alpha: float, tol: float) -> ThresholdSolution:
     """Smallest visibility, applied to both of Alice's measurements, at which
     the full pipeline detects steering; saturated at 1 if none does.
 
     ``depolarize`` is affine in v and the Born rule linear, so the tables are
-    T(v) = v T(1) + (1 - v) T(0): the four tables and Bob's bound are computed
-    once per solve, and a probe mixes them and makes one ``steering.evaluate``."""
-    t1 = steering.born_statistics(rho, alice_x, alice_z, bob_x, bob_z)
-    t0 = steering.born_statistics(
-        rho, depolarize(alice_x, 0.0), depolarize(alice_z, 0.0), bob_x, bob_z
-    )
-    bound = steering.overlap_bound(bob_x, bob_z)
+    T(v) = v T(1) + (1 - v) T(0): a probe mixes the precomputed ``tables`` and
+    makes one ``steering.evaluate``."""
+    t1, t0, bound = tables
 
     def detects(v: float) -> bool:
         jx, jz = (JointDistribution(v * a.table + (1.0 - v) * b.table) for a, b in zip(t1, t0))
@@ -81,13 +82,17 @@ def _pipeline_threshold(
     return bisect_threshold(detects, tol)
 
 
+def _mub_tables(d: int) -> tuple:
+    """Pipeline tables for noisy MUBs on the maximally entangled state."""
+    comp, four = mub_pair(d)
+    return _pipeline_tables(max_entangled_state(d), four, comp, four, comp)
+
+
 def mub_pipeline_threshold(d: int, alpha: float, tol: float = 1e-6) -> float:
     """Detected symmetric visibility threshold for noisy MUBs, full pipeline."""
     if not alpha >= 0.5:
         raise ValueError(f"criterion needs alpha >= 1/2, got {alpha!r}")
-    rho = max_entangled_state(d)
-    comp, four = mub_pair(d)
-    return _pipeline_threshold(rho, four, comp, four, comp, alpha, tol).value
+    return _pipeline_threshold(_mub_tables(d), alpha, tol).value
 
 
 def fig1_scan(
@@ -110,8 +115,9 @@ def fig1_scan(
     records = []
     for d in dims:
         exact = mub_jm_threshold_symmetric(d)
+        tables = _mub_tables(d)
         for a in sorted(alphas):
-            detected = mub_pipeline_threshold(d, a, tol)
+            detected = _pipeline_threshold(tables, a, tol).value
             records.append(
                 ThresholdRecord(parameter=float(d), detected=detected, exact=exact, alpha=a)
             )
@@ -246,9 +252,10 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
         if np.abs(jz.table - expected).max() > 1e-12:
             raise RuntimeError("pipeline statistics deviate from the closed form")
 
-        detected, saturated = _pipeline_threshold(
-            rho, qubit_povm(0.0, dir_x), qubit_povm(0.0, dir_z), bob_x, bob_z, 0.5, tol
+        tables = _pipeline_tables(
+            rho, qubit_povm(0.0, dir_x), qubit_povm(0.0, dir_z), bob_x, bob_z
         )
+        detected, saturated = _pipeline_threshold(tables, 0.5, tol)
         records.append(
             ThresholdRecord(
                 parameter=t,
@@ -402,15 +409,14 @@ def qubit_random_povm_check(
         )
 
         # re-derive the winning threshold through the full Born-rule pipeline
-        detected, saturated = _pipeline_threshold(
+        tables = _pipeline_tables(
             rho,
             qubit_povm(bias_x, bloch_x),
             qubit_povm(bias_z, bloch_z),
             qubit_povm(0.0, opt_dirs[0]),
             qubit_povm(0.0, opt_dirs[1]),
-            0.5,
-            tol,
         )
+        detected, saturated = _pipeline_threshold(tables, 0.5, tol)
 
         if kind == "biased":
             exact = None
@@ -511,7 +517,8 @@ def d3_family_scan(
         alice_z, alice_x = rotated_d3_bases(t)
         bob_z, bob_x = _conjugate_povm(alice_z), _conjugate_povm(alice_x)
 
-        detected, saturated = _pipeline_threshold(rho, alice_x, alice_z, bob_x, bob_z, 0.5, tol)
+        tables = _pipeline_tables(rho, alice_x, alice_z, bob_x, bob_z)
+        detected, saturated = _pipeline_threshold(tables, 0.5, tol)
 
         if refine_bob and not saturated:
             base_x, base_z = np.stack(bob_x.effects), np.stack(bob_z.effects)
@@ -521,8 +528,8 @@ def d3_family_scan(
                 uz = _givens_unitary(3, params[6:])
                 bx = Povm([ux @ e @ ux.conj().T for e in base_x])
                 bz = Povm([uz @ e @ uz.conj().T for e in base_z])
-                solution = _pipeline_threshold(rho, alice_x, alice_z, bx, bz, 0.5, tol * 0.25)
-                return solution.value
+                tables = _pipeline_tables(rho, alice_x, alice_z, bx, bz)
+                return _pipeline_threshold(tables, 0.5, tol * 0.25).value
 
             best = detected
             for st in (np.zeros(12), 0.15 * np.arange(1, 13) / 12.0):

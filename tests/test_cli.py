@@ -70,6 +70,17 @@ class TestRunExitCodes:
         assert captured.out == ""
         assert f"bad probability list: {probs!r}" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--probs", "nan,1", "distribution has negative or NaN entry nan"),
+         ("--joint", "nan,0.5;0.5,0", "joint table has negative or NaN entry nan")],
+    )
+    def test_nan_probability_exits_2(self, capsys, flag, value, message):
+        assert run(["entropy", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
     def test_unknown_flag_exits_2(self):
         assert run(["threshold", "--d", "2", "--bogus"]) == 2
 

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsteer.entropy import (
+    ALPHA_ONE_WINDOW,
     JointDistribution,
     NoDualOrderError,
     _conditional_min_entropy,
     _conditional_renyi_generic,
     _conditional_shannon,
+    as_distribution,
     conditional_renyi,
     conditional_tsallis,
     dual_order,
@@ -29,6 +31,74 @@ P_532 = [0.5, 0.3, 0.2]
 RENYI_532 = {0.7: 1.5146747925518439809, 2.0: 1.3959286763311392019,
              3.0: 1.3219280948873623479}
 TSALLIS_532 = {0.5: 1.4040858683833431543, 2.0: 0.62}
+
+
+KERNEL_ORDERS = (0.0, 0.3, 0.5, 0.7, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.5, 2.0, 7.5, 50.0,
+                 1e12, math.inf)
+KERNEL_TSALLIS_ORDERS = (0.3, 0.5, 2.0, 7.5)
+
+
+# Reference evaluators: the per-column loops that the column-vectorised
+# kernels replaced, kept as the oracle they are compared against.
+
+def ref_columns(table):
+    p_y = table.sum(axis=0)
+    return [(p_y[y], table[:, y] / p_y[y]) for y in range(table.shape[1]) if p_y[y] > 0.0]
+
+
+def ref_renyi_generic(table, alpha):
+    if alpha < 2.0:
+        excess = 0.0
+        for w, c in ref_columns(table):
+            c = c[c > 0.0]
+            d = float(np.sum(c * np.expm1((alpha - 1.0) * np.log(c))))
+            excess += w * math.expm1(math.log1p(d) / alpha)
+        return alpha / (1.0 - alpha) * math.log1p(excess) / math.log(2.0)
+    total = 0.0
+    for w, c in ref_columns(table):
+        c = c[c > 0.0]
+        m = float(c.max())
+        total += w * m * float(np.sum((c / m) ** alpha)) ** (1.0 / alpha)
+    return alpha / (1.0 - alpha) * math.log2(total)
+
+
+def ref_conditional_renyi(table, alpha):
+    columns = ref_columns(table)
+    if alpha == 0.0:
+        return float(np.log2(max(np.count_nonzero(c > 0.0) for _, c in columns)))
+    if math.isinf(alpha):
+        return -math.log2(sum(w * c.max() for w, c in columns))
+    if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
+        return sum(w * float(-np.sum(c[c > 0.0] * np.log2(c[c > 0.0]))) for w, c in columns)
+    return ref_renyi_generic(table, alpha)
+
+
+def ref_conditional_tsallis(table, q):
+    total = 0.0
+    for w, c in ref_columns(table):
+        c = c[c > 0.0]
+        total += w**q * -float(np.sum(c * np.expm1((q - 1.0) * np.log(c)))) / (q - 1.0)
+    return total
+
+
+def random_sparse_tables(seed, n):
+    """Tables of 2-8 rows and 1-8 columns with zero entries; about half of
+    the tables with two or more columns also have a zero-weight column."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    while len(tables) < n:
+        t = rng.random((rng.integers(2, 9), rng.integers(1, 9)))
+        t[rng.random(t.shape) < 0.3] = 0.0
+        if t.shape[1] > 1 and rng.random() < 0.5:
+            t[:, rng.integers(t.shape[1])] = 0.0
+        if t.sum() > 0.0:
+            tables.append(t / t.sum())
+    return tables
+
+
+def assert_close(value, reference):
+    # 1e-13 relative; the absolute floor only matters for values at zero
+    assert math.isclose(value, reference, rel_tol=1e-13, abs_tol=1e-15), (value, reference)
 
 
 def distributions(max_size=6):
@@ -137,6 +207,33 @@ class TestConditionalRenyi:
         )
 
 
+class TestKernelsMatchColumnLoops:
+    tables = random_sparse_tables(2024, 200)
+
+    def test_tables_have_zero_entries_and_zero_weight_columns(self):
+        assert sum((t == 0.0).any() for t in self.tables) > 150
+        assert sum((t.sum(axis=0) == 0.0).any() for t in self.tables) > 40
+        assert {t.shape[1] for t in self.tables} == set(range(1, 9))
+
+    @pytest.mark.parametrize("alpha", KERNEL_ORDERS)
+    def test_conditional_renyi(self, alpha):
+        for table in self.tables:
+            assert_close(conditional_renyi(table, alpha), ref_conditional_renyi(table, alpha))
+
+    @pytest.mark.parametrize(
+        "alpha", [a for a in KERNEL_ORDERS if a not in (0.0, 1.0, math.inf)]
+    )
+    def test_generic_kernel(self, alpha):
+        # orders inside the Shannon window reach this kernel only when called directly
+        for table in self.tables:
+            assert_close(_conditional_renyi_generic(table, alpha), ref_renyi_generic(table, alpha))
+
+    @pytest.mark.parametrize("q", KERNEL_TSALLIS_ORDERS)
+    def test_conditional_tsallis(self, q):
+        for table in self.tables:
+            assert_close(conditional_tsallis(table, q), ref_conditional_tsallis(table, q))
+
+
 class TestDualOrder:
     def test_fixed_points_and_examples(self):
         assert dual_order(0.5) == math.inf
@@ -216,6 +313,12 @@ class TestJointDistribution:
             JointDistribution([[0.5, -1e-6], [0.25, 0.25]])
         with pytest.raises(ValueError):
             JointDistribution([[0.5, 0.5], [0.5, 0.5]])
+
+    def test_both_constructors_reject_nan(self):
+        with pytest.raises(ValueError, match="joint table has negative or NaN entry nan"):
+            JointDistribution([[math.nan, 0.5], [0.5, 0.0]])
+        with pytest.raises(ValueError, match="distribution has negative or NaN entry nan"):
+            as_distribution([math.nan, 1.0])
 
     def test_swapped_transposes(self):
         j = JointDistribution([[0.1, 0.2], [0.3, 0.4]])

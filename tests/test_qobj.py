@@ -262,8 +262,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             Povm([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])])  # not PSD
 
+    def test_non_hermitian_effects_summing_to_identity(self):
+        skew = np.array([[0.5, 0.2], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="^POVM effect is not positive semidefinite$"):
+            Povm([skew, np.eye(2) - skew])
+
+    def test_negative_eigenvalue_in_first_of_three_effects(self):
+        effects = [np.diag([-0.1, 0.0]), np.diag([0.6, 0.5]), np.diag([0.5, 0.5])]
+        with pytest.raises(ValueError, match="^POVM effect is not positive semidefinite$"):
+            Povm(effects)
+
     def test_predicates(self):
         assert is_hermitian(np.eye(2))
         assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
         assert is_psd(np.diag([0.5, 0.5]))
         assert not is_psd(np.diag([1.0, -0.1]))
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_predicates_on_stacks_with_one_failing_member(self, bad):
+        good = [np.eye(2), np.diag([0.5, 0.5]), np.array([[0.5, 0.5j], [-0.5j, 0.5]])]
+        assert is_hermitian(np.stack(good)) and is_psd(np.stack(good))
+
+        not_psd = list(good)
+        not_psd[bad] = np.diag([1.0, -0.1])
+        assert is_hermitian(np.stack(not_psd))
+        assert not is_psd(np.stack(not_psd))
+
+        not_hermitian = list(good)
+        not_hermitian[bad] = np.array([[0.5, 0.2], [0.0, 0.5]])
+        assert not is_hermitian(np.stack(not_hermitian))
+        assert not is_psd(np.stack(not_hermitian))

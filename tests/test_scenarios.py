@@ -4,15 +4,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qsteer import scenarios, steering
+from qsteer import qobj, scenarios, steering
 from qsteer.entropy import dual_order
 from qsteer.jointmeas import mub_jm_threshold_symmetric, renyi_mub_threshold_symmetric
 from qsteer.qobj import (
+    Povm,
     depolarize,
     joint_distribution,
     max_entangled_state,
     mub_pair,
     qubit_povm,
+    rotated_d3_bases,
 )
 from qsteer.scenarios import (
     d3_family_scan,
@@ -77,6 +79,13 @@ class TestFig1Scan:
         by_alpha = {r.alpha: r.detected for r in scan.records}
         assert by_alpha[1.0] - by_alpha[0.5] > 1e-4
 
+    def test_records_equal_single_solves(self):
+        # the tables are built once per dimension and shared by its orders
+        alphas = [0.5, 0.7, 1.0, math.inf]
+        scan = fig1_scan(range(2, 11), alphas, tol=1e-6)
+        expected = [mub_pipeline_threshold(d, a, tol=1e-6) for d in range(2, 11) for a in alphas]
+        assert [r.detected for r in scan.records] == expected
+
     def test_metadata_complete(self):
         scan = fig1_scan([2], [0.5], tol=1e-6)
         for key in ("scenario", "parameter_name", "alphas", "betas", "grid", "tol", "seed"):
@@ -108,16 +117,19 @@ class TestPipelineSolveCost:
     @pytest.fixture
     def calls(self, monkeypatch):
         # the bindings the pipeline calls: steering.born_statistics contracts
-        # through steering.joint_distribution
+        # through steering.joint_distribution; depolarize is counted wherever
+        # scenarios could reach it
         counts = Counter()
-        for name in ("evaluate", "joint_distribution", "overlap_bound"):
-            original = getattr(steering, name)
+        bindings = [(steering, n) for n in ("evaluate", "joint_distribution", "overlap_bound")]
+        bindings += [(qobj, "depolarize"), (scenarios, "depolarize")]
+        for module, name in bindings:
+            original = getattr(module, name, None)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(steering, name, counted)
+            monkeypatch.setattr(module, name, counted, raising=False)
         return counts
 
     @pytest.mark.parametrize("d, alpha", [(2, 0.5), (3, 1.0), (5, math.inf)])
@@ -130,13 +142,55 @@ class TestPipelineSolveCost:
     @pytest.mark.parametrize("d, alpha", [(2, 0.5), (5, math.inf)])
     def test_tables_and_bound_once_per_solve(self, calls, d, alpha, tol):
         mub_pipeline_threshold(d, alpha, tol=tol)
-        assert calls["joint_distribution"] == 4  # T(1) and T(0) for both settings
+        assert calls["joint_distribution"] == 2  # T(1) for both settings
+        assert calls["depolarize"] == 0  # T(0) is Bob's marginal times tr(E_a)/d
         assert calls["overlap_bound"] == 1
+
+    def test_fig1_scan_builds_tables_once_per_dimension(self, calls):
+        fig1_scan([2, 3], [0.5, 1.0, math.inf], tol=1e-3)
+        assert calls["joint_distribution"] == 4 and calls["overlap_bound"] == 2
 
     def test_never_detecting_scenario_costs_one_evaluation(self, calls):
         scan = d3_family_scan([0.5], tol=1e-6)
         assert scan.records[0].saturated and scan.records[0].detected == 1.0
-        assert calls == {"evaluate": 1, "joint_distribution": 4, "overlap_bound": 1}
+        assert calls == {"evaluate": 1, "joint_distribution": 2, "overlap_bound": 1}
+
+
+class TestPipelineTables:
+    """The v = 0 tables, built from Bob's marginal, equal the Born tables of
+    fully depolarized measurements."""
+
+    @staticmethod
+    def assert_v0_tables_match(rho, alice_x, alice_z, bob_x, bob_z):
+        _, t0, _ = scenarios._pipeline_tables(rho, alice_x, alice_z, bob_x, bob_z)
+        noisy_x, noisy_z = depolarize(alice_x, 0.0), depolarize(alice_z, 0.0)
+        born = born_statistics(rho, noisy_x, noisy_z, bob_x, bob_z)
+        for table, reference in zip(t0, born):
+            assert np.abs(table.table - reference.table).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_mub(self, d):
+        comp, four = mub_pair(d)
+        self.assert_v0_tables_match(max_entangled_state(d), four, comp, four, comp)
+
+    def test_biased_qubit_pair(self):
+        alice_x = qubit_povm(0.3, (0.5, 0.2, 0.1))
+        alice_z = qubit_povm(-0.2, (0.1, -0.3, 0.6))
+        bob_x, bob_z = qubit_povm(0.0, (1.0, 0.0, 0.0)), qubit_povm(0.0, (0.0, 0.0, 1.0))
+        self.assert_v0_tables_match(max_entangled_state(2), alice_x, alice_z, bob_x, bob_z)
+
+    def test_three_outcome_qubit_povm(self):
+        # x with a third "no answer" outcome: tr(E_a)/d = 1/4, 1/4, 1/2, not 1/3 each
+        bob_x, bob_z = qubit_povm(0.0, (1.0, 0.0, 0.0)), qubit_povm(0.0, (0.0, 0.0, 1.0))
+        plus, minus = bob_x.effects
+        alice_x = Povm([plus / 2.0, minus / 2.0, np.eye(2) / 2.0])
+        alice_z = qubit_povm(0.2, (0.0, 0.0, 0.7))
+        self.assert_v0_tables_match(max_entangled_state(2), alice_x, alice_z, bob_x, bob_z)
+
+    def test_d3_family(self):
+        alice_z, alice_x = rotated_d3_bases(0.2)
+        bob_z, bob_x = scenarios._conjugate_povm(alice_z), scenarios._conjugate_povm(alice_x)
+        self.assert_v0_tables_match(max_entangled_state(3), alice_x, alice_z, bob_x, bob_z)
 
 
 class TestAlphaOptimality:
