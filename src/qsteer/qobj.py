@@ -1,9 +1,13 @@
-"""Quantum objects: density matrices, POVMs, noise, Born statistics.
+"""Quantum objects: POVMs, noise, Born statistics, and the density matrices
+of local hidden states.
 
-Complex linear algebra lives here. Conventions: 0-based basis labels,
-``omega = exp(2 pi i / d)``, subsystem A first in tensor products, and
-visibility ``v`` meaning ``measurement = v * ideal + (1 - v) * white noise``
-(so the fully noisy limit is v = 0).
+Complex linear algebra lives here. Born tables are taken on the maximally
+entangled state |Phi+> = sum_i |ii>/sqrt(d), on which steering with Alice's
+measurements is the same as their incompatibility, so no bipartite state is
+ever built. Conventions: 0-based basis labels, ``omega = exp(2 pi i / d)``,
+Alice (subsystem A) first in tensor products, and visibility ``v`` meaning
+``measurement = v * ideal + (1 - v) * white noise`` (so the fully noisy
+limit is v = 0).
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ def _check_dim(d: int) -> int:
 
 
 class DensityMatrix:
-    """Quantum state: Hermitian, unit trace, positive semidefinite."""
+    """Quantum state of one system, such as an LHS model's hidden state:
+    Hermitian, unit trace, positive semidefinite."""
 
     __slots__ = ("matrix",)
 
@@ -76,10 +81,10 @@ class Povm:
         mats = tuple(np.array(e, dtype=complex) for e in effects)
         if not mats:
             raise ValueError("a POVM needs at least one effect")
-        d = mats[0].shape[0]
-        for e in mats:
-            if e.ndim != 2 or e.shape != (d, d):
-                raise ValueError("POVM effects must be square matrices of equal size")
+        shape = mats[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(e.shape != shape for e in mats):
+            raise ValueError("POVM effects must be square matrices of equal size")
+        d = shape[0]
         stack = np.stack(mats)
         if not is_psd(stack):
             raise ValueError("POVM effect is not positive semidefinite")
@@ -153,30 +158,21 @@ def depolarize(p: Povm, v: float) -> Povm:
     return Povm([v * e + (1.0 - v) * np.trace(e).real * eye / d for e in p.effects])
 
 
-def max_entangled_state(d: int) -> DensityMatrix:
-    """Normalized maximally entangled state (1/d) sum_ij |ii><jj|."""
-    d = _check_dim(d)
-    phi = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-    return DensityMatrix(np.outer(phi, phi.conj()))
+def joint_distribution(alice: Povm, bob: Povm) -> JointDistribution:
+    """Born-rule outcome table on the maximally entangled state
+    |Phi+> = sum_i |ii>/sqrt(d): p(a, b) = <Phi+|E_a (x) F_b|Phi+> = tr(E_a F_b^T)/d.
 
-
-def joint_distribution(rho: DensityMatrix, alice: Povm, bob: Povm) -> JointDistribution:
-    """Born-rule outcome table p(a, b) = tr[(E_a (x) F_b) rho].
-
-    Subsystem A is the first tensor factor; the returned table has Alice's
-    outcome on the first axis.
+    Alice holds the first tensor factor; the returned table has her outcome
+    on the first axis.
     """
-    da, db = alice.dim, bob.dim
-    if rho.dim != da * db:
-        raise ValueError(
-            f"state dimension {rho.dim} does not match measurements {da}x{db}"
-        )
-    e = np.stack(alice.effects)
-    f = np.stack(bob.effects)
-    rho4 = rho.matrix.reshape(da, db, da, db)
-    # tr[(E (x) F) rho] = sum E[i,j] F[k,l] rho[(j,l),(i,k)]
-    table = np.einsum("aij,bkl,jlik->ab", e, f, rho4, optimize=True).real
-    return JointDistribution(table)
+    d = alice.dim
+    if bob.dim != d:
+        raise ValueError(f"measurements act on different dimensions: {d} and {bob.dim}")
+    amp2 = (1.0 / np.sqrt(d)) ** 2  # |<ii|Phi+>|^2; may differ from 1/d in the last bit
+    e = np.stack(alice.effects).reshape(alice.n_outcomes, -1) * amp2
+    f = np.stack(bob.effects).reshape(bob.n_outcomes, -1)
+    # tr(E F^T) = sum_ij E[i,j] F[i,j]: one product of the flattened effects
+    return JointDistribution((e @ f.T).real)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """End-to-end experiment drivers: noise-threshold scans over the full
-pipeline (state -> Born tables at visibility 1 and 0 -> their mixture ->
-entropic criterion -> bisected threshold) and the local-hidden-state
-falsification suite.
+pipeline (Born tables on the maximally entangled state at visibility 1 and
+0 -> their mixture -> entropic criterion -> bisected threshold) and the
+local-hidden-state falsification suite.
 
 Detected thresholds always come from bisection of the actual pipeline and
 report the detecting side of the final bracket, so they can undershoot an
@@ -27,15 +27,7 @@ from .jointmeas import (
     mub_jm_threshold_symmetric,
     qubit_exact_threshold,
 )
-from .qobj import (
-    DensityMatrix,
-    Povm,
-    joint_distribution,
-    max_entangled_state,
-    mub_pair,
-    qubit_povm,
-    rotated_d3_bases,
-)
+from .qobj import Povm, joint_distribution, mub_pair, qubit_povm, rotated_d3_bases
 
 
 @dataclass(frozen=True)
@@ -52,15 +44,13 @@ class ScanResult:
             raise ValueError("scan records must be sorted by parameter")
 
 
-def _pipeline_tables(
-    rho: DensityMatrix, alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm
-) -> tuple:
-    """Bob-first Born tables at visibility 1 and 0 for both settings, and Bob's
-    bound: what a threshold solve needs, whatever the order.
+def _pipeline_tables(alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm) -> tuple:
+    """Bob-first Born tables on |Phi+> at visibility 1 and 0 for both settings,
+    and Bob's bound: what a threshold solve needs, whatever the order.
 
     At v = 0 Alice's effect E_a is tr(E_a) I/d, and the E_a sum to I, so that
     table is Bob's marginal times tr(E_a)/d and needs no contraction."""
-    t1 = steering.born_statistics(rho, alice_x, alice_z, bob_x, bob_z)
+    t1 = steering.born_statistics(alice_x, alice_z, bob_x, bob_z)
     traces = (np.trace(a.effects, axis1=1, axis2=2).real / a.dim for a in (alice_x, alice_z))
     t0 = tuple(JointDistribution(np.outer(t.table.sum(axis=1), w)) for t, w in zip(t1, traces))
     return t1, t0, steering.overlap_bound(bob_x, bob_z)
@@ -85,7 +75,7 @@ def _pipeline_threshold(tables: tuple, alpha: float, tol: float) -> ThresholdSol
 def _mub_tables(d: int) -> tuple:
     """Pipeline tables for noisy MUBs on the maximally entangled state."""
     comp, four = mub_pair(d)
-    return _pipeline_tables(max_entangled_state(d), four, comp, four, comp)
+    return _pipeline_tables(four, comp, four, comp)
 
 
 def mub_pipeline_threshold(d: int, alpha: float, tol: float = 1e-6) -> float:
@@ -233,7 +223,6 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
     for t in thetas:
         if not 0.0 <= t < math.pi / 4.0:
             raise ValueError(f"theta must lie in [0, pi/4), got {t!r}")
-    rho = max_entangled_state(2)
     bob_z = Povm.from_basis(np.eye(2, dtype=complex))
     bob_x = qubit_povm(0.0, (1.0, 0.0, 0.0))
     records = []
@@ -242,7 +231,7 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
         dir_x = np.array([math.cos(t), 0.0, math.sin(t)])
 
         probe = 0.7
-        jz = joint_distribution(rho, qubit_povm(0.0, probe * dir_z), bob_z).swapped()
+        jz = joint_distribution(qubit_povm(0.0, probe * dir_z), bob_z).swapped()
         expected = np.array(
             [
                 [(1 + probe * math.cos(t)) / 4, (1 - probe * math.cos(t)) / 4],
@@ -252,9 +241,7 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
         if np.abs(jz.table - expected).max() > 1e-12:
             raise RuntimeError("pipeline statistics deviate from the closed form")
 
-        tables = _pipeline_tables(
-            rho, qubit_povm(0.0, dir_x), qubit_povm(0.0, dir_z), bob_x, bob_z
-        )
+        tables = _pipeline_tables(qubit_povm(0.0, dir_x), qubit_povm(0.0, dir_z), bob_x, bob_z)
         detected, saturated = _pipeline_threshold(tables, 0.5, tol)
         records.append(
             ThresholdRecord(
@@ -379,7 +366,6 @@ def qubit_random_povm_check(
     if n_cases < 1:
         raise ValueError("n_cases must be at least 1")
     rng = np.random.default_rng(seed)
-    rho = max_entangled_state(2)
     records = []
     cases = []
     for idx in range(n_cases):
@@ -410,7 +396,6 @@ def qubit_random_povm_check(
 
         # re-derive the winning threshold through the full Born-rule pipeline
         tables = _pipeline_tables(
-            rho,
             qubit_povm(bias_x, bloch_x),
             qubit_povm(bias_z, bloch_z),
             qubit_povm(0.0, opt_dirs[0]),
@@ -511,13 +496,12 @@ def d3_family_scan(
     for t in ts:
         if not 0.0 <= t <= 0.5:
             raise ValueError(f"family parameter must lie in [0, 0.5], got {t!r}")
-    rho = max_entangled_state(3)
     records = []
     for t in sorted(ts):
         alice_z, alice_x = rotated_d3_bases(t)
         bob_z, bob_x = _conjugate_povm(alice_z), _conjugate_povm(alice_x)
 
-        tables = _pipeline_tables(rho, alice_x, alice_z, bob_x, bob_z)
+        tables = _pipeline_tables(alice_x, alice_z, bob_x, bob_z)
         detected, saturated = _pipeline_threshold(tables, 0.5, tol)
 
         if refine_bob and not saturated:
@@ -528,7 +512,7 @@ def d3_family_scan(
                 uz = _givens_unitary(3, params[6:])
                 bx = Povm([ux @ e @ ux.conj().T for e in base_x])
                 bz = Povm([uz @ e @ uz.conj().T for e in base_z])
-                tables = _pipeline_tables(rho, alice_x, alice_z, bx, bz)
+                tables = _pipeline_tables(alice_x, alice_z, bx, bz)
                 return _pipeline_threshold(tables, 0.5, tol * 0.25).value
 
             best = detected

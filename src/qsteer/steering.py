@@ -6,9 +6,11 @@ The criterion evaluated here is
     H_a(X_B | X_A) + H_b(Z_B | Z_A) >= q(X_B, Z_B),    1/a + 1/b = 2,
 
 with ``q`` the overlap bound of Bob's two measurements.  ``evaluate`` tests
-Bob-first statistics, from ``born_statistics`` or ``lhs_statistics``, against
-``q``: a positive violation (bound minus left-hand side) certifies steering;
-statistics produced by any local-hidden-state model can never violate it.
+Bob-first statistics against ``q``: the Born statistics of Alice's and Bob's
+measurements on the maximally entangled state (``born_statistics``), or those
+of a local-hidden-state model (``lhs_statistics``).  A positive violation
+(bound minus left-hand side) certifies steering; statistics produced by any
+local-hidden-state model can never violate it.
 """
 
 from __future__ import annotations
@@ -78,12 +80,12 @@ def steering_lhs(jx: JointDistribution, jz: JointDistribution, alpha: float) -> 
 
 
 def born_statistics(
-    rho: DensityMatrix, alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm
+    alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm
 ) -> tuple[JointDistribution, JointDistribution]:
-    """Bob-first Born tables p(b, a) = tr[(E_a (x) F_b) rho] for both settings."""
+    """Bob-first Born tables p(b, a) = tr(E_a F_b^T)/d on |Phi+> for both settings."""
     return (
-        joint_distribution(rho, alice_x, bob_x).swapped(),
-        joint_distribution(rho, alice_z, bob_z).swapped(),
+        joint_distribution(alice_x, bob_x).swapped(),
+        joint_distribution(alice_z, bob_z).swapped(),
     )
 
 

@@ -9,7 +9,6 @@ from qsteer.qobj import (
     is_hermitian,
     is_psd,
     joint_distribution,
-    max_entangled_state,
     mub_pair,
     qubit_povm,
     rotated_d3_bases,
@@ -94,80 +93,59 @@ class TestDepolarize:
                 depolarize(p, v)  # Povm validation is the assertion
 
 
-class TestMaxEntangledState:
-    def test_d2_entries(self):
-        rho = max_entangled_state(2).matrix
-        expected = np.zeros((4, 4))
-        for i in (0, 3):
-            for j in (0, 3):
-                expected[i, j] = 0.5
-        assert np.abs(rho - expected).max() < 1e-15
-
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_pure(self, d):
-        rho = max_entangled_state(d).matrix
-        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
-
-    def test_reduced_states_maximally_mixed(self):
-        rho = max_entangled_state(3).matrix.reshape(3, 3, 3, 3)
-        for red in (np.einsum("ikjk->ij", rho), np.einsum("kikj->ij", rho)):
-            assert np.abs(red - np.eye(3) / 3).max() < 1e-12
-
-
 class TestJointDistributionOp:
     def test_perfect_correlation_comp_basis(self):
-        rho = max_entangled_state(2)
         comp, _ = mub_pair(2)
-        j = joint_distribution(rho, comp, comp)
+        j = joint_distribution(comp, comp)
         assert np.abs(j.table - np.diag([0.5, 0.5])).max() < 1e-12
 
     def test_depolarized_alice_gives_product(self):
-        rho = max_entangled_state(3)
         comp, four = mub_pair(3)
-        j = joint_distribution(rho, depolarize(comp, 0.0), four).table
+        j = joint_distribution(depolarize(comp, 0.0), four).table
         marg_b = j.sum(axis=0)
         assert np.abs(j - np.outer(np.full(3, 1.0 / 3.0), marg_b)).max() < 1e-12
 
     def test_fourier_pair_relabeled_correlation(self):
-        rho = max_entangled_state(3)
         _, four = mub_pair(3)
-        j = joint_distribution(rho, four, four).table
+        j = joint_distribution(four, four).table
         for a in range(3):
             b = (-a) % 3
             assert j[a, b] == pytest.approx(1.0 / 3.0, abs=1e-12)
             assert j[a].sum() == pytest.approx(j[a, b], abs=1e-12)
 
     def test_marginals_match_independent_evaluation(self):
+        # both reduced states of |Phi+> are I/d, so the marginals are tr(E_a)/d
+        # and tr(F_b)/d
         rng = np.random.default_rng(3)
-        rho = max_entangled_state(3)
         alice = random_povm(rng, 3, 4)
         bob = random_povm(rng, 3, 3)
-        j = joint_distribution(rho, alice, bob).table
-        reduced_a = np.einsum("ikjk->ij", rho.matrix.reshape(3, 3, 3, 3))
+        j = joint_distribution(alice, bob).table
         for a, e in enumerate(alice.effects):
-            expected = np.trace(e @ reduced_a).real
-            assert j[a].sum() == pytest.approx(expected, abs=1e-10)
+            assert j[a].sum() == pytest.approx(np.trace(e).real / 3, abs=1e-10)
+        for b, f in enumerate(bob.effects):
+            assert j[:, b].sum() == pytest.approx(np.trace(f).real / 3, abs=1e-10)
 
     @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 3)])
     def test_matches_kron_reference(self, da, db):
         rng = np.random.default_rng(10 * da + db)
-        a = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
-        rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T).real)
-        assert np.linalg.eigvalsh(rho.matrix).min() > 1e-6  # full rank
         alice = random_povm(rng, da, 3)
         bob = random_povm(rng, db, 4)
+        if da != db:  # |Phi+> needs equal dimensions
+            with pytest.raises(ValueError, match="different dimensions: 2 and 3"):
+                joint_distribution(alice, bob)
+            return
+        phi = np.eye(da).reshape(-1) / np.sqrt(da)
         expected = np.array(
-            [[np.trace(np.kron(e, f) @ rho.matrix).real for f in bob.effects] for e in alice.effects]
+            [[(phi @ np.kron(e, f) @ phi).real for f in bob.effects] for e in alice.effects]
         )
-        table = joint_distribution(rho, alice, bob).table
+        table = joint_distribution(alice, bob).table
         assert np.abs(table - expected).max() <= 1e-12
 
     def test_dimension_mismatch(self):
-        rho = max_entangled_state(2)
         comp2, _ = mub_pair(2)
         comp3, _ = mub_pair(3)
         with pytest.raises(ValueError):
-            joint_distribution(rho, comp2, comp3)
+            joint_distribution(comp2, comp3)
 
 
 class TestQubitPovm:
@@ -256,11 +234,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"has trace 2\.0, not 1$"):
             DensityMatrix(np.eye(2))
 
-    def test_povm_invariants(self):
-        with pytest.raises(ValueError):
-            Povm([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])  # not complete
-        with pytest.raises(ValueError):
-            Povm([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])])  # not PSD
+    @pytest.mark.parametrize(
+        "effects, message",
+        [
+            ([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])], "do not sum to the identity"),
+            ([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])], "not positive semidefinite"),
+            ([1.0], "must be square matrices of equal size"),
+            ([[1.0, 0.0]], "must be square matrices of equal size"),
+        ],
+        ids=["not-complete", "not-psd", "scalar", "row"],
+    )
+    def test_povm_invariants(self, effects, message):
+        with pytest.raises(ValueError, match=message):
+            Povm(effects)
 
     def test_non_hermitian_effects_summing_to_identity(self):
         skew = np.array([[0.5, 0.2], [0.0, 0.5]], dtype=complex)

@@ -4,18 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qsteer import qobj, scenarios, steering
+from qsteer import acceptance, qobj, scenarios, steering
 from qsteer.entropy import dual_order
 from qsteer.jointmeas import mub_jm_threshold_symmetric, renyi_mub_threshold_symmetric
-from qsteer.qobj import (
-    Povm,
-    depolarize,
-    joint_distribution,
-    max_entangled_state,
-    mub_pair,
-    qubit_povm,
-    rotated_d3_bases,
-)
+from qsteer.qobj import Povm, depolarize, joint_distribution, mub_pair, qubit_povm, rotated_d3_bases
 from qsteer.scenarios import (
     d3_family_scan,
     fig1_scan,
@@ -27,9 +19,9 @@ from qsteer.scenarios import (
 from qsteer.steering import born_statistics, evaluate, overlap_bound
 
 
-def certify(rho, alice_x, alice_z, bob_x, bob_z, alpha):
-    """The criterion on the Born-rule statistics of a shared state."""
-    jx, jz = born_statistics(rho, alice_x, alice_z, bob_x, bob_z)
+def certify(alice_x, alice_z, bob_x, bob_z, alpha):
+    """The criterion on the Born-rule statistics of the maximally entangled state."""
+    jx, jz = born_statistics(alice_x, alice_z, bob_x, bob_z)
     return evaluate(jx, jz, overlap_bound(bob_x, bob_z), alpha)
 
 
@@ -37,14 +29,13 @@ class TestPipelineFormulaEquivalence:
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("v", [0.0, 0.3, 0.7071, 1.0])
     def test_conditionals_match_closed_form(self, d, v):
-        rho = max_entangled_state(d)
         comp, four = mub_pair(d)
-        jz = joint_distribution(rho, depolarize(comp, v), comp).table
+        jz = joint_distribution(depolarize(comp, v), comp).table
         expected = np.full((d, d), (1 - v) / d**2)
         expected[np.arange(d), np.arange(d)] += v / d
         assert np.abs(jz - expected).max() < 1e-12
 
-        jx = joint_distribution(rho, depolarize(four, v), four).table
+        jx = joint_distribution(depolarize(four, v), four).table
         expected = np.full((d, d), (1 - v) / d**2)
         expected[np.arange(d), (-np.arange(d)) % d] += v / d
         assert np.abs(jx - expected).max() < 1e-12
@@ -55,9 +46,10 @@ class TestPipelineFormulaEquivalence:
         formula = renyi_mub_threshold_symmetric(d, tol=1e-9)
         assert pipeline == pytest.approx(formula, abs=2e-7)
 
-    def test_large_d_meets_exact_boundary(self):
-        exact = mub_jm_threshold_symmetric(30)
-        assert exact <= mub_pipeline_threshold(30, 0.5, tol=1e-6) <= exact + 1e-6
+    @pytest.mark.parametrize("d", [30, 50])
+    def test_large_d_meets_exact_boundary(self, d):
+        exact = mub_jm_threshold_symmetric(d)
+        assert exact <= mub_pipeline_threshold(d, 0.5, tol=1e-6) <= exact + 1e-6
 
 
 class TestFig1Scan:
@@ -150,6 +142,11 @@ class TestPipelineSolveCost:
         fig1_scan([2, 3], [0.5, 1.0, math.inf], tol=1e-3)
         assert calls["joint_distribution"] == 4 and calls["overlap_bound"] == 2
 
+    def test_criterion_4_builds_tables_once_per_dimension(self, calls):
+        # d = 2..8 at four orders: two contractions per d, not two per solve
+        assert acceptance.criterion_4_shannon_suboptimality().passed
+        assert calls["joint_distribution"] == 14
+
     def test_never_detecting_scenario_costs_one_evaluation(self, calls):
         scan = d3_family_scan([0.5], tol=1e-6)
         assert scan.records[0].saturated and scan.records[0].detected == 1.0
@@ -161,23 +158,23 @@ class TestPipelineTables:
     fully depolarized measurements."""
 
     @staticmethod
-    def assert_v0_tables_match(rho, alice_x, alice_z, bob_x, bob_z):
-        _, t0, _ = scenarios._pipeline_tables(rho, alice_x, alice_z, bob_x, bob_z)
+    def assert_v0_tables_match(alice_x, alice_z, bob_x, bob_z):
+        _, t0, _ = scenarios._pipeline_tables(alice_x, alice_z, bob_x, bob_z)
         noisy_x, noisy_z = depolarize(alice_x, 0.0), depolarize(alice_z, 0.0)
-        born = born_statistics(rho, noisy_x, noisy_z, bob_x, bob_z)
+        born = born_statistics(noisy_x, noisy_z, bob_x, bob_z)
         for table, reference in zip(t0, born):
             assert np.abs(table.table - reference.table).max() <= 1e-15
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_mub(self, d):
         comp, four = mub_pair(d)
-        self.assert_v0_tables_match(max_entangled_state(d), four, comp, four, comp)
+        self.assert_v0_tables_match(four, comp, four, comp)
 
     def test_biased_qubit_pair(self):
         alice_x = qubit_povm(0.3, (0.5, 0.2, 0.1))
         alice_z = qubit_povm(-0.2, (0.1, -0.3, 0.6))
         bob_x, bob_z = qubit_povm(0.0, (1.0, 0.0, 0.0)), qubit_povm(0.0, (0.0, 0.0, 1.0))
-        self.assert_v0_tables_match(max_entangled_state(2), alice_x, alice_z, bob_x, bob_z)
+        self.assert_v0_tables_match(alice_x, alice_z, bob_x, bob_z)
 
     def test_three_outcome_qubit_povm(self):
         # x with a third "no answer" outcome: tr(E_a)/d = 1/4, 1/4, 1/2, not 1/3 each
@@ -185,12 +182,12 @@ class TestPipelineTables:
         plus, minus = bob_x.effects
         alice_x = Povm([plus / 2.0, minus / 2.0, np.eye(2) / 2.0])
         alice_z = qubit_povm(0.2, (0.0, 0.0, 0.7))
-        self.assert_v0_tables_match(max_entangled_state(2), alice_x, alice_z, bob_x, bob_z)
+        self.assert_v0_tables_match(alice_x, alice_z, bob_x, bob_z)
 
     def test_d3_family(self):
         alice_z, alice_x = rotated_d3_bases(0.2)
         bob_z, bob_x = scenarios._conjugate_povm(alice_z), scenarios._conjugate_povm(alice_x)
-        self.assert_v0_tables_match(max_entangled_state(3), alice_x, alice_z, bob_x, bob_z)
+        self.assert_v0_tables_match(alice_x, alice_z, bob_x, bob_z)
 
 
 class TestAlphaOptimality:
@@ -204,15 +201,12 @@ class TestAlphaOptimality:
         assert by_alpha[0.5] == pytest.approx(mub_jm_threshold_symmetric(3), abs=2e-6)
 
     def test_dual_symmetry_under_measurement_swap(self):
-        rho = max_entangled_state(3)
         comp, four = mub_pair(3)
         v = 0.72
         for alpha in (0.7, 2.0, 5.0):
-            direct = certify(
-                rho, depolarize(four, v), depolarize(comp, v), four, comp, alpha
-            )
+            direct = certify(depolarize(four, v), depolarize(comp, v), four, comp, alpha)
             swapped = certify(
-                rho, depolarize(comp, v), depolarize(four, v), comp, four, dual_order(alpha)
+                depolarize(comp, v), depolarize(four, v), comp, four, dual_order(alpha)
             )
             assert direct.lhs == pytest.approx(swapped.lhs, abs=1e-12)
             assert direct.violation == pytest.approx(swapped.violation, abs=1e-12)
@@ -290,7 +284,6 @@ class TestQubitClosedForm:
 
     def test_matches_evaluate_on_depolarized_pipeline(self):
         rng = np.random.default_rng(2024)
-        rho = max_entangled_state(2)
         worst = {}
         for kind, bias_z, bloch_z, bias_x, bloch_x, u_x, u_z in self._cases(rng):
             alice_x, alice_z = qubit_povm(bias_x, bloch_x), qubit_povm(bias_z, bloch_z)
@@ -300,7 +293,7 @@ class TestQubitClosedForm:
                     v, bias_z, bloch_z, bias_x, bloch_x, u_x, u_z
                 )
                 pipeline = certify(
-                    rho, depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z, 0.5
+                    depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z, 0.5
                 ).violation
                 worst[kind] = max(worst.get(kind, 0.0), abs(closed - pipeline))
         assert set(worst) == {"unbiased-symmetric", "unbiased-asymmetric", "biased"}

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from qsteer.entropy import JointDistribution, NoDualOrderError
-from qsteer.qobj import (
-    DensityMatrix,
-    Povm,
-    depolarize,
-    max_entangled_state,
-    mub_pair,
-    qubit_povm,
-    rotated_d3_bases,
-)
+from qsteer.qobj import DensityMatrix, Povm, depolarize, mub_pair, qubit_povm, rotated_d3_bases
 from qsteer.steering import (
     LhsModel,
     UnsupportedBoundError,
@@ -28,9 +20,9 @@ LHS_V08_ORACLE = 0.83007499855768763709  # log2(1.6) - log2(0.9), 50-digit evalu
 BOUND_60DEG = 0.41503749927884381855  # -log2 cos^2(pi/6)
 
 
-def certify(rho, alice_x, alice_z, bob_x, bob_z, alpha):
-    """The criterion on the Born-rule statistics of a shared state."""
-    jx, jz = born_statistics(rho, alice_x, alice_z, bob_x, bob_z)
+def certify(alice_x, alice_z, bob_x, bob_z, alpha):
+    """The criterion on the Born-rule statistics of the maximally entangled state."""
+    jx, jz = born_statistics(alice_x, alice_z, bob_x, bob_z)
     return evaluate(jx, jz, overlap_bound(bob_x, bob_z), alpha)
 
 
@@ -86,51 +78,47 @@ class TestSteeringLhs:
 
 class TestEvaluate:
     def test_ideal_mubs_violate_by_one_bit(self):
-        rho = max_entangled_state(2)
         comp, four = mub_pair(2)
-        cert = certify(rho, four, comp, four, comp, 0.5)
+        cert = certify(four, comp, four, comp, 0.5)
         assert cert.violation == pytest.approx(1.0, abs=1e-10)
         assert cert.detected
 
     def test_zero_visibility_never_detects(self):
-        rho = max_entangled_state(2)
         comp, four = mub_pair(2)
-        cert = certify(rho, depolarize(four, 0.0), depolarize(comp, 0.0), four, comp, 0.5)
+        cert = certify(depolarize(four, 0.0), depolarize(comp, 0.0), four, comp, 0.5)
         assert cert.violation == pytest.approx(-1.0, abs=1e-10)
         assert not cert.detected
 
     def test_visibility_08_pipeline_matches_closed_form(self):
-        rho = max_entangled_state(2)
         comp, four = mub_pair(2)
-        cert = certify(rho, depolarize(four, 0.8), depolarize(comp, 0.8), four, comp, 0.5)
+        cert = certify(depolarize(four, 0.8), depolarize(comp, 0.8), four, comp, 0.5)
         assert cert.lhs == pytest.approx(LHS_V08_ORACLE, abs=1e-12)
         assert cert.violation == pytest.approx(1.0 - LHS_V08_ORACLE, abs=1e-12)
 
     def test_separable_state_never_violates(self):
-        rho = DensityMatrix(np.eye(4) / 4)
+        # the statistics of the product state I/4: one hidden state I/2 and
+        # uniform answers from Alice
+        uniform = np.full((1, 2), 0.5)
+        model = LhsModel(np.ones(1), (DensityMatrix(np.eye(2) / 2),), {"x": uniform, "z": uniform})
         comp, four = mub_pair(2)
         tilted = qubit_povm(0.0, (math.sin(0.9), 0, math.cos(0.9)))
         for alpha in (0.5, 1.0, 2.0, math.inf):
             for bx, bz in ((four, comp), (tilted, comp)):
-                cert = certify(rho, four, comp, bx, bz, alpha)
-                assert cert.violation <= 0.0
+                jx, jz = lhs_statistics(model, bx, bz)
+                assert evaluate(jx, jz, overlap_bound(bx, bz), alpha).violation <= 0.0
 
     def test_certificate_consistency_bit_for_bit(self):
-        rho = max_entangled_state(3)
         comp, four = mub_pair(3)
-        cert = certify(rho, depolarize(four, 0.71), depolarize(comp, 0.71), four, comp, 0.7)
+        cert = certify(depolarize(four, 0.71), depolarize(comp, 0.71), four, comp, 0.7)
         assert cert.violation == cert.bound - cert.lhs
         assert cert.beta == pytest.approx(0.7 / (2 * 0.7 - 1), abs=1e-15)
 
     def test_monotone_in_visibility(self):
-        rho = max_entangled_state(3)
         comp, four = mub_pair(3)
         for alpha in (0.5, 1.0, 2.0):
             previous = -np.inf
             for v in np.linspace(0.0, 1.0, 9):
-                cert = certify(
-                    rho, depolarize(four, v), depolarize(comp, v), four, comp, alpha
-                )
+                cert = certify(depolarize(four, v), depolarize(comp, v), four, comp, alpha)
                 assert cert.violation >= previous - 1e-12
                 previous = cert.violation
 
@@ -147,29 +135,25 @@ class TestBornStatistics:
         if name.startswith("mub"):
             d = int(name[-1])
             comp, four = mub_pair(d)
-            return max_entangled_state(d), four, comp, four, comp
+            return four, comp, four, comp
         if name == "biased-qubit":
             alice_x = qubit_povm(0.3, 0.6 * np.array([0.6, 0.0, 0.8]))
             alice_z = qubit_povm(-0.2, 0.7 * np.array([0.0, 0.6, -0.8]))
             comp, four = mub_pair(2)
-            return max_entangled_state(2), alice_x, alice_z, four, comp
+            return alice_x, alice_z, four, comp
         alice_z, alice_x = rotated_d3_bases(float(name.split("-t")[1]))
         bob_x, bob_z = self._conjugate(alice_x), self._conjugate(alice_z)
-        return max_entangled_state(3), alice_x, alice_z, bob_x, bob_z
+        return alice_x, alice_z, bob_x, bob_z
 
     @pytest.mark.parametrize(
         "name", ["mub-2", "mub-3", "mub-5", "biased-qubit", "d3-t0.2", "d3-t0.5"]
     )
     def test_tables_affine_in_visibility(self, name):
-        rho, alice_x, alice_z, bob_x, bob_z = self._scenario(name)
-        sharp = born_statistics(rho, alice_x, alice_z, bob_x, bob_z)
-        noisy = born_statistics(
-            rho, depolarize(alice_x, 0.0), depolarize(alice_z, 0.0), bob_x, bob_z
-        )
+        alice_x, alice_z, bob_x, bob_z = self._scenario(name)
+        sharp = born_statistics(alice_x, alice_z, bob_x, bob_z)
+        noisy = born_statistics(depolarize(alice_x, 0.0), depolarize(alice_z, 0.0), bob_x, bob_z)
         for v in (0.0, 0.3, 0.71, 1.0):
-            direct = born_statistics(
-                rho, depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z
-            )
+            direct = born_statistics(depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z)
             for j, t1, t0 in zip(direct, sharp, noisy):
                 mixed = v * t1.table + (1.0 - v) * t0.table
                 assert np.abs(j.table - mixed).max() <= 1e-12
@@ -177,10 +161,9 @@ class TestBornStatistics:
     def test_tables_are_bob_first(self):
         # Alice's reduced state is I/2, so her biased outcome has marginal
         # (1 +- bias)/2 on the second (conditioning) axis; Bob's is uniform
-        rho = max_entangled_state(2)
         comp, four = mub_pair(2)
         alice_x, alice_z = qubit_povm(0.3, (0.6, 0, 0)), qubit_povm(-0.2, (0, 0, 0.7))
-        jx, jz = born_statistics(rho, alice_x, alice_z, four, comp)
+        jx, jz = born_statistics(alice_x, alice_z, four, comp)
         assert np.abs(jx.table.sum(axis=0) - [0.65, 0.35]).max() < 1e-12
         assert np.abs(jz.table.sum(axis=0) - [0.4, 0.6]).max() < 1e-12
         assert np.abs(jx.table.sum(axis=1) - 0.5).max() < 1e-12
