@@ -93,6 +93,24 @@ class TestDepolarize:
                 depolarize(p, v)  # Povm validation is the assertion
 
 
+class TestMaxEntangledState:
+    def test_reduced_states_maximally_mixed(self):
+        # a reduced state is I/d iff every projective measurement on its side
+        # has uniform outcomes; four random bases of C^3 are tomographically
+        # complete, so uniform marginals on both sides of the |Phi+> Born
+        # table pin both reduced states to I/3
+        rng = np.random.default_rng(7)
+        bases = []
+        for _ in range(4):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            bases.append(Povm([np.outer(q[:, k], q[:, k].conj()) for k in range(3)]))
+        for alice in bases:
+            for bob in bases:
+                j = joint_distribution(alice, bob).table
+                assert np.abs(j.sum(axis=1) - 1.0 / 3.0).max() < 1e-12
+                assert np.abs(j.sum(axis=0) - 1.0 / 3.0).max() < 1e-12
+
+
 class TestJointDistributionOp:
     def test_perfect_correlation_comp_basis(self):
         comp, _ = mub_pair(2)
