@@ -12,8 +12,9 @@ An unconditional entropy is the conditional one of a one-column table.
 Orders 0, 1/2, 1 and infinity dispatch to closed forms; everything else
 goes through a numerically careful generic evaluator (expm1/log1p near
 order one, max-factoring for large orders).  Every evaluator is
-column-vectorised: it reduces the matrix of conditionals p(x|y) of all
-positive-weight columns at once, with no Python loop over y.
+column-vectorised: it reduces the matrix of conditionals p(x|y) at once,
+with no Python loop over y.  A stack of tables, shape (..., n_x, n_y),
+gives one value per table; a single table gives a float.
 """
 
 from __future__ import annotations
@@ -48,31 +49,33 @@ def as_distribution(probs) -> np.ndarray:
 
 
 class JointDistribution:
-    """Joint probability table p(x, y); conditioning acts on the second axis.
+    """Joint probability table p(x, y), or a (..., n_x, n_y) stack of tables.
 
     Entries may carry tiny negative noise from Born-rule arithmetic; anything
     above ``-prob_negativity`` is clamped to zero, larger negativity is
-    rejected.  The table is stored read-only.
+    rejected.  Each table must sum to one; conditioning acts on its second
+    axis.  The array is stored read-only.
     """
 
     __slots__ = ("table",)
 
     def __init__(self, table):
         arr = np.array(table, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("a joint distribution must be a nonempty 2-d table")
+        if arr.ndim < 2 or arr.size == 0:
+            raise ValueError("a joint distribution must be a nonempty 2-d table or stack")
         if not arr.min() >= -DEFAULT_TOLS.prob_negativity:  # also rejects NaN
             raise ValueError(f"joint table has negative or NaN entry {arr.min():.3e}")
-        arr = np.clip(arr, 0.0, None)
-        total = float(arr.sum())
-        if not abs(total - 1.0) <= DEFAULT_TOLS.prob_sum:
-            raise ValueError(f"joint table sums to {total!r}, not 1")
+        arr = np.maximum(arr, 0.0)
+        totals = arr.sum(axis=(-2, -1))
+        off = np.abs(totals - 1.0)
+        if not off.max() <= DEFAULT_TOLS.prob_sum:
+            raise ValueError(f"joint table sums to {float(totals.flat[off.argmax()])!r}, not 1")
         arr.setflags(write=False)
         self.table = arr
 
     def swapped(self) -> "JointDistribution":
         """The same joint with the roles of the two variables exchanged."""
-        return JointDistribution(self.table.T)
+        return JointDistribution(self.table.swapaxes(-1, -2))
 
     def __repr__(self) -> str:
         return f"JointDistribution(shape={self.table.shape})"
@@ -102,37 +105,45 @@ def _check_order(alpha: float) -> float:
     return alpha
 
 
+def _value(x):
+    """A float for one table, the array of values for a stack."""
+    return float(x) if x.ndim == 0 else x
+
+
 def _conditionals(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights p(y) of the positive-weight columns and their conditionals
-    p(x|y), one column each."""
-    p_y = table.sum(axis=0)
-    keep = p_y > 0.0
-    w = p_y[keep]
-    return w, table[:, keep] / w
+    """Column weights p(y) and conditionals p(x|y), one column each; a
+    zero-weight column keeps weight 0 and conditionals 0."""
+    p_y = table.sum(axis=-2)
+    return p_y, table / np.where(p_y > 0.0, p_y, 1.0)[..., None, :]
+
+
+def _weighted_sum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_y w_y v_y for each table, rounded as the 1-d dot product ``w @ v``."""
+    return (w[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _power_excess(c: np.ndarray, k: float) -> np.ndarray:
-    """Per column sum_x c^(1+k) - 1, without cancellation for small k."""
+    """Per column sum_x c^(1+k) - sum_x c, without cancellation for small k."""
     log_c = np.log(np.where(c > 0.0, c, 1.0))  # zero entries carry no weight
-    return np.sum(c * np.expm1(k * log_c), axis=0)
+    return np.sum(c * np.expm1(k * log_c), axis=-2)
 
 
-def _conditional_shannon(table: np.ndarray) -> float:
+def _conditional_shannon(table: np.ndarray):
     w, c = _conditionals(table)
-    return float(w @ -np.sum(c * np.log2(np.where(c > 0.0, c, 1.0)), axis=0))
+    return _value(_weighted_sum(w, -np.sum(c * np.log2(np.where(c > 0.0, c, 1.0)), axis=-2)))
 
 
-def _conditional_min_entropy(table: np.ndarray) -> float:
+def _conditional_min_entropy(table: np.ndarray):
     # sum_y p(y) max_x p(x|y) telescopes to a column-max sum.
-    return float(-np.log2(table.max(axis=0).sum()))
+    return _value(-np.log2(table.max(axis=-2).sum(axis=-1)))
 
 
-def _conditional_max_entropy(table: np.ndarray) -> float:
+def _conditional_max_entropy(table: np.ndarray):
     # sum_y p(y) (sum_x sqrt p(x|y))^2 telescopes likewise.
-    return float(np.log2(np.sum(np.sqrt(table).sum(axis=0) ** 2)))
+    return _value(np.log2(np.sum(np.sqrt(table).sum(axis=-2) ** 2, axis=-1)))
 
 
-def _conditional_renyi_generic(table: np.ndarray, alpha: float) -> float:
+def _conditional_renyi_generic(table: np.ndarray, alpha: float):
     """Arimoto form evaluated directly; valid for alpha > 0, finite, != 1.
 
     Exposed separately so the dispatch boundary can be probed: this path
@@ -142,24 +153,24 @@ def _conditional_renyi_generic(table: np.ndarray, alpha: float) -> float:
     if alpha < 2.0:
         # Track sums relative to 1 so that alpha near 1 stays well conditioned.
         log_norm = np.log1p(_power_excess(c, alpha - 1.0)) / alpha
-        excess = float(w @ np.expm1(log_norm))
-        return alpha / (1.0 - alpha) * math.log1p(excess) / _LN2
-    m = c.max(axis=0)
-    s = np.sum((c / m) ** alpha, axis=0)
-    return alpha / (1.0 - alpha) * math.log2(float(w @ (m * s ** (1.0 / alpha))))
+        excess = _weighted_sum(w, np.expm1(log_norm))
+        return _value(alpha / (1.0 - alpha) * np.log1p(excess) / _LN2)
+    m = c.max(axis=-2)
+    s = np.sum((c / np.where(m > 0.0, m, 1.0)[..., None, :]) ** alpha, axis=-2)
+    return _value(alpha / (1.0 - alpha) * np.log2(_weighted_sum(w, m * s ** (1.0 / alpha))))
 
 
-def conditional_renyi(joint, alpha: float) -> float:
+def conditional_renyi(joint, alpha: float):
     """Arimoto conditional Renyi entropy H_a(X|Y) in bits.
 
     ``joint`` is a :class:`JointDistribution` (or table) over (X, Y); the
-    conditioning variable Y is the second axis.  Columns with zero marginal
-    weight are skipped.
+    conditioning variable Y is the last axis.  Columns with zero marginal
+    weight contribute nothing; a stack of tables gives one value per table.
     """
     alpha = _check_order(alpha)
     table = _as_table(joint)
     if alpha == 0.0:
-        return float(np.log2(np.count_nonzero(table > 0.0, axis=0).max()))
+        return _value(np.log2(np.count_nonzero(table > 0.0, axis=-2).max(axis=-1)))
     if math.isinf(alpha):
         return _conditional_min_entropy(table)
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
@@ -192,10 +203,10 @@ def tsallis_entropy(probs, q: float) -> float:
     return conditional_tsallis(as_distribution(probs)[:, None], q)
 
 
-def conditional_tsallis(joint, q: float) -> float:
+def conditional_tsallis(joint, q: float):
     """Conditional Tsallis entropy sum_y p(y)^q S_q(X|Y=y), in nats."""
     q = _check_tsallis_order(q)
     table = _as_table(joint)
     w, c = _conditionals(table)
     # (sum_x c^q - 1)/(1-q) without cancellation near q=1.
-    return float(w**q @ _power_excess(c, q - 1.0)) / (1.0 - q)
+    return _value(_weighted_sum(w**q, _power_excess(c, q - 1.0)) / (1.0 - q))

@@ -45,19 +45,21 @@ def _check_dim(d: int) -> int:
 
 
 class DensityMatrix:
-    """Quantum state of one system, such as an LHS model's hidden state:
-    Hermitian, unit trace, positive semidefinite."""
+    """Quantum state of one system, or a ``(..., d, d)`` stack such as an LHS
+    model's hidden states, checked at once: Hermitian, unit trace, PSD."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if np.abs(m - m.conj().T).max() > DEFAULT_TOLS.structural:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
+            raise ValueError("density matrix must be a nonempty square matrix or stack")
+        if not is_hermitian(m):
             raise ValueError("density matrix is not Hermitian")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > DEFAULT_TOLS.structural:
+        traces = np.trace(m, axis1=-2, axis2=-1).real
+        off = np.abs(traces - 1.0)
+        if not off.max() <= DEFAULT_TOLS.structural:
+            tr = float(traces.flat[off.argmax()])
             raise ValueError(f"density matrix has trace {tr!r}, not 1")
         if np.linalg.eigvalsh(m).min() < -DEFAULT_TOLS.structural:
             raise ValueError("density matrix has a negative eigenvalue")
@@ -66,7 +68,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"

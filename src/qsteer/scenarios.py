@@ -593,11 +593,14 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     """Hammer the steering inequality with random local-hidden-state models.
 
     ``n_models`` is the total number of models, split evenly over the
-    dimensions ``LHS_DIMS`` (the first takes the remainder); every model is
-    tested against every entropy order of ``LHS_ALPHAS`` and two projective
-    measurement pairs for Bob.  Statistics from any such model satisfy the
+    dimensions ``LHS_DIMS`` (the first takes the remainder; the report's
+    ``dims`` are those that received one); every model is tested against
+    every entropy order of ``LHS_ALPHAS`` and two projective measurement
+    pairs for Bob, with one ``steering_lhs`` call per order on the stacked
+    tables of all models.  Statistics from any such model satisfy the
     inequality, so the maximum observed violation must stay at floating-point
-    scale; anything larger falsifies the implementation.  Fully deterministic
+    scale; anything larger falsifies the implementation.  ``worst_case`` is
+    the first maximum over (d, model, Bob pair, order).  Fully deterministic
     in ``seed``.
     """
     if n_models < 1:
@@ -608,35 +611,37 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     n_evals = 0
     per_dim = [n_models // len(LHS_DIMS)] * len(LHS_DIMS)
     per_dim[0] += n_models - sum(per_dim)
-    for d, count in zip(LHS_DIMS, per_dim):
-        pairs = [
-            (name, bx, bz, steering.overlap_bound(bx, bz))
-            for name, bx, bz in _bob_pairs(d)
-        ]
+    shares = [(d, count) for d, count in zip(LHS_DIMS, per_dim) if count]
+    for d, count in shares:
+        pairs = _bob_pairs(d)
         model_seeds = master.integers(0, 2**63 - 1, size=count)
-        for index in range(count):
-            model = steering.sample_lhs_model(
-                int(model_seeds[index]), d, LHS_N_LAMBDAS[index % len(LHS_N_LAMBDAS)]
-            )
-            for name, bx, bz, bound in pairs:
-                jx, jz = steering.lhs_statistics(model, bx, bz)
-                for alpha in LHS_ALPHAS:
-                    violation = bound - steering.steering_lhs(jx, jz, alpha)
-                    n_evals += 1
-                    if violation > max_violation:
-                        max_violation = violation
-                        worst = {
-                            "d": d,
-                            "model_index": index,
-                            "model_seed": int(model_seeds[index]),
-                            "n_lambda": model.n_lambda,
-                            "alpha": alpha,
-                            "bob_pair": name,
-                        }
+        models = [
+            steering.sample_lhs_model(int(s), d, LHS_N_LAMBDAS[i % len(LHS_N_LAMBDAS)])
+            for i, s in enumerate(model_seeds)
+        ]
+        violations = np.empty((count, len(pairs), len(LHS_ALPHAS)))  # worst_case's order
+        for k, (_, bx, bz) in enumerate(pairs):
+            bound = steering.overlap_bound(bx, bz)
+            stats = [steering.lhs_statistics(model, bx, bz) for model in models]
+            jx, jz = (JointDistribution(np.stack([t[j].table for t in stats])) for j in (0, 1))
+            for a, alpha in enumerate(LHS_ALPHAS):
+                violations[:, k, a] = bound - steering.steering_lhs(jx, jz, alpha)
+        n_evals += violations.size
+        index, k, a = np.unravel_index(np.argmax(violations), violations.shape)  # first maximum
+        if violations[index, k, a] > max_violation:
+            max_violation = float(violations[index, k, a])
+            worst = {
+                "d": d,
+                "model_index": int(index),
+                "model_seed": int(model_seeds[index]),
+                "n_lambda": models[index].n_lambda,
+                "alpha": LHS_ALPHAS[a],
+                "bob_pair": pairs[k][0],
+            }
     return LhsFalsificationReport(
         seed=int(seed),
         n_models=int(n_models),
-        dims=LHS_DIMS,
+        dims=tuple(d for d, _ in shares),
         alphas=LHS_ALPHAS,
         n_evaluations=n_evals,
         max_violation=float(max_violation),

@@ -10,7 +10,8 @@ Bob-first statistics against ``q``: the Born statistics of Alice's and Bob's
 measurements on the maximally entangled state (``born_statistics``), or those
 of a local-hidden-state model (``lhs_statistics``).  A positive violation
 (bound minus left-hand side) certifies steering; statistics produced by any
-local-hidden-state model can never violate it.
+local-hidden-state model can never violate it.  A model's hidden states are
+one (n_lambda, d, d) stack; ``steering_lhs`` also takes stacks of tables.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ def overlap_bound(x: Povm, z: Povm) -> float:
     if x.dim != z.dim:
         raise ValueError("measurements act on different dimensions")
     ex, ez = np.stack(x.effects), np.stack(z.effects)
-    # |<x_i|z_j>|^2 = tr[X_i Z_j]; evaluating both operand orders keeps the
-    # bound exactly symmetric in its arguments.
-    c2 = max(
-        np.einsum("iab,jba->ij", ex, ez).real.max(),
-        np.einsum("iab,jba->ij", ez, ex).real.max(),
-    )
+    # |<x_i|z_j>|^2 = tr[X_i Z_j] = sum_kl X_i[k,l] Z_j^T[k,l]: one product of the
+    # flattened effects.  Both operand orders keep the bound exactly symmetric.
+    fx, fz = ex.reshape(len(ex), -1), ez.reshape(len(ez), -1)
+    tx, tz = np.swapaxes(ex, 1, 2).reshape(fx.shape), np.swapaxes(ez, 1, 2).reshape(fz.shape)
+    c2 = max((fx @ tz.T).real.max(), (fz @ tx.T).real.max())
     c2 = min(max(float(c2), 1.0 / x.dim), 1.0)
     return float(-np.log2(c2))
 
@@ -69,11 +69,11 @@ class SteeringCertificate:
         return self.violation > 0.0
 
 
-def steering_lhs(jx: JointDistribution, jz: JointDistribution, alpha: float) -> float:
+def steering_lhs(jx: JointDistribution, jz: JointDistribution, alpha: float):
     """Left-hand side H_a(X_B|X_A) + H_b(Z_B|Z_A) with b the dual order.
 
     Both tables carry Bob's outcome on the first axis and Alice's on the
-    second (the conditioning side).
+    second (the conditioning side); stacks of tables give one value per pair.
     """
     beta = dual_order(alpha)
     return conditional_renyi(jx, alpha) + conditional_renyi(jz, beta)
@@ -111,21 +111,24 @@ def evaluate(
 class LhsModel:
     """Local-hidden-state model: weights, Bob's states, Alice's responses.
 
+    ``hidden_states`` is one :class:`DensityMatrix` holding the stack of
+    Bob's states sigma_l, shape (n_lambda, d, d), one per weight.
     ``responses[label]``, for each label of ``MEASUREMENT_LABELS`` and no
     other, is a row-stochastic array of shape (n_lambda, n_outcomes): the
     distribution of Alice's announced outcome for each hidden variable.
     """
 
     weights: np.ndarray
-    hidden_states: tuple[DensityMatrix, ...]
+    hidden_states: DensityMatrix
     responses: dict[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
         w = as_distribution(self.weights)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if len(self.hidden_states) != w.size:
-            raise ValueError("one hidden state per weight is required")
+        states = self.hidden_states
+        if not isinstance(states, DensityMatrix) or states.matrix.shape[:-2] != (w.size,):
+            raise ValueError(f"hidden states must be a DensityMatrix of shape ({w.size}, d, d)")
         odd = sorted(set(self.responses) ^ set(MEASUREMENT_LABELS))
         if odd:
             raise ValueError(f"response map {odd[0]!r} is missing or unknown")
@@ -146,29 +149,35 @@ class LhsModel:
 
     @property
     def dim(self) -> int:
-        return self.hidden_states[0].dim
+        return self.hidden_states.dim
 
 
-def _random_density_matrix(rng: np.random.Generator, d: int) -> DensityMatrix:
-    """Mixture of 2d Haar-like pure states (normalized complex Gaussians)."""
-    weights = rng.dirichlet(np.ones(2 * d))
-    rho = np.zeros((d, d), dtype=complex)
-    for w in weights:
-        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        psi /= np.linalg.norm(psi)
-        rho += w * np.outer(psi, psi.conj())
-    return DensityMatrix(rho)
+def _flat_dirichlet(rng: np.random.Generator, shape) -> np.ndarray:
+    """``rng.dirichlet(np.ones(k), size)`` bit for bit, by its own recipe of
+    exponentials over their running sum, without its per-call checks."""
+    e = rng.standard_exponential(shape)
+    return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
 
 
 def sample_lhs_model(rng_seed: int, d: int, n_lambda: int) -> LhsModel:
-    """Draw a random local-hidden-state model, deterministic in the seed."""
+    """Draw a random local-hidden-state model, deterministic in the seed.
+
+    Each hidden state mixes 2d Haar-like pure states (normalized complex
+    Gaussians) with Dirichlet weights, drawn state by state; the states are
+    summed and validated as one (n_lambda, d, d) stack.
+    """
     if n_lambda < 1:
         raise ValueError("n_lambda must be at least 1")
     rng = np.random.default_rng(rng_seed)
-    weights = rng.dirichlet(np.ones(n_lambda))
-    states = tuple(_random_density_matrix(rng, d) for _ in range(n_lambda))
+    weights = _flat_dirichlet(rng, n_lambda)
+    draws = [(_flat_dirichlet(rng, 2 * d), rng.normal(size=(2 * d, 2, d))) for _ in range(n_lambda)]
+    mix, gauss = (np.array(a) for a in zip(*draws))
+    psi = gauss[..., 0, :] + 1j * gauss[..., 1, :]
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    # sigma_l = sum_k mix_lk |psi_lk><psi_lk| for every l at once
+    states = DensityMatrix(np.swapaxes(psi * mix[..., None], -1, -2) @ psi.conj())
     responses = {
-        label: rng.dirichlet(np.ones(d), size=n_lambda)
+        label: _flat_dirichlet(rng, (n_lambda, d))
         for label in MEASUREMENT_LABELS
     }
     return LhsModel(weights=weights, hidden_states=states, responses=responses)
@@ -180,11 +189,9 @@ def lhs_statistics(
     """Observable tables p(b, a) = sum_l p(l) resp(a|l) tr[F_b sigma_l]."""
     if bob_x.dim != model.dim or bob_z.dim != model.dim:
         raise ValueError("Bob's measurements do not match the model dimension")
-    sigmas = np.stack([s.matrix for s in model.hidden_states])
+    sigmas = model.hidden_states.matrix
     joints = []
     for label, bob in zip(MEASUREMENT_LABELS, (bob_x, bob_z)):
-        effects = np.stack(bob.effects)
-        born = np.einsum("bij,lji->bl", effects, sigmas).real  # tr[F_b sigma_l]
-        table = np.einsum("l,bl,la->ba", model.weights, born, model.responses[label])
-        joints.append(JointDistribution(table))
+        born = np.einsum("bij,lji->bl", np.array(bob.effects), sigmas).real  # tr[F_b sigma_l]
+        joints.append(JointDistribution((born * model.weights) @ model.responses[label]))
     return joints[0], joints[1]

@@ -118,6 +118,11 @@ class TestRunExitCodes:
         assert run(["lhs-test", "--seed", "5", "--n-models", "50"]) == 0
         assert "no local-hidden-state violation" in capsys.readouterr().out
 
+    def test_lhs_test_lists_only_dimensions_that_ran(self, capsys):
+        assert run(["lhs-test", "--seed", "5", "--n-models", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "over 10 evaluations (1 models, dims (2,))" in out
+
     def test_scan_fig1_with_outputs(self, tmp_path, capsys):
         csv_path = tmp_path / "fig1.csv"
         svg_path = tmp_path / "fig1.svg"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ def random_sparse_tables(seed, n):
         if t.sum() > 0.0:
             tables.append(t / t.sum())
     return tables
+
+
+def padded_stack(tables, size=8):
+    """The tables as one (n, size, size) stack, zero-padded; zero rows and
+    zero-weight columns leave every conditional entropy unchanged."""
+    stack = np.zeros((len(tables), size, size))
+    for slot, t in zip(stack, tables):
+        slot[: t.shape[0], : t.shape[1]] = t
+    return stack
 
 
 def assert_close(value, reference):
@@ -209,6 +219,7 @@ class TestConditionalRenyi:
 
 class TestKernelsMatchColumnLoops:
     tables = random_sparse_tables(2024, 200)
+    stack = padded_stack(tables)
 
     def test_tables_have_zero_entries_and_zero_weight_columns(self):
         assert sum((t == 0.0).any() for t in self.tables) > 150
@@ -232,6 +243,47 @@ class TestKernelsMatchColumnLoops:
     def test_conditional_tsallis(self, q):
         for table in self.tables:
             assert_close(conditional_tsallis(table, q), ref_conditional_tsallis(table, q))
+
+    # the same tables as one stack: one call, one value per table
+
+    @pytest.mark.parametrize("alpha", KERNEL_ORDERS)
+    def test_conditional_renyi_on_stack(self, alpha):
+        values = conditional_renyi(JointDistribution(self.stack), alpha)
+        assert values.shape == (len(self.tables),)
+        for value, table in zip(values, self.tables):
+            assert_close(value, ref_conditional_renyi(table, alpha))
+
+    @pytest.mark.parametrize(
+        "alpha", [a for a in KERNEL_ORDERS if a not in (0.0, 1.0, math.inf)]
+    )
+    def test_generic_kernel_on_stack(self, alpha):
+        values = _conditional_renyi_generic(self.stack, alpha)
+        for value, table in zip(values, self.tables):
+            assert_close(value, ref_renyi_generic(table, alpha))
+
+    @pytest.mark.parametrize("q", KERNEL_TSALLIS_ORDERS)
+    def test_conditional_tsallis_on_stack(self, q):
+        values = conditional_tsallis(self.stack, q)
+        assert values.shape == (len(self.tables),)
+        for value, table in zip(values, self.tables):
+            assert_close(value, ref_conditional_tsallis(table, q))
+
+    def test_single_table_gives_a_float(self):
+        for alpha in KERNEL_ORDERS:
+            assert type(conditional_renyi(self.tables[0], alpha)) is float
+        assert type(conditional_tsallis(self.tables[0], 2.0)) is float
+
+    @pytest.mark.parametrize("alpha", [2.0, 7.5, 50.0, 1e12, math.inf])
+    def test_zero_column_gives_no_nan_or_warning(self, alpha):
+        table = np.array([[0.3, 0.0, 0.2], [0.1, 0.0, 0.4]])
+        expected = ref_conditional_renyi(table, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = conditional_renyi(table, alpha)
+            stacked = conditional_renyi(np.stack([np.full((2, 3), 1 / 6), table]), alpha)
+        assert_close(single, expected)
+        assert_close(stacked[1], expected)
+        assert_close(stacked[0], 1.0)
 
 
 class TestDualOrder:
@@ -323,6 +375,26 @@ class TestJointDistribution:
     def test_swapped_transposes(self):
         j = JointDistribution([[0.1, 0.2], [0.3, 0.4]])
         assert np.array_equal(j.swapped().table, j.table.T)
+
+    def test_each_table_of_a_stack_must_sum_to_one(self):
+        # the stack's mean total is one, so a whole-stack check would pass it
+        stack = np.stack([np.full((2, 2), 0.275), np.full((2, 2), 0.225)])
+        with pytest.raises(ValueError, match=r"joint table sums to (1\.1|0\.9)\d*, not 1"):
+            JointDistribution(stack)
+
+    def test_nan_in_one_table_of_a_stack_rejected(self):
+        stack = np.full((3, 2, 2), 0.25)
+        stack[1, 0, 1] = math.nan
+        with pytest.raises(ValueError, match="joint table has negative or NaN entry nan"):
+            JointDistribution(stack)
+
+    def test_stack_is_clamped_and_swapped_per_table(self):
+        stack = np.array([[[0.5, -1e-13], [0.25, 0.25]], [[0.1, 0.2], [0.3, 0.4]]])
+        j = JointDistribution(stack)
+        assert j.table.min() == 0.0
+        assert np.array_equal(j.swapped().table, np.swapaxes(j.table, 1, 2))
+        with pytest.raises(ValueError, match="nonempty 2-d table or stack"):
+            JointDistribution([0.5, 0.5])
 
     def test_table_is_readonly(self):
         j = JointDistribution([[0.5, 0.0], [0.0, 0.5]])

@@ -253,6 +253,32 @@ class TestValidation:
             DensityMatrix(np.eye(2))
 
     @pytest.mark.parametrize(
+        "member, message",
+        [
+            (np.array([[0.5, 0.1j], [0.1j, 0.5]]), "not Hermitian"),
+            (np.eye(2), r"has trace 2\.0, not 1$"),
+            (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        ],
+    )
+    def test_stack_with_one_bad_member_rejected(self, member, message):
+        stack = np.stack([np.eye(2) / 2, member, np.diag([1.0, 0.0])])
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(stack)
+
+    def test_each_member_of_a_stack_needs_unit_trace(self):
+        # traces 2 and 0 average to one, so a whole-stack check would pass them
+        with pytest.raises(ValueError, match=r"has trace (2|0)\.0, not 1$"):
+            DensityMatrix(np.stack([np.eye(2), np.zeros((2, 2))]))
+
+    def test_valid_stack_kept_whole(self):
+        stack = np.stack([np.eye(3) / 3, np.diag([0.2, 0.3, 0.5])])
+        rho = DensityMatrix(stack)
+        assert rho.dim == 3
+        assert np.array_equal(rho.matrix, stack)
+        with pytest.raises(ValueError, match="must be a nonempty square matrix or stack"):
+            DensityMatrix(np.zeros((0, 2, 2)))
+
+    @pytest.mark.parametrize(
         "effects, message",
         [
             ([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])], "do not sum to the identity"),

@@ -349,3 +349,48 @@ class TestLhsFalsification:
         report = lhs_falsification_suite(seed=3, n_models=10)
         assert report.n_models == 10
         assert report.dims == (2, 3)
+
+    @staticmethod
+    def per_model_reference(seed, n_models):
+        """The suite as one loop over models, Bob pairs and orders, with one
+        scalar steering_lhs call per evaluation; the first strict maximum wins."""
+        master = np.random.default_rng(seed)
+        max_violation, worst, n_evals = -math.inf, {}, 0
+        dims = scenarios.LHS_DIMS
+        per_dim = [n_models // len(dims)] * len(dims)
+        per_dim[0] += n_models - sum(per_dim)
+        for d, count in zip(dims, per_dim):
+            pairs = scenarios._bob_pairs(d)
+            model_seeds = master.integers(0, 2**63 - 1, size=count)
+            for index in range(count):
+                n_lambda = scenarios.LHS_N_LAMBDAS[index % len(scenarios.LHS_N_LAMBDAS)]
+                model = steering.sample_lhs_model(int(model_seeds[index]), d, n_lambda)
+                for name, bx, bz in pairs:
+                    bound = overlap_bound(bx, bz)
+                    jx, jz = steering.lhs_statistics(model, bx, bz)
+                    for alpha in scenarios.LHS_ALPHAS:
+                        violation = bound - steering.steering_lhs(jx, jz, alpha)
+                        n_evals += 1
+                        if violation > max_violation:
+                            max_violation = violation
+                            worst = {
+                                "d": d,
+                                "model_index": index,
+                                "model_seed": int(model_seeds[index]),
+                                "n_lambda": n_lambda,
+                                "alpha": alpha,
+                                "bob_pair": name,
+                            }
+        return n_evals, max_violation, worst
+
+    @pytest.mark.parametrize("seed, n_models", [(42, 400), (1, 1), (3, 10), (7, 3)])
+    def test_stacked_suite_matches_per_model_loop(self, seed, n_models):
+        report = lhs_falsification_suite(seed=seed, n_models=n_models)
+        n_evals, max_violation, worst = self.per_model_reference(seed, n_models)
+        assert report.n_evaluations == n_evals
+        assert report.worst_case == worst
+        assert abs(report.max_violation - max_violation) <= 1e-12
+
+    def test_dims_lists_only_dimensions_with_models(self):
+        assert lhs_falsification_suite(seed=1, n_models=1).dims == (2,)
+        assert lhs_falsification_suite(seed=1, n_models=2).dims == (2, 3)

@@ -20,6 +20,29 @@ LHS_V08_ORACLE = 0.83007499855768763709  # log2(1.6) - log2(0.9), 50-digit evalu
 BOUND_60DEG = 0.41503749927884381855  # -log2 cos^2(pi/6)
 
 
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def parent_sample_lhs_model(rng_seed, d, n_lambda):
+    """The sampler as it was before hidden states were stacked: one
+    ``dirichlet`` and 2d pairs of ``normal(size=d)`` draws per state, summed
+    one outer product at a time.  Returns weights, states and responses."""
+    rng = np.random.default_rng(rng_seed)
+    weights = rng.dirichlet(np.ones(n_lambda))
+    states = []
+    for _ in range(n_lambda):
+        rho = np.zeros((d, d), dtype=complex)
+        for w in rng.dirichlet(np.ones(2 * d)):
+            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+            psi /= np.linalg.norm(psi)
+            rho += w * np.outer(psi, psi.conj())
+        states.append(rho)
+    responses = {label: rng.dirichlet(np.ones(d), size=n_lambda) for label in ("x", "z")}
+    return weights, np.array(states), responses
+
+
 def certify(alice_x, alice_z, bob_x, bob_z, alpha):
     """The criterion on the Born-rule statistics of the maximally entangled state."""
     jx, jz = born_statistics(alice_x, alice_z, bob_x, bob_z)
@@ -27,7 +50,7 @@ def certify(alice_x, alice_z, bob_x, bob_z, alpha):
 
 
 class TestOverlapBound:
-    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 5, 50])
     def test_mub_pair_reaches_log_d(self, d):
         comp, four = mub_pair(d)
         assert overlap_bound(comp, four) == pytest.approx(np.log2(d), abs=1e-12)
@@ -45,6 +68,16 @@ class TestOverlapBound:
         a = qubit_povm(0.0, (0, 0, 1))
         b = qubit_povm(0.0, (math.sin(1.1), 0, math.cos(1.1)))
         assert overlap_bound(a, b) == overlap_bound(b, a)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 30])
+    def test_matches_basis_overlaps(self, d):
+        # c^2 = max_ij |<x_i|z_j>|^2 = max |X^dagger Z|^2 for basis matrices X and Z
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            u, v = random_unitary(rng, d), random_unitary(rng, d)
+            c2 = np.clip((np.abs(u.conj().T @ v) ** 2).max(), 1.0 / d, 1.0)
+            bound = overlap_bound(Povm.from_basis(u), Povm.from_basis(v))
+            assert bound == pytest.approx(-np.log2(c2), abs=1e-12)
 
     def test_non_projective_rejected(self):
         comp, four = mub_pair(2)
@@ -99,7 +132,7 @@ class TestEvaluate:
         # the statistics of the product state I/4: one hidden state I/2 and
         # uniform answers from Alice
         uniform = np.full((1, 2), 0.5)
-        model = LhsModel(np.ones(1), (DensityMatrix(np.eye(2) / 2),), {"x": uniform, "z": uniform})
+        model = LhsModel(np.ones(1), DensityMatrix([np.eye(2) / 2]), {"x": uniform, "z": uniform})
         comp, four = mub_pair(2)
         tilted = qubit_povm(0.0, (math.sin(0.9), 0, math.cos(0.9)))
         for alpha in (0.5, 1.0, 2.0, math.inf):
@@ -174,12 +207,25 @@ class TestLhsModel:
         a = sample_lhs_model(123, 3, 4)
         b = sample_lhs_model(123, 3, 4)
         assert np.array_equal(a.weights, b.weights)
-        for sa, sb in zip(a.hidden_states, b.hidden_states):
-            assert np.array_equal(sa.matrix, sb.matrix)
+        assert np.array_equal(a.hidden_states.matrix, b.hidden_states.matrix)
         for key in a.responses:
             assert np.array_equal(a.responses[key], b.responses[key])
         c = sample_lhs_model(124, 3, 4)
         assert not np.array_equal(a.weights, c.weights)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_same_draws_as_the_per_state_sampler(self, d):
+        # one normal(size=(2d, 2, d)) call per state reads the stream exactly
+        # as 2d pairs of normal(size=d) calls did
+        for seed in range(12):
+            for n_lambda in (1, 2, 3, 4, 8):
+                model = sample_lhs_model(seed * 1009 + d, d, n_lambda)
+                weights, states, responses = parent_sample_lhs_model(seed * 1009 + d, d, n_lambda)
+                assert np.array_equal(model.weights, weights)
+                for label in responses:
+                    assert np.array_equal(model.responses[label], responses[label])
+                assert model.hidden_states.matrix.shape == (n_lambda, d, d)
+                assert np.abs(model.hidden_states.matrix - states).max() <= 1e-14
 
     def test_invariants_hold_for_samples(self):
         for seed in range(20):
@@ -215,6 +261,18 @@ class TestLhsModel:
         flat = {"x": model.responses["x"], "z": np.full(3, 1.0)}
         with pytest.raises(ValueError, match=r"response map 'z' must have shape \(3, k\)"):
             LhsModel(model.weights, model.hidden_states, flat)
+
+    def test_state_stack_must_match_the_weights(self):
+        # two hidden states of a qubit: a single 2 x 2 matrix has the right length
+        model = sample_lhs_model(9, 2, 2)
+        one = DensityMatrix(model.hidden_states.matrix[:1])
+        single = DensityMatrix(model.hidden_states.matrix[0])
+        nested = DensityMatrix(model.hidden_states.matrix[None])
+        for states in (one, single, nested, tuple(model.hidden_states.matrix)):
+            with pytest.raises(ValueError, match=r"DensityMatrix of shape \(2, d, d\)"):
+                LhsModel(model.weights, states, model.responses)
+        lone = LhsModel(np.ones(1), DensityMatrix([np.eye(2) / 2]), {"x": [[1.0]], "z": [[1.0]]})
+        assert (lone.n_lambda, lone.dim) == (1, 2)
 
     def test_statistics_never_violate_bound(self):
         comp, four = mub_pair(2)
