@@ -174,7 +174,7 @@ def qubit_exact_threshold(z, x) -> float:
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
     for name, u in (("z", z), ("x", x)):
-        if u.shape != (3,) or abs(np.linalg.norm(u) - 1.0) > DEFAULT_TOLS.projective:
+        if u.shape != (3,) or not abs(np.linalg.norm(u) - 1.0) <= DEFAULT_TOLS.projective:
             raise ValueError(f"{name} must be a unit 3-vector")
     return 2.0 / (np.linalg.norm(z + x) + np.linalg.norm(z - x))
 

@@ -75,42 +75,43 @@ class DensityMatrix:
 
 
 class Povm:
-    """Finite measurement: PSD effects summing to the identity."""
+    """Finite measurement: PSD effects summing to the identity, kept as the
+    validated stack itself, one read-only ``effects`` array of shape (n, d, d)."""
 
     __slots__ = ("effects",)
 
     def __init__(self, effects):
-        mats = tuple(np.array(e, dtype=complex) for e in effects)
-        if not mats:
+        try:
+            stack = np.array(effects, dtype=complex)
+        except ValueError as exc:  # ragged input
+            raise ValueError("POVM effects must be square matrices of equal size") from exc
+        if stack.shape[:1] == (0,):
             raise ValueError("a POVM needs at least one effect")
-        shape = mats[0].shape
-        if len(shape) != 2 or shape[0] != shape[1] or any(e.shape != shape for e in mats):
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("POVM effects must be square matrices of equal size")
-        d = shape[0]
-        stack = np.stack(mats)
         if not is_psd(stack):
             raise ValueError("POVM effect is not positive semidefinite")
-        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > DEFAULT_TOLS.structural:
+        if np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max() > DEFAULT_TOLS.structural:
             raise ValueError("POVM effects do not sum to the identity")
         stack.setflags(write=False)
-        self.effects = tuple(stack)
+        self.effects = stack
 
     @classmethod
     def from_basis(cls, basis: np.ndarray) -> "Povm":
         """Rank-1 projective POVM from the columns of a unitary matrix."""
-        b = np.asarray(basis, dtype=complex)
-        return cls([np.outer(b[:, k], b[:, k].conj()) for k in range(b.shape[1])])
+        cols = np.asarray(basis, dtype=complex).T
+        return cls(cols[:, :, None] * cols[:, None, :].conj())
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.effects)
+        return self.effects.shape[0]
 
     def is_rank1_projective(self) -> bool:
-        e, tol = np.stack(self.effects), DEFAULT_TOLS.projective
+        e, tol = self.effects, DEFAULT_TOLS.projective
         traces = np.trace(e, axis1=1, axis2=2).real
         return bool(np.abs(traces - 1.0).max() <= tol and np.abs(e @ e - e).max() <= tol)
 
@@ -129,7 +130,7 @@ def qubit_povm(bias: float, bloch) -> Povm:
     if r.shape != (3,):
         raise ValueError("bloch must be a real 3-vector")
     size = abs(bias) + np.linalg.norm(r)
-    if size > 1.0 + DEFAULT_TOLS.prob_negativity:
+    if not size <= 1.0 + DEFAULT_TOLS.prob_negativity:
         raise ValueError(f"invalid qubit POVM: |bias| + |bloch| = {size:.6f} exceeds 1")
     shift = bias * np.eye(2) + sum(c * s for c, s in zip(r, PAULI))
     return Povm([(np.eye(2) + shift) / 2.0, (np.eye(2) - shift) / 2.0])
@@ -155,9 +156,9 @@ def depolarize(p: Povm, v: float) -> Povm:
     v = float(v)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v!r}")
-    d = p.dim
-    eye = np.eye(d)
-    return Povm([v * e + (1.0 - v) * np.trace(e).real * eye / d for e in p.effects])
+    # contiguous rows sum in the order np.trace takes on a single effect
+    tr = np.ascontiguousarray(np.diagonal(p.effects, axis1=1, axis2=2)).sum(axis=1).real
+    return Povm(v * p.effects + ((1.0 - v) * tr)[:, None, None] * np.eye(p.dim) / p.dim)
 
 
 def joint_distribution(alice: Povm, bob: Povm) -> JointDistribution:
@@ -171,8 +172,8 @@ def joint_distribution(alice: Povm, bob: Povm) -> JointDistribution:
     if bob.dim != d:
         raise ValueError(f"measurements act on different dimensions: {d} and {bob.dim}")
     amp2 = (1.0 / np.sqrt(d)) ** 2  # |<ii|Phi+>|^2; may differ from 1/d in the last bit
-    e = np.stack(alice.effects).reshape(alice.n_outcomes, -1) * amp2
-    f = np.stack(bob.effects).reshape(bob.n_outcomes, -1)
+    e = alice.effects.reshape(alice.n_outcomes, -1) * amp2
+    f = bob.effects.reshape(bob.n_outcomes, -1)
     # tr(E F^T) = sum_ij E[i,j] F[i,j]: one product of the flattened effects
     return JointDistribution((e @ f.T).real)
 
@@ -196,9 +197,7 @@ def _d3_rotation_frame() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     comp = np.eye(d, dtype=complex)
     four = fourier_matrix(d)
 
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)  # |j> -> |j + 1 mod d>
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
     evals, evecs = np.linalg.eig(shift @ clock)
     order = np.argsort(np.angle(evals) % (2.0 * np.pi))

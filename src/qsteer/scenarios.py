@@ -456,7 +456,7 @@ def qubit_random_povm_check(
 def _conjugate_povm(p: Povm) -> Povm:
     """Entrywise conjugate measurement: the partner that sees perfect
     correlations with ``p`` on the maximally entangled state."""
-    return Povm([e.conj() for e in p.effects])
+    return Povm(p.effects.conj())
 
 
 def _givens_unitary(d: int, params: np.ndarray) -> np.ndarray:
@@ -505,13 +505,9 @@ def d3_family_scan(
         detected, saturated = _pipeline_threshold(tables, 0.5, tol)
 
         if refine_bob and not saturated:
-            base_x, base_z = np.stack(bob_x.effects), np.stack(bob_z.effects)
-
             def objective(params: np.ndarray) -> float:
-                ux = _givens_unitary(3, params[:6])
-                uz = _givens_unitary(3, params[6:])
-                bx = Povm([ux @ e @ ux.conj().T for e in base_x])
-                bz = Povm([uz @ e @ uz.conj().T for e in base_z])
+                ux, uz = _givens_unitary(3, params[:6]), _givens_unitary(3, params[6:])
+                bx, bz = (Povm(u @ b.effects @ u.conj().T) for u, b in ((ux, bob_x), (uz, bob_z)))
                 tables = _pipeline_tables(alice_x, alice_z, bx, bz)
                 return _pipeline_threshold(tables, 0.5, tol * 0.25).value
 

@@ -10,8 +10,9 @@ Bob-first statistics against ``q``: the Born statistics of Alice's and Bob's
 measurements on the maximally entangled state (``born_statistics``), or those
 of a local-hidden-state model (``lhs_statistics``).  A positive violation
 (bound minus left-hand side) certifies steering; statistics produced by any
-local-hidden-state model can never violate it.  A model's hidden states are
-one (n_lambda, d, d) stack; ``steering_lhs`` also takes stacks of tables.
+local-hidden-state model can never violate it.  Bob's effects (``Povm.effects``)
+and a model's hidden states arrive as validated read-only (n, d, d) stacks and
+are contracted as they are; ``steering_lhs`` also takes stacks of tables.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ def overlap_bound(x: Povm, z: Povm) -> float:
             )
     if x.dim != z.dim:
         raise ValueError("measurements act on different dimensions")
-    ex, ez = np.stack(x.effects), np.stack(z.effects)
     # |<x_i|z_j>|^2 = tr[X_i Z_j] = sum_kl X_i[k,l] Z_j^T[k,l]: one product of the
     # flattened effects.  Both operand orders keep the bound exactly symmetric.
-    fx, fz = ex.reshape(len(ex), -1), ez.reshape(len(ez), -1)
-    tx, tz = np.swapaxes(ex, 1, 2).reshape(fx.shape), np.swapaxes(ez, 1, 2).reshape(fz.shape)
+    fx, fz = (p.effects.reshape(p.n_outcomes, -1) for p in (x, z))
+    tx, tz = (np.swapaxes(p.effects, 1, 2).reshape(p.n_outcomes, -1) for p in (x, z))
     c2 = max((fx @ tz.T).real.max(), (fz @ tx.T).real.max())
     c2 = min(max(float(c2), 1.0 / x.dim), 1.0)
     return float(-np.log2(c2))
@@ -114,8 +114,8 @@ class LhsModel:
     ``hidden_states`` is one :class:`DensityMatrix` holding the stack of
     Bob's states sigma_l, shape (n_lambda, d, d), one per weight.
     ``responses[label]``, for each label of ``MEASUREMENT_LABELS`` and no
-    other, is a row-stochastic array of shape (n_lambda, n_outcomes): the
-    distribution of Alice's announced outcome for each hidden variable.
+    other, is a read-only row-stochastic array of shape (n_lambda, n_outcomes):
+    the distribution of Alice's announced outcome for each hidden variable.
     """
 
     weights: np.ndarray
@@ -132,16 +132,20 @@ class LhsModel:
         odd = sorted(set(self.responses) ^ set(MEASUREMENT_LABELS))
         if odd:
             raise ValueError(f"response map {odd[0]!r} is missing or unknown")
+        responses = {}
         for label, resp in self.responses.items():
-            r = np.asarray(resp, dtype=float)
+            r = np.array(resp, dtype=float)
             if r.ndim != 2 or r.shape[0] != w.size:
                 raise ValueError(
                     f"response map {label!r} must have shape ({w.size}, k), got {r.shape}"
                 )
-            if r.min() < -DEFAULT_TOLS.prob_negativity:
-                raise ValueError(f"response map {label!r} has negative entries")
-            if np.abs(r.sum(axis=1) - 1.0).max() > DEFAULT_TOLS.structural:
+            if not r.min() >= -DEFAULT_TOLS.prob_negativity:
+                raise ValueError(f"response map {label!r} has negative or NaN entries")
+            if not np.abs(r.sum(axis=1) - 1.0).max() <= DEFAULT_TOLS.structural:
                 raise ValueError(f"response map {label!r} is not row-stochastic")
+            r.setflags(write=False)
+            responses[label] = r
+        object.__setattr__(self, "responses", responses)
 
     @property
     def n_lambda(self) -> int:
@@ -192,6 +196,6 @@ def lhs_statistics(
     sigmas = model.hidden_states.matrix
     joints = []
     for label, bob in zip(MEASUREMENT_LABELS, (bob_x, bob_z)):
-        born = np.einsum("bij,lji->bl", np.array(bob.effects), sigmas).real  # tr[F_b sigma_l]
+        born = np.einsum("bij,lji->bl", bob.effects, sigmas).real  # tr[F_b sigma_l]
         joints.append(JointDistribution((born * model.weights) @ model.responses[label]))
     return joints[0], joints[1]

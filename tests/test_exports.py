@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -25,3 +26,44 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         return any(word.search(line) and not own.match(line) for line in lines)
 
     assert [n for n in qsteer.__all__ if not has_caller(n)] == []
+
+
+# Private names one module of src/qsteer/ may take from another, each with its reason.
+ALLOWED_PRIVATE_IMPORTS = {
+    # the closed-form qubit tables of `qubit_opt`, faster than the shared pipeline
+    ("scenarios", "entropy", "_conditional_max_entropy"),
+    ("scenarios", "entropy", "_conditional_min_entropy"),
+    # criterion 8 probes the order dispatch; perfbench/spans.py binds the same names
+    ("acceptance", "entropy", "_conditional_min_entropy"),
+    ("acceptance", "entropy", "_conditional_renyi_generic"),
+    ("acceptance", "entropy", "_conditional_shannon"),
+}
+
+
+def private_imports(path):
+    """(importer, module, name) for every ``from .module import _name`` and
+    every ``module._name`` reached through ``from . import module``."""
+    me, found, siblings = path.stem, set(), set()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.add((me, node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.add((me, node.value.id, node.attr))
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = set()
+    for path in (ROOT / "src" / "qsteer").glob("*.py"):
+        found |= private_imports(path)
+    assert sorted(found - ALLOWED_PRIVATE_IMPORTS) == []
+    # an exception that no longer applies leaves the list
+    assert sorted(ALLOWED_PRIVATE_IMPORTS - found) == []

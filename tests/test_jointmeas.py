@@ -212,6 +212,12 @@ class TestQubitThresholds:
         with pytest.raises(ValueError):
             qubit_exact_threshold((0, 0, 0.9), (1, 0, 0))
 
+    def test_nan_vector_rejected(self):
+        with pytest.raises(ValueError, match="z must be a unit 3-vector"):
+            qubit_exact_threshold((math.nan, 0, 0), (1, 0, 0))
+        with pytest.raises(ValueError, match="x must be a unit 3-vector"):
+            qubit_exact_threshold((0, 0, 1), (0, math.nan, 0))
+
     def test_renyi_threshold_range(self):
         assert qubit_renyi_threshold(0.0) == pytest.approx(SQRT2_INV, abs=1e-15)
         assert qubit_renyi_threshold(math.pi / 4) == pytest.approx(1.0, abs=1e-12)

@@ -61,6 +61,45 @@ class TestMubPair:
             assert p.is_rank1_projective()
 
 
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestEffectStack:
+    def test_effects_are_one_read_only_stack(self):
+        given = np.array([np.diag([0.7, 0.2]), np.diag([0.3, 0.8])])
+        comp, four = mub_pair(3)
+        cases = [(Povm(given), 2, 2), (Povm(list(given)), 2, 2), (comp, 3, 3), (four, 3, 3),
+                 (depolarize(four, 0.4), 3, 3), (qubit_povm(0.1, (0, 0.5, 0)), 2, 2)]
+        for p, n, d in cases:
+            assert type(p.effects) is np.ndarray and p.effects.dtype == complex
+            assert p.effects.shape == (n, d, d) == (p.n_outcomes, p.dim, p.dim)
+            assert not p.effects.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                p.effects[0, 0, 0] = 1.0
+        # the stack is a copy: the caller's array stays writable and unshared
+        given[0, 0, 0] = 0.5
+        assert cases[0][0].effects[0, 0, 0] == 0.7
+
+    def test_bases_and_noise_match_per_effect_builds(self):
+        rng = np.random.default_rng(41)
+        bases = [np.eye(d, dtype=complex) for d in range(2, 7)]
+        bases += [fourier_matrix(d) for d in range(2, 7)]
+        bases += [random_unitary(rng, d) for d in range(2, 7)]
+        povms = [qubit_povm(0.25, (0.3, -0.2, 0.4))]
+        for b in bases:
+            p = Povm.from_basis(b)
+            ref = [np.outer(b[:, k], b[:, k].conj()) for k in range(b.shape[1])]
+            assert np.array_equal(p.effects, np.array(ref))
+            povms.append(p)
+        for p in povms:
+            d = p.dim
+            for v in (0.0, 0.3, 0.77, 1.0):
+                ref = [v * e + (1.0 - v) * np.trace(e).real * np.eye(d) / d for e in p.effects]
+                assert np.array_equal(depolarize(p, v).effects, np.array(ref))
+
+
 class TestDepolarize:
     def test_identity_at_full_visibility(self):
         comp, _ = mub_pair(3)
@@ -191,6 +230,11 @@ class TestQubitPovm:
         with pytest.raises(ValueError):
             qubit_povm(0.5, (0.8, 0, 0))
 
+    @pytest.mark.parametrize("bias, bloch", [(np.nan, (0, 0, 0.5)), (0.0, (np.nan, 0, 0))])
+    def test_nan_input_rejected_as_invalid(self, bias, bloch):
+        with pytest.raises(ValueError, match=r"invalid qubit POVM: \|bias\| \+ \|bloch\| = nan"):
+            qubit_povm(bias, bloch)
+
     def test_roundtrip_through_type(self):
         total = sum(qubit_povm(0.2, (0.1, 0.2, 0.3)).effects)
         assert np.abs(total - np.eye(2)).max() < 1e-14
@@ -285,8 +329,10 @@ class TestValidation:
             ([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])], "not positive semidefinite"),
             ([1.0], "must be square matrices of equal size"),
             ([[1.0, 0.0]], "must be square matrices of equal size"),
+            ([np.eye(2) / 2, np.eye(3) / 2], "must be square matrices of equal size"),
+            ([], "needs at least one effect"),
         ],
-        ids=["not-complete", "not-psd", "scalar", "row"],
+        ids=["not-complete", "not-psd", "scalar", "row", "ragged", "empty"],
     )
     def test_povm_invariants(self, effects, message):
         with pytest.raises(ValueError, match=message):

@@ -262,6 +262,23 @@ class TestLhsModel:
         with pytest.raises(ValueError, match=r"response map 'z' must have shape \(3, k\)"):
             LhsModel(model.weights, model.hidden_states, flat)
 
+    def test_responses_stored_as_read_only_float_arrays(self):
+        given = np.array([[0.25, 0.75]])
+        state = DensityMatrix([np.eye(2) / 2])
+        model = LhsModel(np.ones(1), state, {"x": [[1.0, 0.0]], "z": given})
+        for r in model.responses.values():
+            assert type(r) is np.ndarray and r.dtype == float and r.shape == (1, 2)
+            assert not r.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            model.responses["z"][0] = [3.0, -2.0]
+        given[0] = [3.0, -2.0]  # the caller's array is not shared
+        assert given.flags.writeable and model.responses["z"].tolist() == [[0.25, 0.75]]
+
+    @pytest.mark.parametrize("row", [[math.nan, 1.0], [math.nan, math.nan]])
+    def test_nan_response_rejected(self, row):
+        with pytest.raises(ValueError, match="response map 'x'"):
+            LhsModel(np.ones(1), DensityMatrix([np.eye(2) / 2]), {"x": [row], "z": [[0.5, 0.5]]})
+
     def test_state_stack_must_match_the_weights(self):
         # two hidden states of a qubit: a single 2 x 2 matrix has the right length
         model = sample_lhs_model(9, 2, 2)
