@@ -83,6 +83,12 @@ def bisect_threshold(pred: Callable[[float], bool], tol: float) -> ThresholdSolu
     return ThresholdSolution(b)
 
 
+def _check_dim(d: int) -> int:
+    if not (d >= 2 and float(d).is_integer()):
+        raise ValueError(f"dimension must be an integer of at least 2, got {d!r}")
+    return int(d)
+
+
 def _check_visibility(v: float, name: str) -> float:
     v = float(v)
     if not 0.0 <= v <= 1.0:
@@ -96,9 +102,7 @@ def mub_jm_holds(d: int, va: float, vx: float) -> bool:
     For d >= 3 this is the known algebraic condition; the d = 2 case is its
     equality-curve limit va^2 + vx^2 <= 1.
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    d = _check_dim(d)
     va = _check_visibility(va, "va")
     vx = _check_visibility(vx, "vx")
     slack = DEFAULT_TOLS.boundary
@@ -115,9 +119,7 @@ def mub_jm_threshold_symmetric(d: int) -> float:
     Closed-form solution of the joint-measurability boundary at equal noise;
     the d = 2 limit 1/sqrt(2) is included.
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    d = _check_dim(d)
     s = math.sqrt(d)
     return (s + 2.0) / (2.0 * (s + 1.0))
 
@@ -129,9 +131,7 @@ def renyi_mub_holds(d: int, va: float, vx: float) -> bool:
     min-entropy (it enters the denominator), ``vx`` the one evaluated by the
     max-entropy (numerator).
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    d = _check_dim(d)
     va = _check_visibility(va, "va")
     vx = _check_visibility(vx, "vx")
     numer = (math.sqrt(vx + (1.0 - vx) / d) + (d - 1) * math.sqrt((1.0 - vx) / d)) ** 2

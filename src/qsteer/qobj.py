@@ -38,10 +38,9 @@ def is_psd(a: np.ndarray) -> bool:
 
 
 def _check_dim(d: int) -> int:
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    return d
+    if not (d >= 2 and float(d).is_integer()):
+        raise ValueError(f"dimension must be an integer of at least 2, got {d!r}")
+    return int(d)
 
 
 class DensityMatrix:
@@ -87,7 +86,7 @@ class Povm:
             raise ValueError("POVM effects must be square matrices of equal size") from exc
         if stack.shape[:1] == (0,):
             raise ValueError("a POVM needs at least one effect")
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
             raise ValueError("POVM effects must be square matrices of equal size")
         if not is_psd(stack):
             raise ValueError("POVM effect is not positive semidefinite")

@@ -19,7 +19,6 @@ import numpy as np
 from . import steering
 from .config import DEFAULT_TOLS
 from .entropy import JointDistribution, dual_order
-from .entropy import _conditional_max_entropy, _conditional_min_entropy
 from .jointmeas import (
     ThresholdRecord,
     ThresholdSolution,
@@ -95,16 +94,16 @@ def fig1_scan(
     joint-measurability boundary.  The min/max-entropy rows (alpha = 1/2)
     reproduce the boundary itself; Shannon rows sit strictly above it.
     """
-    dims = sorted(int(d) for d in d_range)
+    dims = sorted(d_range)
     alphas = [float(a) for a in alphas]
     if not dims or not alphas:
         raise ValueError("fig1_scan needs at least one dimension and one order")
     for a in alphas:
         if not a >= 0.5:
             raise ValueError(f"criterion needs alpha >= 1/2, got {a!r}")
+    exacts = [mub_jm_threshold_symmetric(d) for d in dims]  # checks every d before a solve
     records = []
-    for d in dims:
-        exact = mub_jm_threshold_symmetric(d)
+    for d, exact in zip(dims, exacts):
         tables = _mub_tables(d)
         for a in sorted(alphas):
             detected = _pipeline_threshold(tables, a, tol).value
@@ -177,37 +176,38 @@ def _angles_of(u: np.ndarray) -> tuple[float, float]:
     return math.acos(max(-1.0, min(1.0, u[2]))), math.atan2(u[1], u[0])
 
 
-def _qubit_joint_table(bias: float, bloch: np.ndarray, u_dir: np.ndarray) -> np.ndarray:
-    """Closed-form Born table p(b, a) for Eq.-style binary qubit POVMs on the
-    maximally entangled state; Bob projective along ``u_dir``."""
-    c = float(np.dot(bloch, _mirror_y(u_dir)))
-    table = np.empty((2, 2))
-    for ia, sa in enumerate((1.0, -1.0)):
-        for ib, sb in enumerate((1.0, -1.0)):
-            table[ib, ia] = (1.0 + sa * bias + sa * sb * c) / 4.0
-    return np.clip(table, 0.0, None)
-
-
 def _qubit_violation(
-    v: float,
-    bias_z: float,
-    bloch_z: np.ndarray,
     bias_x: float,
     bloch_x: np.ndarray,
+    bloch_z: np.ndarray,
     u_x: np.ndarray,
     u_z: np.ndarray,
-) -> float:
-    """Min/max-entropy criterion violation, closed-form fast path.
+) -> Callable[[float], float]:
+    """Min/max-entropy criterion violation as a function of Alice's
+    visibility v, for her binary qubit POVMs (I +- (b I + v r.sigma))/2 and
+    Bob projective along ``u_x`` and ``u_z``, on the maximally entangled state.
 
-    Matches steering.evaluate on the same scenario (cross-checked in the
-    test suite); used inside optimizer loops where object construction
-    would dominate.
+    With m flipping the y component (the transpose) and c = r . m(u), Alice's
+    outcome s and Bob's t (signs) occur with p(t, s) = (1 + s b + s t v c)/4.
+    The max-entropy term, log2 of the sum over s of (sqrt p(+, s) + sqrt p(-, s))^2,
+    is log2(1 + (sqrt((1 + b_x)^2 - (v c_x)^2) + sqrt((1 - b_x)^2 - (v c_x)^2))/2);
+    on extremal POVMs a radicand reaches zero, and rounding can take it below.
+    The min-entropy term sums the column maxima (1 + s b_z + v|c_z|)/4, so b_z
+    cancels and it is -log2((1 + v|c_z|)/2).  Matches steering.evaluate on the
+    same scenario (cross-checked in the test suite); used inside optimizer
+    loops where object construction would dominate.
     """
-    c2 = (1.0 + abs(float(np.dot(u_x, u_z)))) / 2.0
-    q = -math.log2(c2)
-    jx = _qubit_joint_table(bias_x, v * bloch_x, u_x)
-    jz = _qubit_joint_table(bias_z, v * bloch_z, u_z)
-    return q - _conditional_max_entropy(jx) - _conditional_min_entropy(jz)
+    q = -math.log2((1.0 + abs(float(np.dot(u_x, u_z)))) / 2.0)
+    c_x = float(np.dot(bloch_x, _mirror_y(u_x)))
+    c_z = abs(float(np.dot(bloch_z, _mirror_y(u_z))))
+    plus, minus = (1.0 + bias_x) ** 2, (1.0 - bias_x) ** 2
+
+    def violation(v: float) -> float:
+        s = (v * c_x) ** 2
+        root = math.sqrt(max(plus - s, 0.0)) + math.sqrt(max(minus - s, 0.0))
+        return q - math.log2(1.0 + root / 2.0) + math.log2((1.0 + v * c_z) / 2.0)
+
+    return violation
 
 
 def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResult:
@@ -301,29 +301,25 @@ def _coordinate_search(
 
 
 def _qubit_case_threshold(
-    bias_z: float,
-    bloch_z: np.ndarray,
     bias_x: float,
     bloch_x: np.ndarray,
+    bloch_z: np.ndarray,
     u_x: np.ndarray,
     u_z: np.ndarray,
     tol: float,
 ) -> float:
-    def detects(v: float) -> bool:
-        return _qubit_violation(v, bias_z, bloch_z, bias_x, bloch_x, u_x, u_z) > 0.0
-
-    return bisect_threshold(detects, tol).value
+    violation = _qubit_violation(bias_x, bloch_x, bloch_z, u_x, u_z)
+    return bisect_threshold(lambda v: violation(v) > 0.0, tol).value
 
 
 def _optimize_bob_qubit(
-    bias_z: float,
-    bloch_z: np.ndarray,
     bias_x: float,
     bloch_x: np.ndarray,
+    bloch_z: np.ndarray,
     baseline: tuple[np.ndarray, np.ndarray],
     tol: float,
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Minimize the detected threshold over Bob's two projective directions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's two projective directions that minimize the detected threshold.
 
     Eight deterministic restarts, the first at the symmetric-geometry
     baseline; pattern search over the four spherical angles.
@@ -331,10 +327,9 @@ def _optimize_bob_qubit(
 
     def objective(angles: np.ndarray) -> float:
         return _qubit_case_threshold(
-            bias_z,
-            bloch_z,
             bias_x,
             bloch_x,
+            bloch_z,
             _sph(angles[0], angles[1]),
             _sph(angles[2], angles[3]),
             tol * 0.25,
@@ -347,7 +342,7 @@ def _optimize_bob_qubit(
         x, f = _coordinate_search(objective, st, ftol=tol * 0.5)
         if f < best_f:
             best_f, best_x = f, x
-    return best_f, (_sph(best_x[0], best_x[1]), _sph(best_x[2], best_x[3]))
+    return _sph(best_x[0], best_x[1]), _sph(best_x[2], best_x[3])
 
 
 def qubit_random_povm_check(
@@ -387,12 +382,8 @@ def qubit_random_povm_check(
         bloch_z, bloch_x = len_z * dir_z, len_x * dir_x
 
         baseline_dirs = _fig2_bob_directions(dir_z, dir_x)
-        baseline = _qubit_case_threshold(
-            bias_z, bloch_z, bias_x, bloch_x, baseline_dirs[0], baseline_dirs[1], tol
-        )
-        opt_threshold, opt_dirs = _optimize_bob_qubit(
-            bias_z, bloch_z, bias_x, bloch_x, baseline_dirs, tol
-        )
+        baseline = _qubit_case_threshold(bias_x, bloch_x, bloch_z, *baseline_dirs, tol)
+        opt_dirs = _optimize_bob_qubit(bias_x, bloch_x, bloch_z, baseline_dirs, tol)
 
         # re-derive the winning threshold through the full Born-rule pipeline
         tables = _pipeline_tables(

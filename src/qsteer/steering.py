@@ -18,6 +18,8 @@ are contracted as they are; ``steering_lhs`` also takes stacks of tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -113,14 +115,15 @@ class LhsModel:
 
     ``hidden_states`` is one :class:`DensityMatrix` holding the stack of
     Bob's states sigma_l, shape (n_lambda, d, d), one per weight.
-    ``responses[label]``, for each label of ``MEASUREMENT_LABELS`` and no
-    other, is a read-only row-stochastic array of shape (n_lambda, n_outcomes):
-    the distribution of Alice's announced outcome for each hidden variable.
+    ``responses`` is a read-only mapping; ``responses[label]``, for each label
+    of ``MEASUREMENT_LABELS`` and no other, is a read-only row-stochastic array
+    of shape (n_lambda, n_outcomes): the distribution of Alice's announced
+    outcome for each hidden variable.
     """
 
     weights: np.ndarray
     hidden_states: DensityMatrix
-    responses: dict[str, np.ndarray] = field(repr=False)
+    responses: Mapping[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
         w = as_distribution(self.weights)
@@ -145,7 +148,7 @@ class LhsModel:
                 raise ValueError(f"response map {label!r} is not row-stochastic")
             r.setflags(write=False)
             responses[label] = r
-        object.__setattr__(self, "responses", responses)
+        object.__setattr__(self, "responses", MappingProxyType(responses))
 
     @property
     def n_lambda(self) -> int:

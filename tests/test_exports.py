@@ -30,9 +30,6 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 # Private names one module of src/qsteer/ may take from another, each with its reason.
 ALLOWED_PRIVATE_IMPORTS = {
-    # the closed-form qubit tables of `qubit_opt`, faster than the shared pipeline
-    ("scenarios", "entropy", "_conditional_max_entropy"),
-    ("scenarios", "entropy", "_conditional_min_entropy"),
     # criterion 8 probes the order dispatch; perfbench/spans.py binds the same names
     ("acceptance", "entropy", "_conditional_min_entropy"),
     ("acceptance", "entropy", "_conditional_renyi_generic"),

@@ -331,8 +331,9 @@ class TestValidation:
             ([[1.0, 0.0]], "must be square matrices of equal size"),
             ([np.eye(2) / 2, np.eye(3) / 2], "must be square matrices of equal size"),
             ([], "needs at least one effect"),
+            ([np.zeros((0, 0))], "must be square matrices of equal size"),
         ],
-        ids=["not-complete", "not-psd", "scalar", "row", "ragged", "empty"],
+        ids=["not-complete", "not-psd", "scalar", "row", "ragged", "empty", "zero-dim"],
     )
     def test_povm_invariants(self, effects, message):
         with pytest.raises(ValueError, match=message):

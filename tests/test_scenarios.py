@@ -6,7 +6,12 @@ import pytest
 
 from qsteer import acceptance, qobj, scenarios, steering
 from qsteer.entropy import dual_order
-from qsteer.jointmeas import mub_jm_threshold_symmetric, renyi_mub_threshold_symmetric
+from qsteer.jointmeas import (
+    mub_jm_holds,
+    mub_jm_threshold_symmetric,
+    renyi_mub_holds,
+    renyi_mub_threshold_symmetric,
+)
 from qsteer.qobj import Povm, depolarize, joint_distribution, mub_pair, qubit_povm, rotated_d3_bases
 from qsteer.scenarios import (
     d3_family_scan,
@@ -92,6 +97,27 @@ class TestFig1Scan:
             fig1_scan([], [0.5])
         with pytest.raises(ValueError, match="at least one dimension and one order"):
             fig1_scan([2], [])
+
+
+DIMENSION_CALLS = {
+    "mub_pair": lambda d: mub_pair(d)[1].effects.tolist(),
+    "mub_jm_holds": lambda d: mub_jm_holds(d, 0.7, 0.7),
+    "mub_jm_threshold_symmetric": mub_jm_threshold_symmetric,
+    "renyi_mub_holds": lambda d: renyi_mub_holds(d, 0.7, 0.7),
+    "mub_pipeline_threshold": lambda d: mub_pipeline_threshold(d, 0.5, tol=1e-3),
+    "fig1_scan": lambda d: fig1_scan([d], [0.5], tol=1e-3).records,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIMENSION_CALLS))
+def test_dimension_must_be_an_integer_of_at_least_two(name):
+    call = DIMENSION_CALLS[name]
+    for d in (2.7, 3.9, 2.5, 1, 1.0, 0, math.inf, math.nan):  # 2.7 used to run as d = 2
+        with pytest.raises(ValueError, match="dimension must be an integer of at least 2"):
+            call(d)
+    expected = call(3)
+    for d in (np.int64(3), 3.0):
+        assert call(d) == expected
 
 
 class TestBisectionStability:
@@ -265,7 +291,8 @@ class TestQubitClosedForm:
 
     @staticmethod
     def _cases(rng):
-        for kind in ("unbiased-symmetric", "unbiased-asymmetric", "biased") * 4:
+        kinds = ("unbiased-symmetric", "unbiased-asymmetric", "biased", "extremal")
+        for kind in kinds * 8:  # enough extremal draws for a radicand to round below zero
             dir_z = scenarios._unit(rng.normal(size=3))
             dir_x = scenarios._unit(rng.normal(size=3))
             if kind == "unbiased-symmetric":
@@ -274,12 +301,18 @@ class TestQubitClosedForm:
             elif kind == "unbiased-asymmetric":
                 len_z, len_x = rng.uniform(0.55, 1.0, size=2)
                 bias_z = bias_x = 0.0
-            else:
+            elif kind == "biased":
                 len_z, len_x = rng.uniform(0.55, 0.95, size=2)
                 bias_z = rng.uniform(-1.0, 1.0) * 0.9 * (1.0 - len_z)
                 bias_x = rng.uniform(-1.0, 1.0) * 0.9 * (1.0 - len_x)
+            else:  # |b| + |r| = 1, so an effect has a zero eigenvalue
+                len_z, len_x = rng.uniform(0.55, 0.95, size=2)
+                sign_z, sign_x = rng.choice((-1.0, 1.0), size=2)
+                bias_z, bias_x = sign_z * (1.0 - len_z), sign_x * (1.0 - len_x)
             u_x = scenarios._unit(rng.normal(size=3))
             u_z = scenarios._unit(rng.normal(size=3))
+            if kind == "extremal":  # Bob along Alice's x: a radicand is zero at v = 1
+                u_x = scenarios._mirror_y(dir_x)
             yield kind, bias_z, len_z * dir_z, bias_x, len_x * dir_x, u_x, u_z
 
     def test_matches_evaluate_on_depolarized_pipeline(self):
@@ -288,16 +321,20 @@ class TestQubitClosedForm:
         for kind, bias_z, bloch_z, bias_x, bloch_x, u_x, u_z in self._cases(rng):
             alice_x, alice_z = qubit_povm(bias_x, bloch_x), qubit_povm(bias_z, bloch_z)
             bob_x, bob_z = qubit_povm(0.0, u_x), qubit_povm(0.0, u_z)
+            violation = scenarios._qubit_violation(bias_x, bloch_x, bloch_z, u_x, u_z)
             for v in (0.0, 0.25, 0.6, 0.85, 1.0):
-                closed = scenarios._qubit_violation(
-                    v, bias_z, bloch_z, bias_x, bloch_x, u_x, u_z
-                )
                 pipeline = certify(
                     depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z, 0.5
                 ).violation
-                worst[kind] = max(worst.get(kind, 0.0), abs(closed - pipeline))
-        assert set(worst) == {"unbiased-symmetric", "unbiased-asymmetric", "biased"}
+                # an extremal table at v = 1 has zero entries, where sqrt has an
+                # infinite slope: a rounding of 1e-17 in either computation moves
+                # the max-entropy term by about 1e-8
+                key = "extremal, v = 1" if (kind, v) == ("extremal", 1.0) else kind
+                worst[key] = max(worst.get(key, 0.0), abs(violation(v) - pipeline))
+        at_zero = worst.pop("extremal, v = 1")
+        assert set(worst) == {"unbiased-symmetric", "unbiased-asymmetric", "biased", "extremal"}
         assert max(worst.values()) <= 1e-12, worst
+        assert at_zero <= 1e-7
 
 
 class TestD3FamilyScan:

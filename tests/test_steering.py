@@ -271,6 +271,8 @@ class TestLhsModel:
             assert not r.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             model.responses["z"][0] = [3.0, -2.0]
+        with pytest.raises(TypeError):
+            model.responses["z"] = np.array([[1.5, -0.5]])
         given[0] = [3.0, -2.0]  # the caller's array is not shared
         assert given.flags.writeable and model.responses["z"].tolist() == [[0.25, 0.75]]
 
