@@ -53,7 +53,15 @@ class ThresholdRecord:
             object.__setattr__(self, "gap", gap)
 
 
-def bisect_threshold(pred: Callable[[float], bool], tol: float) -> ThresholdSolution:
+def _midpoints(a: float, b: float, levels: int) -> list[float]:
+    """The 2^levels - 1 midpoints that ``levels`` halvings of [a, b] can visit."""
+    if levels == 0:
+        return []
+    mid = 0.5 * (a + b)
+    return [mid, *_midpoints(a, mid, levels - 1), *_midpoints(mid, b, levels - 1)]
+
+
+def bisect_threshold(pred: Callable, tol: float, levels: int = 1) -> ThresholdSolution:
     """Switching point of a predicate that is False below it on [0, 1] and
     True above it.
 
@@ -62,21 +70,30 @@ def bisect_threshold(pred: Callable[[float], bool], tol: float) -> ThresholdSolu
     saturates to ``(0.0, True)``.  Otherwise the bracket is halved until it
     is narrower than ``tol``, or its ends are adjacent doubles, and its True
     end is returned, the side that never undershoots the boundary; ``tol``
-    must lie in (0, 1).
+    must lie in (0, 1).  With ``levels`` = k > 1, one call of ``pred`` on an
+    array answers the 2^k - 1 midpoints, 0.5 * (a + b) recursively, that the
+    next k halvings can visit, one bool each; so the walk returns the
+    one-level solution if ``pred`` answers an array as it answers each float.
     Monotonicity is the caller's responsibility.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
+    if not (isinstance(levels, (int, np.integer)) and levels >= 1):
+        raise ValueError(f"levels must be an integer of at least 1, got {levels!r}")
     if not pred(1.0):
         return ThresholdSolution(1.0, saturated=True)
     if pred(0.0):
         return ThresholdSolution(0.0, saturated=True)
     a, b = 0.0, 1.0
+    answers = {}
     while b - a > tol:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:  # tol is below the float spacing here
             break
-        if pred(mid):
+        if levels > 1 and mid not in answers:
+            points = _midpoints(a, b, levels)
+            answers = dict(zip(points, pred(np.array(points))))
+        if pred(mid) if levels == 1 else answers[mid]:
             b = mid
         else:
             a = mid

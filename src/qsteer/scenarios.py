@@ -60,15 +60,21 @@ def _pipeline_threshold(tables: tuple, alpha: float, tol: float) -> ThresholdSol
     the full pipeline detects steering; saturated at 1 if none does.
 
     ``depolarize`` is affine in v and the Born rule linear, so the tables are
-    T(v) = v T(1) + (1 - v) T(0): a probe mixes the precomputed ``tables`` and
-    makes one ``steering.evaluate``."""
+    T(v) = v T(1) + (1 - v) T(0): a solver call mixes the precomputed
+    ``tables`` at one visibility or a stack of them and makes one
+    ``steering.evaluate``.  A stack covers k <= 5 bisection levels in 2^k - 1
+    tables of 4096 entries in all at most (k = 5 to d = 11, 1 from d = 37):
+    numpy sums larger stacks in another order than it sums single tables."""
     t1, t0, bound = tables
+    n = max(t.table.size for t in t1)
+    levels = max(1, min(5, int(math.log2(4096 // n + 1))))
 
-    def detects(v: float) -> bool:
-        jx, jz = (JointDistribution(v * a.table + (1.0 - v) * b.table) for a, b in zip(t1, t0))
-        return steering.evaluate(jx, jz, bound, alpha).violation > 0.0
+    def detects(v):
+        w = v[:, None, None] if isinstance(v, np.ndarray) else v
+        jx, jz = (JointDistribution(w * a.table + (1.0 - w) * b.table) for a, b in zip(t1, t0))
+        return steering.evaluate(jx, jz, bound, alpha).detected
 
-    return bisect_threshold(detects, tol)
+    return bisect_threshold(detects, tol, levels)
 
 
 def _mub_tables(d: int) -> tuple:

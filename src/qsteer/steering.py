@@ -58,7 +58,9 @@ def overlap_bound(x: Povm, z: Povm) -> float:
 
 @dataclass(frozen=True)
 class SteeringCertificate:
-    """Outcome of one steering test, all quantities in bits."""
+    """Outcome of a steering test, all quantities in bits.  For a stack of
+    tables ``lhs`` and ``violation`` are arrays, one entry per pair of tables,
+    and ``detected`` is elementwise."""
 
     lhs: float
     bound: float
@@ -97,7 +99,8 @@ def evaluate(
     """Steering test of Bob-first tables, from ``born_statistics`` or ``lhs_statistics``.
 
     ``bound`` is ``overlap_bound(bob_x, bob_z)``: it depends on Bob's
-    measurements only (Alice's devices stay uncharacterized).
+    measurements only (Alice's devices stay uncharacterized).  Stacks of
+    tables give one certificate whose values are arrays, one per pair.
     """
     lhs = steering_lhs(jx, jz, alpha)
     return SteeringCertificate(

@@ -72,6 +72,42 @@ class TestBisect:
         assert bisect_threshold(pred, 1e-20) == (0.7, False)
         assert len(calls) == 55
 
+    @pytest.mark.parametrize("levels", range(1, 7))
+    def test_levels_return_the_one_level_solution(self, levels):
+        switches = np.random.default_rng(12).uniform(size=20).tolist()
+        cases = [(lambda v, s=s: np.asarray(v) >= s, 1e-6) for s in switches]
+        cases += [
+            (lambda v: np.asarray(v) >= 0.625, 1e-6),  # d = 9's dyadic boundary 5/8
+            (lambda v: np.asarray(v) > 0.625, 1e-6),
+            (lambda v: np.zeros(np.shape(v), bool), 1e-6),  # saturates at 1
+            (lambda v: np.ones(np.shape(v), bool), 1e-6),  # saturates at 0
+            (lambda v: np.asarray(v) >= 0.3, 0.9),
+            (lambda v: np.asarray(v) >= 0.7, 1e-20),  # ends become adjacent doubles
+        ]
+        for pred, tol in cases:
+            assert bisect_threshold(pred, tol, levels) == bisect_threshold(pred, tol)
+
+    @pytest.mark.parametrize("levels", [2, 5])
+    def test_stacked_calls_follow_the_end_probes(self, levels):
+        calls = []
+
+        def pred(v):
+            calls.append(v)
+            if len(calls) > 200:
+                raise RuntimeError("bisection does not end")
+            return np.asarray(v) >= 0.7
+
+        assert bisect_threshold(pred, 1e-20, levels) == (0.7, False)
+        assert calls[:2] == [1.0, 0.0]
+        assert all(np.shape(v) == (2**levels - 1,) for v in calls[2:])
+        # the 53 halvings of the one-level walk, levels at a time
+        assert len(calls) == 2 + math.ceil(53 / levels)
+
+    @pytest.mark.parametrize("levels", [0, -1, 1.5, 2.0, "3", None])
+    def test_levels_must_be_a_positive_integer(self, levels):
+        with pytest.raises(ValueError, match="levels"):
+            bisect_threshold(lambda v: np.asarray(v) >= 0.3, 1e-6, levels)
+
     def test_entropic_boundary_d2(self):
         solution = bisect_threshold(lambda v: not renyi_mub_holds(2, v, v), 1e-9)
         assert solution.value == pytest.approx(SQRT2_INV, abs=1e-8)

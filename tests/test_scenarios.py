@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from qsteer import acceptance, qobj, scenarios, steering
-from qsteer.entropy import dual_order
+from qsteer.entropy import JointDistribution, dual_order
 from qsteer.jointmeas import (
+    bisect_threshold,
     mub_jm_holds,
     mub_jm_threshold_symmetric,
     renyi_mub_holds,
@@ -130,7 +131,8 @@ class TestBisectionStability:
 
 class TestPipelineSolveCost:
     """A pipeline threshold computes its Born tables and Bob's bound once per
-    solve; every solver probe is one steering.evaluate."""
+    solve; every solver call is one steering.evaluate, on one visibility or a
+    stack of them."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -145,16 +147,25 @@ class TestPipelineSolveCost:
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
+                if _name == "evaluate":  # visibilities: one per table of the stack
+                    counts["points"] += math.prod(args[0].table.shape[:-2])
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted, raising=False)
         return counts
 
-    @pytest.mark.parametrize("d, alpha", [(2, 0.5), (3, 1.0), (5, math.inf)])
-    def test_mub_solve_costs_22_evaluations(self, calls, d, alpha):
-        # v = 1 and v = 0 once each, then 20 halvings down to 1e-6
+    @pytest.mark.parametrize("d, alpha", [(2, 0.5), (3, 1.0), (5, math.inf), (10, 0.7)])
+    def test_mub_solve_costs_6_stacked_evaluations(self, calls, d, alpha):
+        # v = 1 and v = 0 once each, then the 20 halvings down to 1e-6 as four
+        # calls of five levels, 31 visibilities each
         mub_pipeline_threshold(d, alpha, tol=1e-6)
-        assert calls["evaluate"] == 22
+        assert calls["evaluate"] == 6
+        assert calls["points"] <= 2 + 4 * 31
+
+    def test_d50_solve_costs_22_single_evaluations(self, calls):
+        # 50 x 50 tables are too large to stack: one visibility per call
+        mub_pipeline_threshold(50, 0.5, tol=1e-6)
+        assert calls["evaluate"] == calls["points"] == 22
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-8])
     @pytest.mark.parametrize("d, alpha", [(2, 0.5), (5, math.inf)])
@@ -176,7 +187,47 @@ class TestPipelineSolveCost:
     def test_never_detecting_scenario_costs_one_evaluation(self, calls):
         scan = d3_family_scan([0.5], tol=1e-6)
         assert scan.records[0].saturated and scan.records[0].detected == 1.0
-        assert calls == {"evaluate": 1, "joint_distribution": 2, "overlap_bound": 1}
+        assert calls == {"evaluate": 1, "points": 1, "joint_distribution": 2, "overlap_bound": 1}
+
+
+# the twelve orders of the benchmark's mub_scan workload
+MUB_SCAN_ALPHAS = (0.5, 0.55, 0.6, 0.7, 0.85, 1.0, 1.25, 1.5, 2.0, 4.0, 8.0, math.inf)
+
+
+class TestStackedSolves:
+    """A pipeline solve on stacks of small tables makes the decisions of
+    one-visibility bisection, bit for bit."""
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_stacked_evaluate_equals_single_tables(self, d):
+        t1, t0, bound = scenarios._mub_tables(d)
+        dyadic = np.arange(1, 32) / 32  # a first stacked call; 5/8 is d = 9's exact boundary
+        assert 0.625 in dyadic
+        for vs in (dyadic, np.random.default_rng(d).uniform(size=31)):
+            w = vs[:, None, None]
+            jx, jz = (JointDistribution(w * a.table + (1.0 - w) * b.table) for a, b in zip(t1, t0))
+            singles = [
+                [JointDistribution(v * a.table + (1.0 - v) * b.table) for a, b in zip(t1, t0)]
+                for v in vs.tolist()
+            ]
+            for alpha in MUB_SCAN_ALPHAS:
+                stacked = evaluate(jx, jz, bound, alpha)
+                single = [evaluate(x, z, bound, alpha) for x, z in singles]
+                assert stacked.violation.tolist() == [c.violation for c in single]
+                assert stacked.detected.tolist() == [c.detected for c in single]
+
+    def test_fig1_scan_equals_one_level_solves(self, monkeypatch):
+        stacked = fig1_scan(range(2, 11), MUB_SCAN_ALPHAS, 1e-6)
+        levels_seen = set()
+
+        def one_level(pred, tol, levels):
+            levels_seen.add(levels)
+            return bisect_threshold(pred, tol)
+
+        monkeypatch.setattr(scenarios, "bisect_threshold", one_level)
+        single = fig1_scan(range(2, 11), MUB_SCAN_ALPHAS, 1e-6)
+        assert levels_seen == {5}
+        assert stacked.records == single.records
 
 
 class TestPipelineTables:
