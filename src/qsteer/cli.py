@@ -184,12 +184,6 @@ def _int_range(text: str) -> list[int]:
     return [d]
 
 
-def _dimension(text: str) -> int:
-    if ".." in text:
-        raise argparse.ArgumentTypeError("a single dimension is required here")
-    return _int_range(text)[0]
-
-
 def _probs(text: str) -> list[float]:
     try:
         return [float(p) for p in text.split(",")]
@@ -221,16 +215,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError("value must be positive")
-    return value
-
-
 def _visibility(text: str) -> float:
     try:
         value = float(text)
@@ -255,34 +239,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tsallis-q", type=float, help="evaluate the Tsallis q-entropy instead")
 
     p = sub.add_parser("check", help="evaluate the steering certificate for noisy MUBs")
-    p.add_argument("--d", type=_dimension, required=True)
+    p.add_argument("--d", type=int, required=True)
     p.add_argument("--alpha", type=_alpha_value, default=0.5)
     p.add_argument("--va", type=_visibility, default=1.0, help="visibility, min-entropy side")
     p.add_argument("--vx", type=_visibility, default=1.0, help="visibility, max-entropy side")
 
     p = sub.add_parser("threshold", help="detected symmetric threshold for noisy MUBs")
-    p.add_argument("--d", type=_dimension, required=True)
+    p.add_argument("--d", type=int, required=True)
     p.add_argument("--alpha", type=_alpha_value, default=0.5)
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("scan-fig1", help="threshold vs dimension for several orders")
     p.add_argument("--d", type=_int_range, default=list(range(2, 11)), help="e.g. 2..10")
     p.add_argument("--alphas", type=_alpha_list, default=[0.5, 0.7, 1.0, math.inf])
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--csv", help="write records to this CSV path")
     p.add_argument("--svg", help="write a line chart to this SVG path")
 
     p = sub.add_parser("scan-qubit", help="qubit angle scan against the exact boundary")
     p.add_argument("--thetas", type=_grid, default=np.linspace(0.0, 0.76, 20),
                    help="start:stop:count in radians, default 0:0.76:20")
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--csv")
     p.add_argument("--svg")
 
     p = sub.add_parser("scan-d3", help="d=3 rotated-family scan")
     p.add_argument("--t-grid", type=_grid, default=np.linspace(0.0, 0.5, 11),
                    help="start:stop:count, default 0:0.5:11")
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--refine-bob", action="store_true")
     p.add_argument("--csv")
     p.add_argument("--svg")
@@ -290,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tightness", help="compare entropic and exact eta(chi) curves")
     p.add_argument("--d", type=_int_range, default=list(range(2, 11)), help="e.g. 2..10")
     p.add_argument("--grid-points", type=_positive_int, default=21)
-    p.add_argument("--tol", type=_positive_float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("lhs-test", help="local-hidden-state falsification run")
     p.add_argument("--seed", type=int, default=42)

@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLS
+from .qobj import check_dim
 
 
 class ThresholdSolution(NamedTuple):
@@ -100,12 +101,6 @@ def bisect_threshold(pred: Callable, tol: float, levels: int = 1) -> ThresholdSo
     return ThresholdSolution(b)
 
 
-def _check_dim(d: int) -> int:
-    if not (d >= 2 and float(d).is_integer()):
-        raise ValueError(f"dimension must be an integer of at least 2, got {d!r}")
-    return int(d)
-
-
 def _check_visibility(v: float, name: str) -> float:
     v = float(v)
     if not 0.0 <= v <= 1.0:
@@ -119,7 +114,7 @@ def mub_jm_holds(d: int, va: float, vx: float) -> bool:
     For d >= 3 this is the known algebraic condition; the d = 2 case is its
     equality-curve limit va^2 + vx^2 <= 1.
     """
-    d = _check_dim(d)
+    d = check_dim(d)
     va = _check_visibility(va, "va")
     vx = _check_visibility(vx, "vx")
     slack = DEFAULT_TOLS.boundary
@@ -136,7 +131,7 @@ def mub_jm_threshold_symmetric(d: int) -> float:
     Closed-form solution of the joint-measurability boundary at equal noise;
     the d = 2 limit 1/sqrt(2) is included.
     """
-    d = _check_dim(d)
+    d = check_dim(d)
     s = math.sqrt(d)
     return (s + 2.0) / (2.0 * (s + 1.0))
 
@@ -148,7 +143,7 @@ def renyi_mub_holds(d: int, va: float, vx: float) -> bool:
     min-entropy (it enters the denominator), ``vx`` the one evaluated by the
     max-entropy (numerator).
     """
-    d = _check_dim(d)
+    d = check_dim(d)
     va = _check_visibility(va, "va")
     vx = _check_visibility(vx, "vx")
     numer = (math.sqrt(vx + (1.0 - vx) / d) + (d - 1) * math.sqrt((1.0 - vx) / d)) ** 2

@@ -37,7 +37,8 @@ def is_psd(a: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(a).min() >= -DEFAULT_TOLS.structural)
 
 
-def _check_dim(d: int) -> int:
+def check_dim(d: int) -> int:
+    """``d`` as an int; a ValueError unless it is an integer of at least 2."""
     if not (d >= 2 and float(d).is_integer()):
         raise ValueError(f"dimension must be an integer of at least 2, got {d!r}")
     return int(d)
@@ -137,14 +138,14 @@ def qubit_povm(bias: float, bloch) -> Povm:
 
 def fourier_matrix(d: int) -> np.ndarray:
     """Discrete Fourier matrix F[j,k] = omega^(-jk)/sqrt(d), omega = e^(2 pi i/d)."""
-    d = _check_dim(d)
+    d = check_dim(d)
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return np.exp(-2j * np.pi * j * k / d) / np.sqrt(d)
 
 
 def mub_pair(d: int) -> tuple[Povm, Povm]:
     """Computational basis and its Fourier transform: two mutually unbiased bases."""
-    d = _check_dim(d)
+    d = check_dim(d)
     comp = Povm.from_basis(np.eye(d, dtype=complex))
     fourier = Povm.from_basis(fourier_matrix(d))
     return comp, fourier

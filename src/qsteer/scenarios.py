@@ -6,10 +6,14 @@ local-hidden-state falsification suite.
 Detected thresholds always come from bisection of the actual pipeline and
 report the detecting side of the final bracket, so they can undershoot an
 exact boundary only by floating-point noise, never by bisection width.
+Every scan hands its solutions to ``_scan``, which alone writes the records
+and the metadata of a ``ScanResult``.  No driver checks the entropy order
+itself: ``dual_order`` rejects one below 1/2, or NaN, in the first solve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -41,6 +45,37 @@ class ScanResult:
         params = [r.parameter for r in self.records]
         if params != sorted(params):
             raise ValueError("scan records must be sorted by parameter")
+
+
+def _scan(
+    scenario: str,
+    parameter_name: str,
+    rows: list,
+    tol: float,
+    alphas: Sequence[float] = (0.5,),
+    seed: int | None = None,
+    **extras,
+) -> ScanResult:
+    """The one scan format.  ``rows`` holds a (parameter, ThresholdSolution,
+    exact) triple per solve, grid point by grid point, and at each point one
+    solve per order of ``sorted(alphas)``.  Each becomes a record that keeps
+    the solver's ``saturated`` flag; ``extras`` follow the seed in the metadata."""
+    alphas = sorted(alphas)
+    records = tuple(
+        ThresholdRecord(parameter=p, detected=s.value, exact=exact, alpha=a, saturated=s.saturated)
+        for (p, s, exact), a in zip(rows, itertools.cycle(alphas))
+    )
+    metadata = {
+        "scenario": scenario,
+        "parameter_name": parameter_name,
+        "alphas": alphas,
+        "betas": [dual_order(a) for a in alphas],
+        "grid": [r.parameter for r in records[:: len(alphas)]],
+        "tol": tol,
+        "seed": seed,
+        **extras,
+    }
+    return ScanResult(records, metadata)
 
 
 def _pipeline_tables(alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm) -> tuple:
@@ -85,8 +120,6 @@ def _mub_tables(d: int) -> tuple:
 
 def mub_pipeline_threshold(d: int, alpha: float, tol: float = 1e-6) -> float:
     """Detected symmetric visibility threshold for noisy MUBs, full pipeline."""
-    if not alpha >= 0.5:
-        raise ValueError(f"criterion needs alpha >= 1/2, got {alpha!r}")
     return _pipeline_threshold(_mub_tables(d), alpha, tol).value
 
 
@@ -101,31 +134,15 @@ def fig1_scan(
     reproduce the boundary itself; Shannon rows sit strictly above it.
     """
     dims = sorted(d_range)
-    alphas = [float(a) for a in alphas]
+    alphas = sorted(float(a) for a in alphas)
     if not dims or not alphas:
         raise ValueError("fig1_scan needs at least one dimension and one order")
-    for a in alphas:
-        if not a >= 0.5:
-            raise ValueError(f"criterion needs alpha >= 1/2, got {a!r}")
     exacts = [mub_jm_threshold_symmetric(d) for d in dims]  # checks every d before a solve
-    records = []
+    rows = []
     for d, exact in zip(dims, exacts):
         tables = _mub_tables(d)
-        for a in sorted(alphas):
-            detected = _pipeline_threshold(tables, a, tol).value
-            records.append(
-                ThresholdRecord(parameter=float(d), detected=detected, exact=exact, alpha=a)
-            )
-    metadata = {
-        "scenario": "mub-symmetric-noise",
-        "parameter_name": "d",
-        "alphas": sorted(alphas),
-        "betas": [dual_order(a) for a in sorted(alphas)],
-        "grid": [float(d) for d in dims],
-        "tol": tol,
-        "seed": None,
-    }
-    return ScanResult(tuple(records), metadata)
+        rows += [(float(d), _pipeline_threshold(tables, a, tol), exact) for a in alphas]
+    return _scan("mub-symmetric-noise", "d", rows, tol, alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +248,7 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
             raise ValueError(f"theta must lie in [0, pi/4), got {t!r}")
     bob_z = Povm.from_basis(np.eye(2, dtype=complex))
     bob_x = qubit_povm(0.0, (1.0, 0.0, 0.0))
-    records = []
+    rows = []
     for t in sorted(thetas):
         dir_z = np.array([math.sin(t), 0.0, math.cos(t)])
         dir_x = np.array([math.cos(t), 0.0, math.sin(t)])
@@ -248,26 +265,9 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
             raise RuntimeError("pipeline statistics deviate from the closed form")
 
         tables = _pipeline_tables(qubit_povm(0.0, dir_x), qubit_povm(0.0, dir_z), bob_x, bob_z)
-        detected, saturated = _pipeline_threshold(tables, 0.5, tol)
-        records.append(
-            ThresholdRecord(
-                parameter=t,
-                detected=detected,
-                exact=qubit_exact_threshold(dir_z, dir_x),
-                alpha=0.5,
-                saturated=saturated,
-            )
-        )
-    metadata = {
-        "scenario": "qubit-angle",
-        "parameter_name": "theta",
-        "alphas": [0.5],
-        "betas": [math.inf],
-        "grid": sorted(thetas),
-        "tol": tol,
-        "seed": None,
-    }
-    return ScanResult(tuple(records), metadata)
+        exact = qubit_exact_threshold(dir_z, dir_x)
+        rows.append((t, _pipeline_threshold(tables, 0.5, tol), exact))
+    return _scan("qubit-angle", "theta", rows, tol)
 
 
 _OPT_EXTRA_STARTS = (
@@ -367,7 +367,7 @@ def qubit_random_povm_check(
     if n_cases < 1:
         raise ValueError("n_cases must be at least 1")
     rng = np.random.default_rng(seed)
-    records = []
+    rows = []
     cases = []
     for idx in range(n_cases):
         kind = ("unbiased-symmetric", "unbiased-asymmetric", "biased")[idx % 3]
@@ -398,7 +398,7 @@ def qubit_random_povm_check(
             qubit_povm(0.0, opt_dirs[0]),
             qubit_povm(0.0, opt_dirs[1]),
         )
-        detected, saturated = _pipeline_threshold(tables, 0.5, tol)
+        solution = _pipeline_threshold(tables, 0.5, tol)
 
         if kind == "biased":
             exact = None
@@ -411,15 +411,7 @@ def qubit_random_povm_check(
                     + np.linalg.norm(bloch_z - bloch_x)
                 ),
             )
-        records.append(
-            ThresholdRecord(
-                parameter=float(idx),
-                detected=detected,
-                exact=exact,
-                alpha=0.5,
-                saturated=saturated,
-            )
-        )
+        rows.append((float(idx), solution, exact))
         cases.append(
             {
                 "kind": kind,
@@ -428,21 +420,11 @@ def qubit_random_povm_check(
                 "bloch_z": [float(c) for c in bloch_z],
                 "bloch_x": [float(c) for c in bloch_x],
                 "baseline_detected": baseline,
-                "optimized_detected": detected,
-                "gap_vs_baseline": detected - baseline,
+                "optimized_detected": solution.value,
+                "gap_vs_baseline": solution.value - baseline,
             }
         )
-    metadata = {
-        "scenario": "qubit-random-povm",
-        "parameter_name": "case",
-        "alphas": [0.5],
-        "betas": [math.inf],
-        "grid": [float(i) for i in range(n_cases)],
-        "tol": tol,
-        "seed": int(seed),
-        "cases": cases,
-    }
-    return ScanResult(tuple(records), metadata)
+    return _scan("qubit-random-povm", "case", rows, tol, seed=int(seed), cases=cases)
 
 
 # ---------------------------------------------------------------------------
@@ -493,26 +475,26 @@ def d3_family_scan(
     for t in ts:
         if not 0.0 <= t <= 0.5:
             raise ValueError(f"family parameter must lie in [0, 0.5], got {t!r}")
-    records = []
+    rows = []
     for t in sorted(ts):
         alice_z, alice_x = rotated_d3_bases(t)
         bob_z, bob_x = _conjugate_povm(alice_z), _conjugate_povm(alice_x)
 
         tables = _pipeline_tables(alice_x, alice_z, bob_x, bob_z)
-        detected, saturated = _pipeline_threshold(tables, 0.5, tol)
+        solution = _pipeline_threshold(tables, 0.5, tol)
 
-        if refine_bob and not saturated:
+        if refine_bob and not solution.saturated:
             def objective(params: np.ndarray) -> float:
                 ux, uz = _givens_unitary(3, params[:6]), _givens_unitary(3, params[6:])
                 bx, bz = (Povm(u @ b.effects @ u.conj().T) for u, b in ((ux, bob_x), (uz, bob_z)))
                 tables = _pipeline_tables(alice_x, alice_z, bx, bz)
                 return _pipeline_threshold(tables, 0.5, tol * 0.25).value
 
-            best = detected
+            best = solution.value
             for st in (np.zeros(12), 0.15 * np.arange(1, 13) / 12.0):
                 _, f = _coordinate_search(objective, st, step0=0.2, ftol=tol * 0.5)
                 best = min(best, f)
-            detected = best
+            solution = solution._replace(value=best)
 
         if t == 0.0:
             exact = mub_jm_threshold_symmetric(3)
@@ -520,26 +502,8 @@ def d3_family_scan(
             exact = 1.0
         else:
             exact = None
-        records.append(
-            ThresholdRecord(
-                parameter=t,
-                detected=detected,
-                exact=exact,
-                alpha=0.5,
-                saturated=saturated,
-            )
-        )
-    metadata = {
-        "scenario": "d3-rotated-family",
-        "parameter_name": "t",
-        "alphas": [0.5],
-        "betas": [math.inf],
-        "grid": sorted(ts),
-        "tol": tol,
-        "seed": None,
-        "refine_bob": bool(refine_bob),
-    }
-    return ScanResult(tuple(records), metadata)
+        rows.append((t, solution, exact))
+    return _scan("d3-rotated-family", "t", rows, tol, refine_bob=bool(refine_bob))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,22 @@ class TestRunExitCodes:
         assert run(["check", "--d", "2", "--va", "1.4"]) == 2
         assert run(["entropy", "--probs", "0.7,0.7"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [([command, *needs, "--tol", tol], f"got {float(tol)!r}")
+         for command, needs in [("threshold", ["--d", "2"]), ("scan-fig1", []),
+                                ("scan-qubit", []), ("scan-d3", []), ("tightness", [])]
+         for tol in ("0", "-1", "nan")]
+        + [([command, "--d", "1"], "got 1") for command in ("check", "threshold")]
+        + [([command, "--d", "2..3"], "'2..3'") for command in ("check", "threshold")],
+    )
+    def test_value_the_library_rejects_exits_2(self, capsys, argv, named):
+        # the CLI leaves these checks to the library, which names the value
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and named in captured.err
+
     def test_entropy_command(self, capsys):
         assert run(["entropy", "--probs", "0.9,0.1", "--alpha", "inf"]) == 0
         out = capsys.readouterr().out

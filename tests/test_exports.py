@@ -1,5 +1,6 @@
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import qsteer
@@ -29,12 +30,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 
 # Private names one module of src/qsteer/ may take from another, each with its reason.
-ALLOWED_PRIVATE_IMPORTS = {
-    # criterion 8 probes the order dispatch; perfbench/spans.py binds the same names
-    ("acceptance", "entropy", "_conditional_min_entropy"),
-    ("acceptance", "entropy", "_conditional_renyi_generic"),
-    ("acceptance", "entropy", "_conditional_shannon"),
-}
+ALLOWED_PRIVATE_IMPORTS = set()
 
 
 def private_imports(path):
@@ -64,3 +60,13 @@ def test_no_module_imports_another_modules_private_names():
     assert sorted(found - ALLOWED_PRIVATE_IMPORTS) == []
     # an exception that no longer applies leaves the list
     assert sorted(ALLOWED_PRIVATE_IMPORTS - found) == []
+
+
+def test_no_top_level_name_is_defined_in_two_modules():
+    # a second copy of a helper drifts; modules share one definition instead
+    owners = defaultdict(list)
+    for path in sorted((ROOT / "src" / "qsteer").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owners[node.name].append(path.stem)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}

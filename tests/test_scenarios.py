@@ -7,6 +7,7 @@ import pytest
 from qsteer import acceptance, qobj, scenarios, steering
 from qsteer.entropy import JointDistribution, dual_order
 from qsteer.jointmeas import (
+    ThresholdSolution,
     bisect_threshold,
     mub_jm_holds,
     mub_jm_threshold_symmetric,
@@ -85,9 +86,29 @@ class TestFig1Scan:
         assert [r.detected for r in scan.records] == expected
 
     def test_metadata_complete(self):
-        scan = fig1_scan([2], [0.5], tol=1e-6)
-        for key in ("scenario", "parameter_name", "alphas", "betas", "grid", "tol", "seed"):
-            assert key in scan.metadata
+        # every scan, not only this one, writes its metadata through the same driver
+        common = ("scenario", "parameter_name", "alphas", "betas", "grid", "tol", "seed")
+        scans = [
+            (fig1_scan([3, 2], [1.0, 0.5], tol=1e-3), ()),
+            (qubit_angle_scan([0.3, 0.1], tol=1e-3), ()),
+            (d3_family_scan([0.5, 0.0], tol=1e-3), ("refine_bob",)),
+            (qubit_random_povm_check(2, 0, tol=1e-1), ("cases",)),
+        ]
+        for scan, extras in scans:
+            assert list(scan.metadata) == [*common, *extras]
+            alphas = scan.metadata["alphas"]
+            assert alphas == sorted(alphas)
+            assert scan.metadata["betas"] == [dual_order(a) for a in alphas]
+            assert [(r.parameter, r.alpha) for r in scan.records] == [
+                (p, a) for p in scan.metadata["grid"] for a in alphas
+            ]
+
+    def test_records_keep_the_solvers_saturated_flag(self, monkeypatch):
+        monkeypatch.setattr(
+            scenarios, "_pipeline_threshold", lambda *args: ThresholdSolution(1.0, True)
+        )
+        (rec,) = fig1_scan([2], [0.5], tol=1e-6).records
+        assert rec.detected == 1.0 and rec.saturated
 
     def test_rejects_alpha_below_half(self):
         with pytest.raises(ValueError):
@@ -98,6 +119,12 @@ class TestFig1Scan:
             fig1_scan([], [0.5])
         with pytest.raises(ValueError, match="at least one dimension and one order"):
             fig1_scan([2], [])
+
+
+@pytest.mark.parametrize("alpha", [0.4, math.nan])
+def test_pipeline_threshold_rejects_orders_without_a_dual(alpha):
+    with pytest.raises(ValueError):
+        mub_pipeline_threshold(3, alpha)
 
 
 DIMENSION_CALLS = {
