@@ -215,16 +215,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _visibility(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("visibility must lie in [0, 1]")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsteer",
@@ -241,8 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="evaluate the steering certificate for noisy MUBs")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--alpha", type=_alpha_value, default=0.5)
-    p.add_argument("--va", type=_visibility, default=1.0, help="visibility, min-entropy side")
-    p.add_argument("--vx", type=_visibility, default=1.0, help="visibility, max-entropy side")
+    p.add_argument("--va", type=float, default=1.0, help="visibility, min-entropy side")
+    p.add_argument("--vx", type=float, default=1.0, help="visibility, max-entropy side")
 
     p = sub.add_parser("threshold", help="detected symmetric threshold for noisy MUBs")
     p.add_argument("--d", type=int, required=True)

@@ -35,43 +35,47 @@ class NoDualOrderError(ValueError):
     """The Renyi order has no dual partner under 1/a + 1/b = 2."""
 
 
+def check_probabilities(arr: np.ndarray, noun: str, axis) -> np.ndarray:
+    """The probability rule, for a nonempty float array of the caller's shape:
+    a ValueError naming ``noun`` and the value on an entry below
+    ``-prob_negativity`` or NaN, or on a sum over ``axis`` more than
+    ``prob_sum`` from one; smaller negativity (Born-rule noise) is clamped to
+    zero.  Returns the clamped copy, read-only."""
+    if not arr.min() >= -DEFAULT_TOLS.prob_negativity:  # also rejects NaN
+        raise ValueError(f"{noun} has negative or NaN entry {arr.min():.3e}")
+    arr = np.maximum(arr, 0.0)
+    totals = arr.sum(axis=axis)
+    off = np.abs(totals - 1.0)
+    if not off.max() <= DEFAULT_TOLS.prob_sum:
+        raise ValueError(f"{noun} sums to {float(totals.flat[off.argmax()])!r}, not 1")
+    arr.setflags(write=False)
+    return arr
+
+
 def as_distribution(probs) -> np.ndarray:
-    """Validate and return a probability vector, clamping tiny negativity."""
+    """``probs`` as a read-only 1-d array, checked and clamped by ``check_probabilities``."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("a distribution must be a nonempty 1-d vector")
-    if not p.min() >= -DEFAULT_TOLS.prob_negativity:  # also rejects NaN
-        raise ValueError(f"distribution has negative or NaN entry {p.min():.3e}")
-    total = float(p.sum())
-    if not abs(total - 1.0) <= DEFAULT_TOLS.prob_sum:
-        raise ValueError(f"distribution sums to {total!r}, not 1")
-    return np.clip(p, 0.0, None)
+    return check_probabilities(p, "distribution", -1)
 
 
 class JointDistribution:
     """Joint probability table p(x, y), or a (..., n_x, n_y) stack of tables.
 
-    Entries may carry tiny negative noise from Born-rule arithmetic; anything
-    above ``-prob_negativity`` is clamped to zero, larger negativity is
-    rejected.  Each table must sum to one; conditioning acts on its second
-    axis.  The array is stored read-only.
+    Entries may carry tiny negative noise from Born-rule arithmetic;
+    ``check_probabilities`` clamps it, rejects larger negativity and checks
+    that each table sums to one.  Conditioning acts on the second axis.  The
+    array is stored read-only.
     """
 
     __slots__ = ("table",)
 
     def __init__(self, table):
-        arr = np.array(table, dtype=float)
+        arr = np.asarray(table, dtype=float)
         if arr.ndim < 2 or arr.size == 0:
             raise ValueError("a joint distribution must be a nonempty 2-d table or stack")
-        if not arr.min() >= -DEFAULT_TOLS.prob_negativity:  # also rejects NaN
-            raise ValueError(f"joint table has negative or NaN entry {arr.min():.3e}")
-        arr = np.maximum(arr, 0.0)
-        totals = arr.sum(axis=(-2, -1))
-        off = np.abs(totals - 1.0)
-        if not off.max() <= DEFAULT_TOLS.prob_sum:
-            raise ValueError(f"joint table sums to {float(totals.flat[off.argmax()])!r}, not 1")
-        arr.setflags(write=False)
-        self.table = arr
+        self.table = check_probabilities(arr, "joint table", (-2, -1))
 
     def swapped(self) -> "JointDistribution":
         """The same joint with the roles of the two variables exchanged."""

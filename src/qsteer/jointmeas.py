@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .qobj import check_dim
+from .qobj import check_int, check_visibility
 
 
 class ThresholdSolution(NamedTuple):
@@ -79,8 +79,9 @@ def bisect_threshold(pred: Callable, tol: float, levels: int = 1) -> ThresholdSo
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
-    if not (isinstance(levels, (int, np.integer)) and levels >= 1):
-        raise ValueError(f"levels must be an integer of at least 1, got {levels!r}")
+    if not isinstance(levels, (int, np.integer)):  # a count of halvings, never a float
+        raise ValueError(f"levels must be an int, got {levels!r}")
+    levels = check_int(levels, 1, "levels")
     if not pred(1.0):
         return ThresholdSolution(1.0, saturated=True)
     if pred(0.0):
@@ -101,22 +102,15 @@ def bisect_threshold(pred: Callable, tol: float, levels: int = 1) -> ThresholdSo
     return ThresholdSolution(b)
 
 
-def _check_visibility(v: float, name: str) -> float:
-    v = float(v)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-    return v
-
-
 def mub_jm_holds(d: int, va: float, vx: float) -> bool:
     """Joint measurability of two noisy mutually unbiased bases.
 
     For d >= 3 this is the known algebraic condition; the d = 2 case is its
     equality-curve limit va^2 + vx^2 <= 1.
     """
-    d = check_dim(d)
-    va = _check_visibility(va, "va")
-    vx = _check_visibility(vx, "vx")
+    d = check_int(d, 2, "dimension")
+    va = check_visibility(va, "va")
+    vx = check_visibility(vx, "vx")
     slack = DEFAULT_TOLS.boundary
     if d == 2:
         return va * va + vx * vx <= 1.0 + slack
@@ -131,7 +125,7 @@ def mub_jm_threshold_symmetric(d: int) -> float:
     Closed-form solution of the joint-measurability boundary at equal noise;
     the d = 2 limit 1/sqrt(2) is included.
     """
-    d = check_dim(d)
+    d = check_int(d, 2, "dimension")
     s = math.sqrt(d)
     return (s + 2.0) / (2.0 * (s + 1.0))
 
@@ -143,9 +137,9 @@ def renyi_mub_holds(d: int, va: float, vx: float) -> bool:
     min-entropy (it enters the denominator), ``vx`` the one evaluated by the
     max-entropy (numerator).
     """
-    d = check_dim(d)
-    va = _check_visibility(va, "va")
-    vx = _check_visibility(vx, "vx")
+    d = check_int(d, 2, "dimension")
+    va = check_visibility(va, "va")
+    vx = check_visibility(vx, "vx")
     numer = (math.sqrt(vx + (1.0 - vx) / d) + (d - 1) * math.sqrt((1.0 - vx) / d)) ** 2
     return numer / (1.0 + (d - 1) * va) >= 1.0 - DEFAULT_TOLS.boundary
 
@@ -158,22 +152,19 @@ def renyi_mub_threshold_symmetric(d: int, tol: float = 1e-9) -> float:
 def renyi_eta_of_chi(d: int, vx: float, tol: float = 1e-9) -> ThresholdSolution:
     """Boundary va of the entropic criterion given vx: the first va it flags,
     within ``tol`` above the largest one on which it stays silent."""
-    vx = _check_visibility(vx, "vx")
     return bisect_threshold(lambda va: not renyi_mub_holds(d, va, vx), tol)
 
 
 def exact_eta_of_chi(d: int, vx: float, tol: float = 1e-9) -> ThresholdSolution:
     """Joint-measurability boundary va of the noisy MUB pair given vx: the
     first incompatible va, within ``tol`` above the largest compatible one."""
-    vx = _check_visibility(vx, "vx")
     return bisect_threshold(lambda va: not mub_jm_holds(d, va, vx), tol)
 
 
 def eta_tightness_gap(d: int, grid_points: int, tol: float) -> float:
     """Largest |eta_renyi(chi) - eta_exact(chi)| over ``grid_points`` evenly
     spaced partner visibilities chi in [0, 1]."""
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be at least 1, got {grid_points!r}")
+    grid_points = check_int(grid_points, 1, "grid_points")
     return max(
         abs(renyi_eta_of_chi(d, chi, tol).value - exact_eta_of_chi(d, chi, tol).value)
         for chi in np.linspace(0.0, 1.0, grid_points)

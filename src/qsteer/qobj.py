@@ -37,11 +37,22 @@ def is_psd(a: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(a).min() >= -DEFAULT_TOLS.structural)
 
 
-def check_dim(d: int) -> int:
-    """``d`` as an int; a ValueError unless it is an integer of at least 2."""
-    if not (d >= 2 and float(d).is_integer()):
-        raise ValueError(f"dimension must be an integer of at least 2, got {d!r}")
-    return int(d)
+def check_int(value, least: int, name: str) -> int:
+    """The integer rule for every dimension and count: ``value`` as an int,
+    or a ValueError naming ``name`` and the value unless it is an integer
+    (an integral float such as 3.0 included) of at least ``least``."""
+    if not (value >= least and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def check_visibility(v: float, name: str) -> float:
+    """The visibility rule: ``v`` as a float, or a ValueError naming ``name``
+    and the value unless it lies in [0, 1] (NaN does not)."""
+    v = float(v)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+    return v
 
 
 class DensityMatrix:
@@ -138,14 +149,14 @@ def qubit_povm(bias: float, bloch) -> Povm:
 
 def fourier_matrix(d: int) -> np.ndarray:
     """Discrete Fourier matrix F[j,k] = omega^(-jk)/sqrt(d), omega = e^(2 pi i/d)."""
-    d = check_dim(d)
+    d = check_int(d, 2, "dimension")
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return np.exp(-2j * np.pi * j * k / d) / np.sqrt(d)
 
 
 def mub_pair(d: int) -> tuple[Povm, Povm]:
     """Computational basis and its Fourier transform: two mutually unbiased bases."""
-    d = check_dim(d)
+    d = check_int(d, 2, "dimension")
     comp = Povm.from_basis(np.eye(d, dtype=complex))
     fourier = Povm.from_basis(fourier_matrix(d))
     return comp, fourier
@@ -153,9 +164,7 @@ def mub_pair(d: int) -> tuple[Povm, Povm]:
 
 def depolarize(p: Povm, v: float) -> Povm:
     """Mix each effect with white noise: E -> v E + (1 - v) tr(E) I/d."""
-    v = float(v)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {v!r}")
+    v = check_visibility(v, "visibility")
     # contiguous rows sum in the order np.trace takes on a single effect
     tr = np.ascontiguousarray(np.diagonal(p.effects, axis1=1, axis2=2)).sum(axis=1).real
     return Povm(v * p.effects + ((1.0 - v) * tr)[:, None, None] * np.eye(p.dim) / p.dim)

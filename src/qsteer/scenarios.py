@@ -30,7 +30,7 @@ from .jointmeas import (
     mub_jm_threshold_symmetric,
     qubit_exact_threshold,
 )
-from .qobj import Povm, joint_distribution, mub_pair, qubit_povm, rotated_d3_bases
+from .qobj import Povm, check_int, joint_distribution, mub_pair, qubit_povm, rotated_d3_bases
 
 
 @dataclass(frozen=True)
@@ -170,23 +170,9 @@ def _fig2_bob_directions(dir_z: np.ndarray, dir_x: np.ndarray) -> tuple[np.ndarr
     zd, xd = _unit(dir_z), _unit(dir_x)
     if np.dot(zd, xd) < 0.0:  # fold to the acute pairing; a sign is a relabel
         xd = -xd
-    mid = zd + xd
-    norm = np.linalg.norm(mid)
-    if norm < 1e-9:
-        raise ValueError("Alice directions are antipodal; geometry undefined")
-    mid /= norm
-    perp = zd - xd
-    if np.linalg.norm(perp) < 1e-12:
-        perp = np.array([1.0, 0.0, 0.0]) if abs(mid[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        perp -= mid * np.dot(perp, mid)
-    perp = _unit(perp)
+    mid, perp = _unit(zd + xd), _unit(zd - xd)
     s = math.sqrt(0.5)
-    cand_a, cand_b = s * mid + s * perp, s * mid - s * perp
-    if np.dot(cand_a, zd) >= np.dot(cand_b, zd):
-        eff_z, eff_x = cand_a, cand_b
-    else:
-        eff_z, eff_x = cand_b, cand_a
-    return _mirror_y(eff_x), _mirror_y(eff_z)
+    return _mirror_y(s * mid - s * perp), _mirror_y(s * mid + s * perp)
 
 
 def _sph(theta: float, phi: float) -> np.ndarray:
@@ -364,8 +350,7 @@ def qubit_random_povm_check(
     baseline it started from; it asserts nothing about tightness beyond the
     sufficiency direction.
     """
-    if n_cases < 1:
-        raise ValueError("n_cases must be at least 1")
+    n_cases = check_int(n_cases, 1, "n_cases")
     rng = np.random.default_rng(seed)
     rows = []
     cases = []
@@ -471,13 +456,10 @@ def d3_family_scan(
     perturbations of Bob's bases for a lower detected threshold, from two
     starts: Bob's ideal bases and one fixed small perturbation of them.
     """
-    ts = [float(t) for t in t_grid]
-    for t in ts:
-        if not 0.0 <= t <= 0.5:
-            raise ValueError(f"family parameter must lie in [0, 0.5], got {t!r}")
+    ts = sorted(float(t) for t in t_grid)
+    bases = [rotated_d3_bases(t) for t in ts]  # checks every t before a solve
     rows = []
-    for t in sorted(ts):
-        alice_z, alice_x = rotated_d3_bases(t)
+    for t, (alice_z, alice_x) in zip(ts, bases):
         bob_z, bob_x = _conjugate_povm(alice_z), _conjugate_povm(alice_x)
 
         tables = _pipeline_tables(alice_x, alice_z, bob_x, bob_z)
@@ -560,8 +542,7 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     the first maximum over (d, model, Bob pair, order).  Fully deterministic
     in ``seed``.
     """
-    if n_models < 1:
-        raise ValueError("n_models must be at least 1")
+    n_models = check_int(n_models, 1, "n_models")
     master = np.random.default_rng(seed)
     max_violation = -math.inf
     worst: dict = {}

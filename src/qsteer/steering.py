@@ -23,9 +23,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
-from .entropy import JointDistribution, as_distribution, conditional_renyi, dual_order
-from .qobj import DensityMatrix, Povm, joint_distribution
+from .entropy import (
+    JointDistribution,
+    as_distribution,
+    check_probabilities,
+    conditional_renyi,
+    dual_order,
+)
+from .qobj import DensityMatrix, Povm, check_int, joint_distribution
 
 MEASUREMENT_LABELS = ("x", "z")
 
@@ -119,9 +124,10 @@ class LhsModel:
     ``hidden_states`` is one :class:`DensityMatrix` holding the stack of
     Bob's states sigma_l, shape (n_lambda, d, d), one per weight.
     ``responses`` is a read-only mapping; ``responses[label]``, for each label
-    of ``MEASUREMENT_LABELS`` and no other, is a read-only row-stochastic array
-    of shape (n_lambda, n_outcomes): the distribution of Alice's announced
-    outcome for each hidden variable.
+    of ``MEASUREMENT_LABELS`` and no other, is a read-only array of shape
+    (n_lambda, n_outcomes), n_outcomes >= 1: the distribution of Alice's
+    announced outcome for each hidden variable.  Weights and every response
+    row are validated and clamped like joint tables, by ``check_probabilities``.
     """
 
     weights: np.ndarray
@@ -130,7 +136,6 @@ class LhsModel:
 
     def __post_init__(self):
         w = as_distribution(self.weights)
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         states = self.hidden_states
         if not isinstance(states, DensityMatrix) or states.matrix.shape[:-2] != (w.size,):
@@ -140,17 +145,12 @@ class LhsModel:
             raise ValueError(f"response map {odd[0]!r} is missing or unknown")
         responses = {}
         for label, resp in self.responses.items():
-            r = np.array(resp, dtype=float)
-            if r.ndim != 2 or r.shape[0] != w.size:
+            r = np.asarray(resp, dtype=float)
+            if r.ndim != 2 or r.shape[0] != w.size or r.shape[1] == 0:
                 raise ValueError(
-                    f"response map {label!r} must have shape ({w.size}, k), got {r.shape}"
+                    f"response map {label!r} must have shape ({w.size}, k), k >= 1, got {r.shape}"
                 )
-            if not r.min() >= -DEFAULT_TOLS.prob_negativity:
-                raise ValueError(f"response map {label!r} has negative or NaN entries")
-            if not np.abs(r.sum(axis=1) - 1.0).max() <= DEFAULT_TOLS.structural:
-                raise ValueError(f"response map {label!r} is not row-stochastic")
-            r.setflags(write=False)
-            responses[label] = r
+            responses[label] = check_probabilities(r, f"response map {label!r}", 1)
         object.__setattr__(self, "responses", MappingProxyType(responses))
 
     @property
@@ -176,8 +176,7 @@ def sample_lhs_model(rng_seed: int, d: int, n_lambda: int) -> LhsModel:
     Gaussians) with Dirichlet weights, drawn state by state; the states are
     summed and validated as one (n_lambda, d, d) stack.
     """
-    if n_lambda < 1:
-        raise ValueError("n_lambda must be at least 1")
+    d, n_lambda = check_int(d, 2, "dimension"), check_int(n_lambda, 1, "n_lambda")
     rng = np.random.default_rng(rng_seed)
     weights = _flat_dirichlet(rng, n_lambda)
     draws = [(_flat_dirichlet(rng, 2 * d), rng.normal(size=(2 * d, 2, d))) for _ in range(n_lambda)]

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsteer import acceptance, scenarios
 from qsteer.cli import emit_csv, emit_svg, run
 from qsteer.jointmeas import ThresholdRecord
-from qsteer.scenarios import ScanResult, fig1_scan
+from qsteer.scenarios import LhsFalsificationReport, ScanResult, fig1_scan
 
 
 def make_result(n=3, alphas=(0.5,)):
@@ -96,7 +97,9 @@ class TestRunExitCodes:
                                 ("scan-qubit", []), ("scan-d3", []), ("tightness", [])]
          for tol in ("0", "-1", "nan")]
         + [([command, "--d", "1"], "got 1") for command in ("check", "threshold")]
-        + [([command, "--d", "2..3"], "'2..3'") for command in ("check", "threshold")],
+        + [([command, "--d", "2..3"], "'2..3'") for command in ("check", "threshold")]
+        + [(["check", "--d", "2", side, v], f"visibility must lie in [0, 1], got {v}")
+           for side, v in (("--va", "1.4"), ("--vx", "nan"))],
     )
     def test_value_the_library_rejects_exits_2(self, capsys, argv, named):
         # the CLI leaves these checks to the library, which names the value
@@ -109,6 +112,17 @@ class TestRunExitCodes:
         assert run(["entropy", "--probs", "0.9,0.1", "--alpha", "inf"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("0.152003093")
+        assert run(["entropy", "--probs", "0.5,0.5", "--tsallis-q", "2"]) == 0
+        assert capsys.readouterr().out == "0.5 nats (Tsallis q=2)\n"  # 1 - 2 * 0.5^2
+
+    @pytest.mark.parametrize(
+        "inputs", [[], ["--probs", "0.5,0.5", "--joint", "0.5,0;0,0.5"]], ids=["neither", "both"]
+    )
+    def test_entropy_needs_exactly_one_input(self, capsys, inputs):
+        assert run(["entropy", *inputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "provide exactly one of --probs or --joint\n"
 
     def test_conditional_tsallis_command(self, capsys):
         joint = "0.4,0.1;0.1,0.4"
@@ -133,6 +147,28 @@ class TestRunExitCodes:
     def test_lhs_test_command(self, capsys):
         assert run(["lhs-test", "--seed", "5", "--n-models", "50"]) == 0
         assert "no local-hidden-state violation" in capsys.readouterr().out
+
+    def test_lhs_test_exits_1_on_a_violation(self, capsys, monkeypatch):
+        def unsound(seed, n_models):
+            return LhsFalsificationReport(seed, n_models, (2,), (0.5,), 1, 1e-3, {})
+
+        monkeypatch.setattr(scenarios, "lhs_falsification_suite", unsound)
+        assert run(["lhs-test", "--n-models", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "max violation 1.000e-03 over 1 evaluations" in captured.out
+        assert captured.err.startswith("INTERNAL ERROR: a local-hidden-state model violated")
+
+    @pytest.mark.parametrize("outcomes, code", [((True, True), 0), ((True, False), 1)])
+    def test_selftest_exit_code_and_summary(self, capsys, monkeypatch, outcomes, code):
+        def stub(number, passed):
+            return lambda: acceptance.CriterionResult(number, "stub", passed, "stubbed", 0.0)
+
+        criteria = tuple(stub(i + 1, ok) for i, ok in enumerate(outcomes))
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", criteria)
+        assert run(["selftest"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "[PASS] criterion 1: stub (0.0s) - stubbed"
+        assert lines[-1] == f"{sum(outcomes)}/2 acceptance criteria passed"
 
     def test_lhs_test_lists_only_dimensions_that_ran(self, capsys):
         assert run(["lhs-test", "--seed", "5", "--n-models", "1"]) == 0

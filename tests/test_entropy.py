@@ -372,6 +372,12 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="distribution has negative or NaN entry nan"):
             as_distribution([math.nan, 1.0])
 
+    def test_distribution_is_a_read_only_vector(self):
+        p = as_distribution([0.5, 0.5 + 1e-13, -1e-13])
+        assert p.tolist() == [0.5, 0.5 + 1e-13, 0.0] and not p.flags.writeable
+        with pytest.raises(ValueError, match="a distribution must be a nonempty 1-d vector"):
+            as_distribution([[0.5, 0.5]])
+
     def test_swapped_transposes(self):
         j = JointDistribution([[0.1, 0.2], [0.3, 0.4]])
         assert np.array_equal(j.swapped().table, j.table.T)

@@ -62,6 +62,23 @@ def test_no_module_imports_another_modules_private_names():
     assert sorted(ALLOWED_PRIVATE_IMPORTS - found) == []
 
 
+# Message fragments of the input rules: check_int, check_visibility, check_probabilities.
+RULE_FRAGMENTS = ("must be an integer of at least", "must lie in [0, 1], got", "has negative or NaN entr")
+
+
+def test_each_input_rule_raises_from_one_place():
+    # a second hand-written copy of a rule drifts from the first
+    raises = []
+    for path in sorted((ROOT / "src" / "qsteer").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ValueError"):
+                raises.append(f"{path.stem}: {ast.get_source_segment(text, node)}")
+    for fragment in RULE_FRAGMENTS:
+        assert len([r for r in raises if fragment in r]) == 1, fragment
+
+
 def test_no_top_level_name_is_defined_in_two_modules():
     # a second copy of a helper drifts; modules share one definition instead
     owners = defaultdict(list)

@@ -214,8 +214,9 @@ class TestEtaOfChi:
         )
         assert eta_tightness_gap(3, 5, 1e-8) == pointwise
         assert pointwise <= 2e-6
-        with pytest.raises(ValueError):
-            eta_tightness_gap(3, 0, 1e-8)
+        for n in (0, 2.5, math.nan):
+            with pytest.raises(ValueError, match=f"grid_points must be an integer of at least 1, got {n!r}"):
+                eta_tightness_gap(3, n, 1e-8)
 
     def test_monotone_in_chi(self):
         chis = np.linspace(0.0, 1.0, 9)
@@ -281,3 +282,5 @@ class TestThresholdRecord:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             ThresholdRecord(parameter=0.0, detected=1.2)
+        with pytest.raises(ValueError, match=r"exact threshold 1\.5 outside \[0, 1\]"):
+            ThresholdRecord(parameter=0.0, detected=0.9, exact=1.5)

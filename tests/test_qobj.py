@@ -230,6 +230,11 @@ class TestQubitPovm:
         with pytest.raises(ValueError):
             qubit_povm(0.5, (0.8, 0, 0))
 
+    @pytest.mark.parametrize("bloch", [(0.5, 0.0), (0.5, 0.0, 0.0, 0.0), [[0.5, 0.0, 0.0]]])
+    def test_bloch_must_be_a_3_vector(self, bloch):
+        with pytest.raises(ValueError, match="bloch must be a real 3-vector"):
+            qubit_povm(0.0, bloch)
+
     @pytest.mark.parametrize("bias, bloch", [(np.nan, (0, 0, 0.5)), (0.0, (np.nan, 0, 0))])
     def test_nan_input_rejected_as_invalid(self, bias, bloch):
         with pytest.raises(ValueError, match=r"invalid qubit POVM: \|bias\| \+ \|bloch\| = nan"):

@@ -7,6 +7,7 @@ import pytest
 from qsteer import acceptance, qobj, scenarios, steering
 from qsteer.entropy import JointDistribution, dual_order
 from qsteer.jointmeas import (
+    ThresholdRecord,
     ThresholdSolution,
     bisect_threshold,
     mub_jm_holds,
@@ -16,6 +17,7 @@ from qsteer.jointmeas import (
 )
 from qsteer.qobj import Povm, depolarize, joint_distribution, mub_pair, qubit_povm, rotated_d3_bases
 from qsteer.scenarios import (
+    ScanResult,
     d3_family_scan,
     fig1_scan,
     lhs_falsification_suite,
@@ -134,6 +136,7 @@ DIMENSION_CALLS = {
     "renyi_mub_holds": lambda d: renyi_mub_holds(d, 0.7, 0.7),
     "mub_pipeline_threshold": lambda d: mub_pipeline_threshold(d, 0.5, tol=1e-3),
     "fig1_scan": lambda d: fig1_scan([d], [0.5], tol=1e-3).records,
+    "sample_lhs_model": lambda d: steering.sample_lhs_model(5, d, 2).hidden_states.matrix.tolist(),
 }
 
 
@@ -146,6 +149,26 @@ def test_dimension_must_be_an_integer_of_at_least_two(name):
     expected = call(3)
     for d in (np.int64(3), 3.0):
         assert call(d) == expected
+
+
+COUNT_CALLS = {
+    "n_cases": lambda n: qubit_random_povm_check(n, 7, tol=1e-3),
+    "n_models": lambda n: lhs_falsification_suite(1, n),
+    "n_lambda": lambda n: steering.sample_lhs_model(5, 2, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_count_must_be_an_integer_of_at_least_one(name):
+    for n in (2.5, math.nan, 0):
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1, got {n!r}"):
+            COUNT_CALLS[name](n)
+
+
+def test_scan_records_must_be_sorted_by_parameter():
+    records = [ThresholdRecord(parameter=p, detected=0.8) for p in (1.0, 0.0)]
+    with pytest.raises(ValueError, match="scan records must be sorted by parameter"):
+        ScanResult(records, {})
 
 
 class TestBisectionStability:
@@ -443,9 +466,14 @@ class TestD3FamilyScan:
         refined = d3_family_scan(grid, tol=1e-5, refine_bob=True)
         assert refined.records[0].detected <= plain.records[0].detected + 1e-5
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            d3_family_scan([0.7])
+    def test_grid_validation(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a solve ran before the whole grid was checked")
+
+        monkeypatch.setattr(scenarios, "_pipeline_threshold", no_solve)
+        for grid in ([0.7], [0.1, 0.7]):
+            with pytest.raises(ValueError, match=r"family parameter must lie in \[0, 0\.5\], got 0\.7"):
+                d3_family_scan(grid)
 
 
 class TestLhsFalsification:

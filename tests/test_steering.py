@@ -85,6 +85,10 @@ class TestOverlapBound:
         with pytest.raises(UnsupportedBoundError):
             overlap_bound(noisy, four)
 
+    def test_different_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="measurements act on different dimensions"):
+            overlap_bound(mub_pair(2)[0], mub_pair(3)[1])
+
 
 class TestSteeringLhs:
     def test_product_uniform_two_bits(self):
@@ -258,9 +262,16 @@ class TestLhsModel:
         model = sample_lhs_model(9, 2, 3)
         with pytest.raises(ValueError, match="response map 'z' is missing"):
             LhsModel(model.weights, model.hidden_states, {"x": model.responses["x"]})
-        flat = {"x": model.responses["x"], "z": np.full(3, 1.0)}
-        with pytest.raises(ValueError, match=r"response map 'z' must have shape \(3, k\)"):
-            LhsModel(model.weights, model.hidden_states, flat)
+        for z in (np.full(3, 1.0), np.empty((3, 0))):  # no outcome at all is no map either
+            with pytest.raises(ValueError, match=r"response map 'z' must have shape \(3, k\)"):
+                LhsModel(model.weights, model.hidden_states, {"x": model.responses["x"], "z": z})
+
+    def test_responses_clamped_and_summed_like_tables(self):
+        state = DensityMatrix([np.eye(2) / 2])
+        model = LhsModel(np.ones(1), state, {"x": [[1.0, -1e-13]], "z": [[0.5, 0.5]]})
+        assert model.responses["x"].tolist() == [[1.0, 0.0]]
+        with pytest.raises(ValueError, match=r"response map 'z' sums to 0\.9, not 1"):
+            LhsModel(np.ones(1), state, {"x": [[1.0, 0.0]], "z": [[0.5, 0.4]]})
 
     def test_responses_stored_as_read_only_float_arrays(self):
         given = np.array([[0.25, 0.75]])
@@ -278,7 +289,7 @@ class TestLhsModel:
 
     @pytest.mark.parametrize("row", [[math.nan, 1.0], [math.nan, math.nan]])
     def test_nan_response_rejected(self, row):
-        with pytest.raises(ValueError, match="response map 'x'"):
+        with pytest.raises(ValueError, match="response map 'x' has negative or NaN entry nan"):
             LhsModel(np.ones(1), DensityMatrix([np.eye(2) / 2]), {"x": [row], "z": [[0.5, 0.5]]})
 
     def test_state_stack_must_match_the_weights(self):
