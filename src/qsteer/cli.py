@@ -166,22 +166,16 @@ def _alpha_list(text: str) -> list[float]:
 
 
 def _int_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad dimension range: {text!r}")
-        if lo_i < 2 or hi_i < lo_i:
-            raise argparse.ArgumentTypeError(f"bad dimension range: {text!r}")
-        return list(range(lo_i, hi_i + 1))
+    """A dimension range lo..hi, or one dimension; the library checks each."""
+    lo, sep, hi = text.partition("..")
     try:
-        d = int(text)
+        lo_i = int(lo)
+        hi_i = int(hi) if sep else lo_i
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad dimension: {text!r}")
-    if d < 2:
-        raise argparse.ArgumentTypeError("dimension must be >= 2")
-    return [d]
+        raise argparse.ArgumentTypeError(f"bad dimension range: {text!r}")
+    if hi_i < lo_i:
+        raise argparse.ArgumentTypeError(f"bad dimension range: {text!r}")
+    return list(range(lo_i, hi_i + 1))
 
 
 def _probs(text: str) -> list[float]:
@@ -203,16 +197,6 @@ def _grid(text: str) -> np.ndarray:
     if n < 1 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad grid: {text!r}")
     return np.linspace(lo, hi, n)
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be at least 1")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -263,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tightness", help="compare entropic and exact eta(chi) curves")
     p.add_argument("--d", type=_int_range, default=list(range(2, 11)), help="e.g. 2..10")
-    p.add_argument("--grid-points", type=_positive_int, default=21)
+    p.add_argument("--grid-points", type=int, default=21)
     p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("lhs-test", help="local-hidden-state falsification run")

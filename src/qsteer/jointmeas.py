@@ -79,8 +79,6 @@ def bisect_threshold(pred: Callable, tol: float, levels: int = 1) -> ThresholdSo
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
-    if not isinstance(levels, (int, np.integer)):  # a count of halvings, never a float
-        raise ValueError(f"levels must be an int, got {levels!r}")
     levels = check_int(levels, 1, "levels")
     if not pred(1.0):
         return ThresholdSolution(1.0, saturated=True)

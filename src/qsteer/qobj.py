@@ -40,8 +40,13 @@ def is_psd(a: np.ndarray) -> bool:
 def check_int(value, least: int, name: str) -> int:
     """The integer rule for every dimension and count: ``value`` as an int,
     or a ValueError naming ``name`` and the value unless it is an integer
-    (an integral float such as 3.0 included) of at least ``least``."""
-    if not (value >= least and float(value).is_integer()):
+    (an integral float such as 3.0 included) of at least ``least``; a value
+    that is no real number, such as "3", None or 3+0j, gets the same error."""
+    try:
+        valid = value >= least and float(value).is_integer()
+    except TypeError:
+        valid = False
+    if not valid:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)
 

@@ -90,9 +90,24 @@ def _pipeline_tables(alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm) -> 
     return t1, t0, steering.overlap_bound(bob_x, bob_z)
 
 
-def _pipeline_threshold(tables: tuple, alpha: float, tol: float) -> ThresholdSolution:
+def _solve_below(pred: Callable, tol: float, cutoff: float, levels: int = 1) -> ThresholdSolution:
+    """``bisect_threshold(pred, tol, levels)``, or ``cutoff`` itself when that
+    solution cannot lie below ``cutoff``: at once if ``cutoff`` <= 0, and after
+    one call ``pred(cutoff)`` if ``cutoff`` < 1 and that is False.  The solver
+    returns the True end of its bracket, so for a monotone ``pred`` a False at
+    ``cutoff`` puts the solution above it; a search that keeps only values
+    below ``cutoff`` rejects both alike."""
+    if cutoff <= 0.0 or (cutoff < 1.0 and not pred(cutoff)):
+        return ThresholdSolution(cutoff)
+    return bisect_threshold(pred, tol, levels)
+
+
+def _pipeline_threshold(
+    tables: tuple, alpha: float, tol: float, cutoff: float = math.inf
+) -> ThresholdSolution:
     """Smallest visibility, applied to both of Alice's measurements, at which
-    the full pipeline detects steering; saturated at 1 if none does.
+    the full pipeline detects steering; saturated at 1 if none does.  A finite
+    ``cutoff`` lets ``_solve_below`` prune a solve that cannot end below it.
 
     ``depolarize`` is affine in v and the Born rule linear, so the tables are
     T(v) = v T(1) + (1 - v) T(0): a solver call mixes the precomputed
@@ -109,7 +124,7 @@ def _pipeline_threshold(tables: tuple, alpha: float, tol: float) -> ThresholdSol
         jx, jz = (JointDistribution(w * a.table + (1.0 - w) * b.table) for a, b in zip(t1, t0))
         return steering.evaluate(jx, jz, bound, alpha).detected
 
-    return bisect_threshold(detects, tol, levels)
+    return _solve_below(detects, tol, cutoff, levels)
 
 
 def _mub_tables(d: int) -> tuple:
@@ -175,26 +190,20 @@ def _fig2_bob_directions(dir_z: np.ndarray, dir_x: np.ndarray) -> tuple[np.ndarr
     return _mirror_y(s * mid - s * perp), _mirror_y(s * mid + s * perp)
 
 
-def _sph(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-    )
+def _sph(theta: float, phi: float) -> tuple[float, float, float]:
+    sin_theta = math.sin(theta)
+    return sin_theta * math.cos(phi), sin_theta * math.sin(phi), math.cos(theta)
 
 
-def _angles_of(u: np.ndarray) -> tuple[float, float]:
+def _angles_of(u) -> tuple[float, float]:
     return math.acos(max(-1.0, min(1.0, u[2]))), math.atan2(u[1], u[0])
 
 
-def _qubit_violation(
-    bias_x: float,
-    bloch_x: np.ndarray,
-    bloch_z: np.ndarray,
-    u_x: np.ndarray,
-    u_z: np.ndarray,
-) -> Callable[[float], float]:
+def _qubit_violation(bias_x: float, bloch_x, bloch_z, u_x, u_z) -> Callable[[float], float]:
     """Min/max-entropy criterion violation as a function of Alice's
     visibility v, for her binary qubit POVMs (I +- (b I + v r.sigma))/2 and
     Bob projective along ``u_x`` and ``u_z``, on the maximally entangled state.
+    The vectors are triples of floats, summed term by term.
 
     With m flipping the y component (the transpose) and c = r . m(u), Alice's
     outcome s and Bob's t (signs) occur with p(t, s) = (1 + s b + s t v c)/4.
@@ -203,12 +212,11 @@ def _qubit_violation(
     on extremal POVMs a radicand reaches zero, and rounding can take it below.
     The min-entropy term sums the column maxima (1 + s b_z + v|c_z|)/4, so b_z
     cancels and it is -log2((1 + v|c_z|)/2).  Matches steering.evaluate on the
-    same scenario (cross-checked in the test suite); used inside optimizer
-    loops where object construction would dominate.
+    same scenario (cross-checked in the test suite).
     """
-    q = -math.log2((1.0 + abs(float(np.dot(u_x, u_z)))) / 2.0)
-    c_x = float(np.dot(bloch_x, _mirror_y(u_x)))
-    c_z = abs(float(np.dot(bloch_z, _mirror_y(u_z))))
+    q = -math.log2((1.0 + abs(u_x[0] * u_z[0] + u_x[1] * u_z[1] + u_x[2] * u_z[2])) / 2.0)
+    c_x = bloch_x[0] * u_x[0] - bloch_x[1] * u_x[1] + bloch_x[2] * u_x[2]
+    c_z = abs(bloch_z[0] * u_z[0] - bloch_z[1] * u_z[1] + bloch_z[2] * u_z[2])
     plus, minus = (1.0 + bias_x) ** 2, (1.0 - bias_x) ** 2
 
     def violation(v: float) -> float:
@@ -268,23 +276,29 @@ _OPT_EXTRA_STARTS = (
 
 
 def _coordinate_search(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[list[float], float], float],
     start: Sequence[float],
     step0: float = 0.3,
     ftol: float = 1e-8,
-) -> tuple[np.ndarray, float]:
-    """Deterministic pattern search: cycle coordinates, halve the step to 1e-4."""
-    x = np.asarray(start, dtype=float).copy()
-    f = objective(x)
+) -> tuple[list[float], float]:
+    """Deterministic pattern search: cycle coordinates, halve the step to 1e-4.
+
+    ``objective(x, cutoff)`` may return any value of at least ``cutoff`` in
+    place of one that is not below it: the search moves only to a point whose
+    value is below ``f - ftol``, the cutoff it passes, and the start gets
+    ``math.inf``.  So such an objective gives the same path and result."""
+    x = [float(c) for c in start]
+    f = objective(x, math.inf)
     step = step0
     while step > 1e-4:
         improved = False
-        for i in range(x.size):
+        for i in range(len(x)):
             for s in (step, -step):
                 y = x.copy()
                 y[i] += s
-                fy = objective(y)
-                if fy < f - ftol:
+                cutoff = f - ftol
+                fy = objective(y, cutoff)
+                if fy < cutoff:
                     x, f = y, fy
                     improved = True
         if not improved:
@@ -293,31 +307,20 @@ def _coordinate_search(
 
 
 def _qubit_case_threshold(
-    bias_x: float,
-    bloch_x: np.ndarray,
-    bloch_z: np.ndarray,
-    u_x: np.ndarray,
-    u_z: np.ndarray,
-    tol: float,
+    bias_x: float, bloch_x, bloch_z, u_x, u_z, tol: float, cutoff: float = math.inf
 ) -> float:
     violation = _qubit_violation(bias_x, bloch_x, bloch_z, u_x, u_z)
-    return bisect_threshold(lambda v: violation(v) > 0.0, tol).value
+    return _solve_below(lambda v: violation(v) > 0.0, tol, cutoff).value
 
 
-def _optimize_bob_qubit(
-    bias_x: float,
-    bloch_x: np.ndarray,
-    bloch_z: np.ndarray,
-    baseline: tuple[np.ndarray, np.ndarray],
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def _optimize_bob_qubit(bias_x: float, bloch_x, bloch_z, baseline: tuple, tol: float) -> tuple:
     """Bob's two projective directions that minimize the detected threshold.
 
     Eight deterministic restarts, the first at the symmetric-geometry
     baseline; pattern search over the four spherical angles.
     """
 
-    def objective(angles: np.ndarray) -> float:
+    def objective(angles: list[float], cutoff: float) -> float:
         return _qubit_case_threshold(
             bias_x,
             bloch_x,
@@ -325,6 +328,7 @@ def _optimize_bob_qubit(
             _sph(angles[0], angles[1]),
             _sph(angles[2], angles[3]),
             tol * 0.25,
+            cutoff,
         )
 
     starts = [(*_angles_of(baseline[0]), *_angles_of(baseline[1]))]
@@ -372,9 +376,11 @@ def qubit_random_povm_check(
             bias_x = rng.uniform(-1.0, 1.0) * 0.9 * (1.0 - len_x)
         bloch_z, bloch_x = len_z * dir_z, len_x * dir_x
 
+        # plain floats for the optimizer's objective, called about 800 times a case
+        alice = float(bias_x), tuple(map(float, bloch_x)), tuple(map(float, bloch_z))
         baseline_dirs = _fig2_bob_directions(dir_z, dir_x)
-        baseline = _qubit_case_threshold(bias_x, bloch_x, bloch_z, *baseline_dirs, tol)
-        opt_dirs = _optimize_bob_qubit(bias_x, bloch_x, bloch_z, baseline_dirs, tol)
+        baseline = _qubit_case_threshold(*alice, *baseline_dirs, tol)
+        opt_dirs = _optimize_bob_qubit(*alice, baseline_dirs, tol)
 
         # re-derive the winning threshold through the full Born-rule pipeline
         tables = _pipeline_tables(
@@ -466,11 +472,11 @@ def d3_family_scan(
         solution = _pipeline_threshold(tables, 0.5, tol)
 
         if refine_bob and not solution.saturated:
-            def objective(params: np.ndarray) -> float:
+            def objective(params: list[float], cutoff: float) -> float:
                 ux, uz = _givens_unitary(3, params[:6]), _givens_unitary(3, params[6:])
                 bx, bz = (Povm(u @ b.effects @ u.conj().T) for u, b in ((ux, bob_x), (uz, bob_z)))
                 tables = _pipeline_tables(alice_x, alice_z, bx, bz)
-                return _pipeline_threshold(tables, 0.5, tol * 0.25).value
+                return _pipeline_threshold(tables, 0.5, tol * 0.25, cutoff).value
 
             best = solution.value
             for st in (np.zeros(12), 0.15 * np.arange(1, 13) / 12.0):

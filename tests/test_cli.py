@@ -99,7 +99,10 @@ class TestRunExitCodes:
         + [([command, "--d", "1"], "got 1") for command in ("check", "threshold")]
         + [([command, "--d", "2..3"], "'2..3'") for command in ("check", "threshold")]
         + [(["check", "--d", "2", side, v], f"visibility must lie in [0, 1], got {v}")
-           for side, v in (("--va", "1.4"), ("--vx", "nan"))],
+           for side, v in (("--va", "1.4"), ("--vx", "nan"))]
+        + [([command, "--d", "1"], "dimension must be an integer of at least 2, got 1")
+           for command in ("scan-fig1", "tightness")]
+        + [(["tightness", "--grid-points", "0"], "grid_points must be an integer of at least 1")],
     )
     def test_value_the_library_rejects_exits_2(self, capsys, argv, named):
         # the CLI leaves these checks to the library, which names the value
@@ -142,7 +145,7 @@ class TestRunExitCodes:
 
     def test_tightness_rejects_empty_grid(self, capsys):
         assert run(["tightness", "--d", "2", "--grid-points", "0"]) == 2
-        assert "value must be at least 1" in capsys.readouterr().err
+        assert "grid_points must be an integer of at least 1, got 0" in capsys.readouterr().err
 
     def test_lhs_test_command(self, capsys):
         assert run(["lhs-test", "--seed", "5", "--n-models", "50"]) == 0

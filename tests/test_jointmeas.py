@@ -103,10 +103,17 @@ class TestBisect:
         # the 53 halvings of the one-level walk, levels at a time
         assert len(calls) == 2 + math.ceil(53 / levels)
 
-    @pytest.mark.parametrize("levels", [0, -1, 1.5, 2.0, "3", None])
+    @pytest.mark.parametrize("levels", [0, -1, 1.5, "3", None])
     def test_levels_must_be_a_positive_integer(self, levels):
         with pytest.raises(ValueError, match="levels"):
             bisect_threshold(lambda v: np.asarray(v) >= 0.3, 1e-6, levels)
+
+    def test_integral_float_levels_solve_like_the_int(self):
+        # levels follows the one integer rule, which takes 2.0 as 2
+        def pred(v):
+            return np.asarray(v) >= 0.3
+
+        assert bisect_threshold(pred, 1e-6, 2.0) == bisect_threshold(pred, 1e-6, 2)
 
     def test_entropic_boundary_d2(self):
         solution = bisect_threshold(lambda v: not renyi_mub_holds(2, v, v), 1e-9)

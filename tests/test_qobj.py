@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from qsteer.qobj import (
     DensityMatrix,
     Povm,
+    check_int,
     depolarize,
     fourier_matrix,
     is_hermitian,
@@ -374,3 +377,12 @@ class TestValidation:
         not_hermitian[bad] = np.array([[0.5, 0.2], [0.0, 0.5]])
         assert not is_hermitian(np.stack(not_hermitian))
         assert not is_psd(np.stack(not_hermitian))
+
+    @pytest.mark.parametrize("value", ["3", None, 3 + 0j])
+    def test_integer_rule_names_a_value_that_is_no_number(self, value):
+        # these used to escape as TypeError: '>=' not supported ...
+        message = f"dimension must be an integer of at least 2, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_int(value, 2, "dimension")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mub_pair(value)

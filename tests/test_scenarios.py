@@ -386,6 +386,26 @@ class TestQubitRandomPovmCheck:
         for a, b in zip(scan.records, again.records):
             assert a.detected == b.detected and a.exact == b.exact
 
+    def test_results_pinned(self):
+        # values from before the search was pruned; a change that moves it fails here
+        scan = qubit_random_povm_check(3, 7, tol=1e-4)
+        assert [r.detected for r in scan.records] == [0.71221923828125, 1.0, 1.0]
+        assert [(c["baseline_detected"], c["optimized_detected"]) for c in scan.metadata["cases"]] == [
+            (0.71221923828125, 0.71221923828125),
+            (1.0, 1.0),
+            (1.0, 1.0),
+        ]
+
+    def test_search_path_pinned(self):
+        # the baseline start wins the cases above, so also pin a search that
+        # moves: from 0.25 rad off the baseline angles of a biased pair
+        (args, start), = searched_qubit_cases(1)
+        x, f = scenarios._coordinate_search(qubit_objective(*args), start, ftol=5e-5)
+        assert x == [
+            1.3657100563866789, -0.44213833290371307, 1.3988782004204234, 1.1647407454342378
+        ]
+        assert f == 0.8549346923828125
+
 
 class TestQubitClosedForm:
     """The closed-form qubit violation agrees with the Born-rule pipeline."""
@@ -436,6 +456,108 @@ class TestQubitClosedForm:
         assert set(worst) == {"unbiased-symmetric", "unbiased-asymmetric", "biased", "extremal"}
         assert max(worst.values()) <= 1e-12, worst
         assert at_zero <= 1e-7
+
+
+def searched_qubit_cases(n):
+    """``n`` seeded qubit pairs of Bloch lengths 0.8 and 0.9 and x biases
+    -0.1, 0, 0.1, ... as plain floats, each with a start 0.25 rad off the
+    baseline Bob angles."""
+    rng = np.random.default_rng(3)
+    for k in range(n):
+        dir_z, dir_x = scenarios._unit(rng.normal(size=3)), scenarios._unit(rng.normal(size=3))
+        args = (0.1 * (k - 1), tuple(map(float, 0.8 * dir_x)), tuple(map(float, 0.9 * dir_z)))
+        baseline = scenarios._fig2_bob_directions(dir_z, dir_x)
+        yield args, [a + 0.25 for u in baseline for a in scenarios._angles_of(u)]
+
+
+def qubit_objective(bias_x, bloch_x, bloch_z, tol=2.5e-5):
+    """The optimizer's objective over Bob's four spherical angles."""
+    def objective(angles, cutoff):
+        u_x, u_z = scenarios._sph(*angles[:2]), scenarios._sph(*angles[2:])
+        return scenarios._qubit_case_threshold(bias_x, bloch_x, bloch_z, u_x, u_z, tol, cutoff)
+
+    return objective
+
+
+class TestPrunedSearch:
+    """A solve pruned at the pattern search's acceptance cutoff returns the
+    unpruned value when that lies below the cutoff and a value of at least
+    the cutoff otherwise, so the search takes the same path."""
+
+    @staticmethod
+    def check_cutoffs(solve):
+        """``solve(cutoff)`` against the unpruned ``solve(inf)`` at fixed
+        cutoffs, <= 0 and >= 1 included, and at the unpruned value and its
+        float neighbours; returns how many solves were pruned."""
+        full = solve(math.inf)
+        fixed = (-0.5, 0.0, 0.3, 0.7, 0.95, 1.0, 1.5)
+        near = (full, math.nextafter(full, -1.0), math.nextafter(full, 2.0))
+        pruned = 0
+        for cutoff in fixed + near:
+            value = solve(cutoff)
+            if full < cutoff:
+                assert value == full, (cutoff, value, full)
+            else:
+                assert value >= cutoff, (cutoff, value, full)
+                pruned += value != full
+        return pruned
+
+    def test_qubit_solve_prunes_only_at_or_above_the_cutoff(self):
+        kinds, pruned = Counter(), 0
+        for kind, _, bloch_z, bias_x, bloch_x, u_x, u_z in TestQubitClosedForm._cases(
+            np.random.default_rng(5)
+        ):
+            alice = (float(bias_x), tuple(map(float, bloch_x)), tuple(map(float, bloch_z)))
+            bob = (tuple(map(float, u_x)), tuple(map(float, u_z)))
+            pruned += self.check_cutoffs(
+                lambda c: scenarios._qubit_case_threshold(*alice, *bob, 1e-6, c)
+            )
+            kinds[kind] += 1
+        assert set(kinds) == {"unbiased-symmetric", "unbiased-asymmetric", "biased", "extremal"}
+        assert pruned > 0
+
+    def test_qubit_search_path_unchanged(self, monkeypatch):
+        solves = Counter()
+
+        def counted(*args):
+            solves[mode] += 1
+            return bisect_threshold(*args)
+
+        monkeypatch.setattr(scenarios, "bisect_threshold", counted)
+        for args, start in searched_qubit_cases(3):
+            objective = qubit_objective(*args)
+            mode = "pruned"
+            pruned = scenarios._coordinate_search(objective, start, ftol=5e-5)
+            mode = "full"
+            full = scenarios._coordinate_search(
+                lambda x, cutoff: objective(x, math.inf), start, ftol=5e-5
+            )
+            assert pruned == full
+        assert solves["pruned"] < solves["full"] / 2
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, math.inf])
+    def test_pipeline_solve_prunes_only_at_or_above_the_cutoff(self, alpha):
+        tables = scenarios._mub_tables(3)
+        assert self.check_cutoffs(
+            lambda c: scenarios._pipeline_threshold(tables, alpha, 1e-6, c).value
+        ) > 0
+
+    def test_pipeline_search_path_unchanged(self):
+        comp, four = mub_pair(3)
+
+        def objective(params, cutoff):  # Bob's Fourier basis turned by a Givens rotation
+            u = scenarios._givens_unitary(3, [params[0], params[1], 0.0, 0.0, 0.0, 0.0])
+            bob_x = Povm(u @ four.effects @ u.conj().T)
+            tables = scenarios._pipeline_tables(four, comp, bob_x, comp)
+            return scenarios._pipeline_threshold(tables, 0.5, 1e-4, cutoff).value
+
+        kwargs = dict(step0=0.2, ftol=5e-5)
+        pruned = scenarios._coordinate_search(objective, (0.3, 0.2), **kwargs)
+        full = scenarios._coordinate_search(
+            lambda x, cutoff: objective(x, math.inf), (0.3, 0.2), **kwargs
+        )
+        assert pruned == full
+        assert pruned[1] < objective((0.3, 0.2), math.inf)  # the search moved
 
 
 class TestD3FamilyScan:
