@@ -110,7 +110,9 @@ def _check_order(alpha: float) -> float:
 
 
 def _value(x):
-    """A float for one table, the array of values for a stack."""
+    """A float for one table, the array of values for a stack; adding 0.0
+    turns the -0.0 that a zero entropy can round to, such as -log2(1), into 0.0."""
+    x = x + 0.0
     return float(x) if x.ndim == 0 else x
 
 

@@ -177,7 +177,7 @@ def sample_lhs_model(rng_seed: int, d: int, n_lambda: int) -> LhsModel:
     summed and validated as one (n_lambda, d, d) stack.
     """
     d, n_lambda = check_int(d, 2, "dimension"), check_int(n_lambda, 1, "n_lambda")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(check_int(rng_seed, 0, "seed"))
     weights = _flat_dirichlet(rng, n_lambda)
     draws = [(_flat_dirichlet(rng, 2 * d), rng.normal(size=(2 * d, 2, d))) for _ in range(n_lambda)]
     mix, gauss = (np.array(a) for a in zip(*draws))

@@ -102,7 +102,8 @@ class TestRunExitCodes:
            for side, v in (("--va", "1.4"), ("--vx", "nan"))]
         + [([command, "--d", "1"], "dimension must be an integer of at least 2, got 1")
            for command in ("scan-fig1", "tightness")]
-        + [(["tightness", "--grid-points", "0"], "grid_points must be an integer of at least 1")],
+        + [(["tightness", "--grid-points", "0"], "grid_points must be an integer of at least 1")]
+        + [(["lhs-test", "--seed", "-1"], "seed must be an integer of at least 0, got -1")],
     )
     def test_value_the_library_rejects_exits_2(self, capsys, argv, named):
         # the CLI leaves these checks to the library, which names the value
@@ -117,6 +118,8 @@ class TestRunExitCodes:
         assert out.startswith("0.152003093")
         assert run(["entropy", "--probs", "0.5,0.5", "--tsallis-q", "2"]) == 0
         assert capsys.readouterr().out == "0.5 nats (Tsallis q=2)\n"  # 1 - 2 * 0.5^2
+        assert run(["entropy", "--joint", "0.5,0.5", "--alpha", "inf"]) == 0
+        assert capsys.readouterr().out == "0 bits (conditional Renyi alpha=inf)\n"  # not "-0"
 
     @pytest.mark.parametrize(
         "inputs", [[], ["--probs", "0.5,0.5", "--joint", "0.5,0;0,0.5"]], ids=["neither", "both"]

@@ -286,6 +286,24 @@ class TestKernelsMatchColumnLoops:
         assert_close(stacked[0], 1.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 3.0, math.inf])
+def test_zero_entropy_is_positive_zero(alpha):
+    # -log2(1) rounds to -0.0, which a format such as "{:g}" prints as "-0"
+    deterministic = np.array([[0.5, 0.0], [0.0, 0.5]])
+    values = [
+        renyi_entropy([1.0, 0.0], alpha),
+        conditional_renyi(deterministic, alpha),
+        *conditional_renyi(np.stack([deterministic] * 2), alpha),
+    ]
+    assert [math.copysign(1.0, v) for v in values] == [1.0] * 4, values
+
+
+def test_zero_tsallis_entropy_is_positive_zero():
+    deterministic = np.array([[0.5, 0.0], [0.0, 0.5]])
+    values = [tsallis_entropy([1.0, 0.0], 2.0), conditional_tsallis(deterministic, 2.0)]
+    assert [math.copysign(1.0, v) for v in values] == [1.0] * 2, values
+
+
 class TestDualOrder:
     def test_fixed_points_and_examples(self):
         assert dual_order(0.5) == math.inf

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -163,6 +164,25 @@ def test_count_must_be_an_integer_of_at_least_one(name):
     for n in (2.5, math.nan, 0):
         with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1, got {n!r}"):
             COUNT_CALLS[name](n)
+
+
+SEED_CALLS = {
+    "qubit_random_povm_check": lambda s: qubit_random_povm_check(1, s, tol=1e-3),
+    "lhs_falsification_suite": lambda s: lhs_falsification_suite(s, 1),
+    "sample_lhs_model": lambda s: steering.sample_lhs_model(s, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_CALLS))
+def test_seed_must_be_a_non_negative_integer(name, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("random numbers were drawn before the seed was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for s in (-1, 1.5, None, math.nan, "3"):
+        message = re.escape(f"seed must be an integer of at least 0, got {s!r}")
+        with pytest.raises(ValueError, match=message):
+            SEED_CALLS[name](s)
 
 
 def test_scan_records_must_be_sorted_by_parameter():
@@ -377,34 +397,83 @@ class TestQubitRandomPovmCheck:
             if case["kind"] == "biased":
                 assert rec.exact is None
 
-    def test_baseline_gap_reported(self, scan):
-        for case in scan.metadata["cases"]:
-            assert case["gap_vs_baseline"] <= 1e-9  # optimizer never loses to its start
-
     def test_seed_reproducible(self, scan):
         again = qubit_random_povm_check(n_cases=6, seed=7, tol=1e-6)
         for a, b in zip(scan.records, again.records):
             assert a.detected == b.detected and a.exact == b.exact
 
     def test_results_pinned(self):
-        # values from before the search was pruned; a change that moves it fails here
-        scan = qubit_random_povm_check(3, 7, tol=1e-4)
-        assert [r.detected for r in scan.records] == [0.71221923828125, 1.0, 1.0]
-        assert [(c["baseline_detected"], c["optimized_detected"]) for c in scan.metadata["cases"]] == [
-            (0.71221923828125, 0.71221923828125),
-            (1.0, 1.0),
-            (1.0, 1.0),
+        # values of the one-angle search; a change that moves it fails here
+        scan = qubit_random_povm_check(6, 7, tol=1e-4)
+        assert [r.detected for r in scan.records] == [
+            0.71221923828125,
+            1.0,
+            1.0,
+            0.71319580078125,
+            0.95648193359375,
+            0.97296142578125,
         ]
+        settings = [c["max_entropy_setting"] for c in scan.metadata["cases"]]
+        assert settings == ["x", "x", "x", "x", "x", "z"]
 
     def test_search_path_pinned(self):
-        # the baseline start wins the cases above, so also pin a search that
-        # moves: from 0.25 rad off the baseline angles of a biased pair
+        # the eigenvector start is where the search ends on unbiased pairs, so
+        # pin a search that moves: from 0.25 rad off it, on a biased pair
         (args, start), = searched_qubit_cases(1)
         x, f = scenarios._coordinate_search(qubit_objective(*args), start, ftol=5e-5)
-        assert x == [
-            1.3657100563866789, -0.44213833290371307, 1.3988782004204234, 1.1647407454342378
-        ]
-        assert f == 0.8549346923828125
+        assert x == [-3.124113289217265]
+        assert f == 0.8272552490234375
+        assert f < qubit_objective(*args)(start, math.inf)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_unbiased_records_meet_busch_boundary(self, seed):
+        # Busch, PRD 33, 2253 (1986): 2/(|r_x + r_z| + |r_x - r_z|), capped at 1
+        tol = 1e-6
+        scan = qubit_random_povm_check(30, seed, tol)
+        unbiased = 0
+        for rec, case in zip(scan.records, scan.metadata["cases"]):
+            if case["kind"] == "biased":
+                continue
+            r_x, r_z = np.array(case["bloch_x"]), np.array(case["bloch_z"])
+            exact = min(1.0, 2.0 / (np.linalg.norm(r_x + r_z) + np.linalg.norm(r_x - r_z)))
+            assert exact <= rec.detected <= exact + tol, (case, rec)
+            unbiased += 1
+        assert unbiased == 20
+
+    def test_swapped_assignment_named_and_rederived(self):
+        tol = 1e-6
+        scan = qubit_random_povm_check(6, 7, tol)
+        rec, case = scan.records[5], scan.metadata["cases"][5]
+        assert case["kind"] == "biased" and case["max_entropy_setting"] == "z"
+        _, u_x, u_z = scenarios._bob_qubit_pair(
+            case["bias_x"], case["bias_z"], tuple(case["bloch_x"]), tuple(case["bloch_z"]), tol
+        )
+        alice_x, alice_z = (qubit_povm(case[f"bias_{s}"], case[f"bloch_{s}"]) for s in "xz")
+        bob_x, bob_z = qubit_povm(0.0, u_x), qubit_povm(0.0, u_z)
+        swapped = scenarios._pipeline_tables(alice_z, alice_x, bob_z, bob_x)
+        assert rec.detected == scenarios._pipeline_threshold(swapped, 0.5, tol).value
+        direct = scenarios._pipeline_tables(alice_x, alice_z, bob_x, bob_z)
+        assert scenarios._pipeline_threshold(direct, 0.5, tol).value > rec.detected
+
+    def test_biased_cases_meet_a_dense_in_plane_grid(self):
+        # 720 angles over half a turn, both assignments, each solved at 1e-8
+        tol = 1e-6
+        scan = qubit_random_povm_check(12, 3, tol)
+        cases = zip(scan.records, scan.metadata["cases"])
+        biased = [(r, c) for r, c in cases if c["kind"] == "biased"]
+        assert len(biased) == 4 and not any(r.saturated for r, _ in biased)
+        solve = scenarios._qubit_case_threshold
+        for rec, case in biased:
+            r_x, r_z = tuple(case["bloch_x"]), tuple(case["bloch_z"])
+            pair = in_plane_pair(r_x, r_z)[0]
+            grid = min(
+                min(
+                    solve(case["bias_x"], r_x, r_z, u_x, u_z, 1e-8),
+                    solve(case["bias_z"], r_z, r_x, u_z, u_x, 1e-8),
+                )
+                for u_x, u_z in map(pair, np.arange(720) * math.pi / 720)
+            )
+            assert abs(rec.detected - grid) <= 2 * tol, (case, rec.detected, grid)
 
 
 class TestQubitClosedForm:
@@ -458,23 +527,42 @@ class TestQubitClosedForm:
         assert at_zero <= 1e-7
 
 
+def in_plane_pair(bloch_x, bloch_z):
+    """Bob's orthogonal pairs in the plane of Alice's Bloch vectors, read
+    through the y mirror, as a function of one angle t, and the angle of the
+    top eigenvector of a a^T + b b^T (a = r_x, b = J^T r_z in plane
+    coordinates), where an unbiased pair meets Busch's boundary."""
+    e1 = scenarios._unit(bloch_x)
+    e2 = scenarios._unit(np.asarray(bloch_z) - np.dot(bloch_z, e1) * e1)
+    a = np.array([np.dot(bloch_x, e1), 0.0])
+    b = np.array([np.dot(bloch_z, e2), -np.dot(bloch_z, e1)])
+    top = np.linalg.eigh(np.outer(a, a) + np.outer(b, b))[1][:, -1]
+
+    def pair(t):
+        w, jw = math.cos(t) * e1 + math.sin(t) * e2, math.cos(t) * e2 - math.sin(t) * e1
+        return tuple(tuple(map(float, scenarios._mirror_y(u))) for u in (w, jw))
+
+    return pair, math.atan2(top[1], top[0])
+
+
 def searched_qubit_cases(n):
     """``n`` seeded qubit pairs of Bloch lengths 0.8 and 0.9 and x biases
     -0.1, 0, 0.1, ... as plain floats, each with a start 0.25 rad off the
-    baseline Bob angles."""
+    eigenvector angle of ``in_plane_pair``."""
     rng = np.random.default_rng(3)
     for k in range(n):
         dir_z, dir_x = scenarios._unit(rng.normal(size=3)), scenarios._unit(rng.normal(size=3))
         args = (0.1 * (k - 1), tuple(map(float, 0.8 * dir_x)), tuple(map(float, 0.9 * dir_z)))
-        baseline = scenarios._fig2_bob_directions(dir_z, dir_x)
-        yield args, [a + 0.25 for u in baseline for a in scenarios._angles_of(u)]
+        yield args, [in_plane_pair(*args[1:])[1] + 0.25]
 
 
 def qubit_objective(bias_x, bloch_x, bloch_z, tol=2.5e-5):
-    """The optimizer's objective over Bob's four spherical angles."""
-    def objective(angles, cutoff):
-        u_x, u_z = scenarios._sph(*angles[:2]), scenarios._sph(*angles[2:])
-        return scenarios._qubit_case_threshold(bias_x, bloch_x, bloch_z, u_x, u_z, tol, cutoff)
+    """The search's objective, max-entropy on x, over the angle of Bob's
+    in-plane orthogonal pair."""
+    pair = in_plane_pair(bloch_x, bloch_z)[0]
+
+    def objective(t, cutoff):
+        return scenarios._qubit_case_threshold(bias_x, bloch_x, bloch_z, *pair(t[0]), tol, cutoff)
 
     return objective
 
