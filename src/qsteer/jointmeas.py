@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .qobj import check_int, check_visibility
+from .qobj import check_int, check_tolerance, check_visibility
 
 
 class ThresholdSolution(NamedTuple):
@@ -77,8 +77,7 @@ def bisect_threshold(pred: Callable, tol: float, levels: int = 1) -> ThresholdSo
     one-level solution if ``pred`` answers an array as it answers each float.
     Monotonicity is the caller's responsibility.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
+    tol = check_tolerance(tol)
     levels = check_int(levels, 1, "levels")
     if not pred(1.0):
         return ThresholdSolution(1.0, saturated=True)

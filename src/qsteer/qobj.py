@@ -60,6 +60,18 @@ def check_visibility(v: float, name: str) -> float:
     return v
 
 
+def check_tolerance(tol: float) -> float:
+    """The tolerance rule for every threshold solve: ``tol`` as a float, or a
+    ValueError naming the value unless it lies in (0, 1) (NaN and "x" do not)."""
+    try:
+        valid = 0.0 < tol < 1.0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
+    return float(tol)
+
+
 class DensityMatrix:
     """Quantum state of one system, or a ``(..., d, d)`` stack such as an LHS
     model's hidden states, checked at once: Hermitian, unit trace, PSD."""

@@ -30,7 +30,7 @@ from .jointmeas import (
     mub_jm_threshold_symmetric,
     qubit_exact_threshold,
 )
-from .qobj import Povm, check_int, joint_distribution, mub_pair, qubit_povm, rotated_d3_bases
+from .qobj import Povm, check_int, check_tolerance, joint_distribution, mub_pair, qubit_povm, rotated_d3_bases
 
 
 @dataclass(frozen=True)
@@ -175,32 +175,24 @@ def _unit(u) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def _qubit_violation(bias_x: float, bloch_x, bloch_z, u_x, u_z) -> Callable[[float], float]:
-    """Min/max-entropy criterion violation as a function of Alice's
-    visibility v, for her binary qubit POVMs (I +- (b I + v r.sigma))/2 and
-    Bob projective along ``u_x`` and ``u_z``, on the maximally entangled state.
-    The vectors are triples of floats, summed term by term.
+def _qubit_threshold(bias: float, c_max: float, c_min: float) -> float:
+    """Detected visibility threshold of the min/max-entropy criterion, 1 if none
+    up to v = 1, for Alice's qubit POVMs (I +- (b I + v r.sigma))/2 and Bob
+    projective along an orthogonal pair (bound 1), on the maximally entangled state.
 
-    With m flipping the y component (the transpose) and c = r . m(u), Alice's
-    outcome s and Bob's t (signs) occur with p(t, s) = (1 + s b + s t v c)/4.
-    The max-entropy term, log2 of the sum over s of (sqrt p(+, s) + sqrt p(-, s))^2,
-    is log2(1 + (sqrt((1 + b_x)^2 - (v c_x)^2) + sqrt((1 - b_x)^2 - (v c_x)^2))/2);
-    on extremal POVMs a radicand reaches zero, and rounding can take it below.
-    The min-entropy term sums the column maxima (1 + s b_z + v|c_z|)/4, so b_z
-    cancels and it is -log2((1 + v|c_z|)/2).  Matches steering.evaluate on the
-    same scenario (cross-checked in the test suite).
-    """
-    q = -math.log2((1.0 + abs(u_x[0] * u_z[0] + u_x[1] * u_z[1] + u_x[2] * u_z[2])) / 2.0)
-    c_x = bloch_x[0] * u_x[0] - bloch_x[1] * u_x[1] + bloch_x[2] * u_x[2]
-    c_z = abs(bloch_z[0] * u_z[0] - bloch_z[1] * u_z[1] + bloch_z[2] * u_z[2])
-    plus, minus = (1.0 + bias_x) ** 2, (1.0 - bias_x) ** 2
-
-    def violation(v: float) -> float:
-        s = (v * c_x) ** 2
-        root = math.sqrt(max(plus - s, 0.0)) + math.sqrt(max(minus - s, 0.0))
-        return q - math.log2(1.0 + root / 2.0) + math.log2((1.0 + v * c_z) / 2.0)
-
-    return violation
+    With c = r . m(u), m the transpose's flip of y, Alice's sign s and Bob's t
+    occur with p(t, s) = (1 + s b + s t v c)/4.  On the setting of bias b the
+    max-entropy term is log2(1 + R/2), with
+    R = sqrt((1 + b)^2 - (v c_max)^2) + sqrt((1 - b)^2 - (v c_max)^2); the
+    min-entropy term sums the column maxima (1 + s b' + v|c_min|)/4, so the
+    other bias b' drops out.  Detection is 2 v |c_min| > R; squared twice, u = v^2
+    solves u^2 c_min^2 (c_max^2 + c_min^2) - u c_min^2 (1 + b^2) + b^2 = 0 at the
+    larger root, unless u (2 c_min^2 + c_max^2) < 1 + b^2, where squaring added it."""
+    c2 = c_min * c_min
+    s, h = c_max * c_max + c2, 1.0 + bias * bias
+    disc = h * h - 4.0 * s * bias * bias / c2 if c2 else -1.0
+    u = (h + math.sqrt(disc)) / (2.0 * s) if disc >= 0.0 else 1.0
+    return math.sqrt(u) if u < 1.0 and u * (s + c2) >= h else 1.0
 
 
 def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResult:
@@ -271,69 +263,54 @@ def _coordinate_search(
     return x, f
 
 
-def _qubit_case_threshold(
-    bias_x: float, bloch_x, bloch_z, u_x, u_z, tol: float, cutoff: float = math.inf
-) -> float:
-    violation = _qubit_violation(bias_x, bloch_x, bloch_z, u_x, u_z)
-    return _solve_below(lambda v: violation(v) > 0.0, tol, cutoff).value
-
-
 def _bob_qubit_pair(bias_x: float, bias_z: float, bloch_x, bloch_z, tol: float) -> tuple:
-    """Bob's projective pair, and the setting that carries the max-entropy,
-    with the lowest detected threshold for Alice's binary qubit POVMs.
+    """Bob's orthogonal projective pair, and the setting that carries the
+    max-entropy, with the lowest ``_qubit_threshold`` for Alice's qubit POVMs.
 
-    Bob's pair is orthogonal and lies in the plane of Alice's Bloch vectors
-    as the transpose sees it: through ``_mirror_y``, w = cos t e1 + sin t e2
-    for the x setting and its quarter turn Jw for z.  So c_x = a.w and
-    c_z = b.w, with a = r_x and b = J^T r_z in plane coordinates.  Unbiased,
-    the threshold 1/sqrt(c_x^2 + c_z^2) is least along the top eigenvector of
-    a a^T + b b^T, where it is Busch's boundary 2/(|r_x + r_z| + |r_x - r_z|).
-    The search starts t there and moves it alone, once with the max-entropy
-    on x and once on z; each assignment is a steering inequality, and the
-    swap is kept only if strictly lower.  Returns the setting ("x" or "z")
-    and Bob's directions for x and z as float triples."""
-    r_x, r_z = np.asarray(bloch_x), np.asarray(bloch_z)
-    e1 = _unit(r_x)
-    p = float(np.dot(r_z, e1))
-    e2 = _unit(r_z - p * e1)
-    q = float(np.dot(r_z, e2))
-    m1, m2 = (tuple(map(float, _mirror_y(e))) for e in (e1, e2))
-
-    def pair(t: float) -> tuple:
-        c, s = math.cos(t), math.sin(t)
-        w = tuple(c * i + s * j for i, j in zip(m1, m2))
-        return w, tuple(c * j - s * i for i, j in zip(m1, m2))
-
+    Through ``_mirror_y`` (the transpose), Bob measures w = cos t e1 + sin t e2
+    in the plane of Alice's Bloch vectors for x and its quarter turn Jw for z,
+    so c_x = a.w and c_z = b.w with a = r_x and b = J^T r_z in plane coordinates.
+    Unbiased, the threshold 1/sqrt(c_x^2 + c_z^2) is least along the top
+    eigenvector of a a^T + b b^T, at Busch's 2/(|r_x + r_z| + |r_x - r_z|).  The
+    search moves t from there, once with the max-entropy on x and once on z, and
+    keeps z only if lower by more than its tol/2, so rounding cannot flip a tie."""
+    e1 = _unit(bloch_x)
+    p = float(np.dot(bloch_z, e1))
+    e2 = _unit(bloch_z - p * e1)
+    q = float(np.dot(bloch_z, e2))
+    length = float(np.linalg.norm(bloch_x))
     # a = (|r_x|, 0) and b = (q, -p), so m = a a^T + b b^T has its top
     # eigenvector at half the angle of (m11 - m22, 2 m12)
-    start = [0.5 * math.atan2(-2.0 * p * q, float(np.dot(r_x, r_x)) + q * q - p * p)]
-    best = (math.inf,)
-    searches = (("x", (bias_x, bloch_x, bloch_z), 1), ("z", (bias_z, bloch_z, bloch_x), -1))
-    for setting, alice, order in searches:
+    start = [0.5 * math.atan2(-2.0 * p * q, float(np.dot(bloch_x, bloch_x)) + q * q - p * p)]
+    ftol = tol * 0.5
+
+    def search(bias: float, order: int) -> tuple:
         def threshold(t: list[float], cutoff: float) -> float:
-            return _qubit_case_threshold(*alice, *pair(t[0])[::order], tol * 0.25, cutoff)
+            c, s = math.cos(t[0]), math.sin(t[0])
+            return _qubit_threshold(bias, *(length * c, q * c - p * s)[::order])
 
-        (t,), f = _coordinate_search(threshold, start, ftol=tol * 0.5)
-        if f < best[0]:
-            best = f, setting, *pair(t)
-    return best[1:]
+        (t,), f = _coordinate_search(threshold, start, ftol=ftol)
+        return f, t
+
+    (f_x, t_x), (f_z, t_z) = search(bias_x, 1), search(bias_z, -1)
+    setting, t = ("z", t_z) if f_z < f_x - ftol else ("x", t_x)
+    c, s = math.cos(t), math.sin(t)
+    return setting, _mirror_y(c * e1 + s * e2), _mirror_y(c * e2 - s * e1)
 
 
-def qubit_random_povm_check(
-    n_cases: int, seed: int, tol: float = 1e-6
-) -> ScanResult:
+def qubit_random_povm_check(n_cases: int, seed: int, tol: float = 1e-6) -> ScanResult:
     """Random binary qubit POVM pairs, each with the Bob pair and order
-    assignment of ``_bob_qubit_pair``.
+    assignment that ``_bob_qubit_pair`` finds on the closed-form threshold.
 
     Cases cycle through three kinds: unbiased symmetric and unbiased
     asymmetric, whose exact boundary is Busch's 2/(|r_x + r_z| + |r_x - r_z|)
     and which the detected threshold meets within ``tol``, and biased, whose
     exact boundary is not computed here (reported without an exact column).
-    Each record is the pipeline threshold with Bob's chosen pair, and each
-    case names the setting that carries the max-entropy.  Fully
-    deterministic in ``seed``.
-    """
+    Each record is re-derived through the pipeline with Bob's chosen pair,
+    and each case names the setting that carries the max-entropy.  Fully
+    deterministic in ``seed``; ``tol`` is checked before any work."""
     n_cases, seed = check_int(n_cases, 1, "n_cases"), check_int(seed, 0, "seed")
+    tol = check_tolerance(tol)
     rng = np.random.default_rng(seed)
     rows = []
     cases = []
@@ -343,21 +320,18 @@ def qubit_random_povm_check(
         dir_x = _unit(rng.normal(size=3))
         while abs(np.dot(dir_z, dir_x)) > 0.995:  # keep the geometry nondegenerate
             dir_x = _unit(rng.normal(size=3))
+        bias_z = bias_x = 0.0
         if kind == "unbiased-symmetric":
             len_z = len_x = 1.0
-            bias_z = bias_x = 0.0
         elif kind == "unbiased-asymmetric":
             len_z, len_x = rng.uniform(0.55, 1.0, size=2)
-            bias_z = bias_x = 0.0
         else:
             len_z, len_x = rng.uniform(0.55, 0.95, size=2)
             bias_z = rng.uniform(-1.0, 1.0) * 0.9 * (1.0 - len_z)
             bias_x = rng.uniform(-1.0, 1.0) * 0.9 * (1.0 - len_x)
         bloch_z, bloch_x = len_z * dir_z, len_x * dir_x
 
-        # plain floats for the search's objective, called about 50 times a case
-        plain = float(bias_x), float(bias_z), tuple(map(float, bloch_x)), tuple(map(float, bloch_z))
-        setting, u_x, u_z = _bob_qubit_pair(*plain, tol)
+        setting, u_x, u_z = _bob_qubit_pair(bias_x, bias_z, bloch_x, bloch_z, tol)
 
         # re-derive the winning threshold through the full Born-rule pipeline,
         # the max-entropy setting first

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -62,8 +63,14 @@ def test_no_module_imports_another_modules_private_names():
     assert sorted(ALLOWED_PRIVATE_IMPORTS - found) == []
 
 
-# Message fragments of the input rules: check_int, check_visibility, check_probabilities.
-RULE_FRAGMENTS = ("must be an integer of at least", "must lie in [0, 1], got", "has negative or NaN entr")
+# Message fragments of the input rules: check_int, check_visibility, check_tolerance,
+# check_probabilities.
+RULE_FRAGMENTS = (
+    "must be an integer of at least",
+    "must lie in [0, 1], got",
+    "must lie in (0, 1), got",
+    "has negative or NaN entr",
+)
 
 
 def test_each_input_rule_raises_from_one_place():
@@ -87,3 +94,12 @@ def test_no_top_level_name_is_defined_in_two_modules():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 owners[node.name].append(path.stem)
     assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's traced run wraps these by name; a deleted one breaks only that run
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped = spans.FUNCTION_SPANS + spans.CLASS_SPANS + spans.COUNTED_CALLS
+    assert [(m, a) for m, a, _ in wrapped if not hasattr(getattr(qsteer, m), a)] == []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,12 @@ class TestBisect:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
             bisect_threshold(lambda v: v >= 0.3, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, "x", None])
+    def test_tolerance_that_is_no_number_rejected(self, tol):
+        # "x" and None used to escape as TypeError from the comparison
+        with pytest.raises(ValueError, match=re.escape(f"tolerance must lie in (0, 1), got {tol!r}")):
+            bisect_threshold(lambda v: v >= 0.3, tol)
 
     @pytest.mark.parametrize("tol", [1.0, 2.0, math.inf])
     def test_tolerance_of_one_or_more_rejected(self, tol):

@@ -185,6 +185,17 @@ def test_seed_must_be_a_non_negative_integer(name, monkeypatch):
             SEED_CALLS[name](s)
 
 
+@pytest.mark.parametrize("tol", [-1e-3, 0.0, 1.0, math.nan, "x"])
+def test_qubit_check_rejects_a_bad_tolerance_before_the_search(tol, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran before the tolerance was checked")
+
+    monkeypatch.setattr(scenarios, "_bob_qubit_pair", no_search)
+    message = re.escape(f"tolerance must lie in (0, 1), got {tol!r}")
+    with pytest.raises(ValueError, match=message):
+        qubit_random_povm_check(3, 1, tol=tol)
+
+
 def test_scan_records_must_be_sorted_by_parameter():
     records = [ThresholdRecord(parameter=p, detected=0.8) for p in (1.0, 0.0)]
     with pytest.raises(ValueError, match="scan records must be sorted by parameter"):
@@ -422,8 +433,18 @@ class TestQubitRandomPovmCheck:
         (args, start), = searched_qubit_cases(1)
         x, f = scenarios._coordinate_search(qubit_objective(*args), start, ftol=5e-5)
         assert x == [-3.124113289217265]
-        assert f == 0.8272552490234375
+        assert f == 0.8272494715018748
         assert f < qubit_objective(*args)(start, math.inf)
+
+    def test_search_runs_no_solver(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("the qubit search called the threshold solver")
+
+        for name in ("bisect_threshold", "_solve_below"):
+            monkeypatch.setattr(scenarios, name, no_solve)
+        for args, _ in searched_qubit_cases(3):
+            setting, u_x, u_z = scenarios._bob_qubit_pair(args[0], -args[0], *args[1:], 1e-6)
+            assert setting in ("x", "z") and abs(np.dot(u_x, u_z)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(1, 9))
     def test_unbiased_records_meet_busch_boundary(self, seed):
@@ -456,35 +477,37 @@ class TestQubitRandomPovmCheck:
         assert scenarios._pipeline_threshold(direct, 0.5, tol).value > rec.detected
 
     def test_biased_cases_meet_a_dense_in_plane_grid(self):
-        # 720 angles over half a turn, both assignments, each solved at 1e-8
+        # 720 angles over half a turn, both assignments, each in closed form
         tol = 1e-6
         scan = qubit_random_povm_check(12, 3, tol)
         cases = zip(scan.records, scan.metadata["cases"])
         biased = [(r, c) for r, c in cases if c["kind"] == "biased"]
         assert len(biased) == 4 and not any(r.saturated for r, _ in biased)
-        solve = scenarios._qubit_case_threshold
         for rec, case in biased:
-            r_x, r_z = tuple(case["bloch_x"]), tuple(case["bloch_z"])
-            pair = in_plane_pair(r_x, r_z)[0]
+            coordinates = plane_coordinates(case["bloch_x"], case["bloch_z"])
             grid = min(
                 min(
-                    solve(case["bias_x"], r_x, r_z, u_x, u_z, 1e-8),
-                    solve(case["bias_z"], r_z, r_x, u_z, u_x, 1e-8),
+                    scenarios._qubit_threshold(case["bias_x"], c_x, c_z),
+                    scenarios._qubit_threshold(case["bias_z"], c_z, c_x),
                 )
-                for u_x, u_z in map(pair, np.arange(720) * math.pi / 720)
+                for c_x, c_z in map(coordinates, np.arange(720) * math.pi / 720)
             )
             assert abs(rec.detected - grid) <= 2 * tol, (case, rec.detected, grid)
 
 
 class TestQubitClosedForm:
-    """The closed-form qubit violation agrees with the Born-rule pipeline."""
+    """The closed-form qubit threshold agrees with the Born-rule pipeline on
+    Bob's orthogonal in-plane pairs, for both order assignments."""
+
+    TOL = 1e-10
 
     @staticmethod
     def _cases(rng):
         kinds = ("unbiased-symmetric", "unbiased-asymmetric", "biased", "extremal")
-        for kind in kinds * 8:  # enough extremal draws for a radicand to round below zero
+        for kind in kinds * 100:
             dir_z = scenarios._unit(rng.normal(size=3))
             dir_x = scenarios._unit(rng.normal(size=3))
+            t = rng.uniform(0.0, math.pi)
             if kind == "unbiased-symmetric":
                 len_z = len_x = 1.0
                 bias_z = bias_x = 0.0
@@ -499,32 +522,46 @@ class TestQubitClosedForm:
                 len_z, len_x = rng.uniform(0.55, 0.95, size=2)
                 sign_z, sign_x = rng.choice((-1.0, 1.0), size=2)
                 bias_z, bias_x = sign_z * (1.0 - len_z), sign_x * (1.0 - len_x)
-            u_x = scenarios._unit(rng.normal(size=3))
-            u_z = scenarios._unit(rng.normal(size=3))
-            if kind == "extremal":  # Bob along Alice's x: a radicand is zero at v = 1
-                u_x = scenarios._mirror_y(dir_x)
-            yield kind, bias_z, len_z * dir_z, bias_x, len_x * dir_x, u_x, u_z
+                t = 0.0  # Bob along Alice's x: a radicand is zero at v = 1
+            yield kind, bias_x, len_x * dir_x, bias_z, len_z * dir_z, t
 
-    def test_matches_evaluate_on_depolarized_pipeline(self):
-        rng = np.random.default_rng(2024)
-        worst = {}
-        for kind, bias_z, bloch_z, bias_x, bloch_x, u_x, u_z in self._cases(rng):
-            alice_x, alice_z = qubit_povm(bias_x, bloch_x), qubit_povm(bias_z, bloch_z)
-            bob_x, bob_z = qubit_povm(0.0, u_x), qubit_povm(0.0, u_z)
-            violation = scenarios._qubit_violation(bias_x, bloch_x, bloch_z, u_x, u_z)
-            for v in (0.0, 0.25, 0.6, 0.85, 1.0):
-                pipeline = certify(
-                    depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z, 0.5
-                ).violation
-                # an extremal table at v = 1 has zero entries, where sqrt has an
-                # infinite slope: a rounding of 1e-17 in either computation moves
-                # the max-entropy term by about 1e-8
-                key = "extremal, v = 1" if (kind, v) == ("extremal", 1.0) else kind
-                worst[key] = max(worst.get(key, 0.0), abs(violation(v) - pipeline))
-        at_zero = worst.pop("extremal, v = 1")
-        assert set(worst) == {"unbiased-symmetric", "unbiased-asymmetric", "biased", "extremal"}
-        assert max(worst.values()) <= 1e-12, worst
-        assert at_zero <= 1e-7
+    def check(self, bias_x, bloch_x, bias_z, bloch_z, t):
+        """Both assignments of one case against the pipeline solve at TOL:
+        the closed form lies in [pipeline - TOL, pipeline] and saturates
+        exactly where the pipeline does.  Returns how many saturate."""
+        alice_x, alice_z = qubit_povm(bias_x, bloch_x), qubit_povm(bias_z, bloch_z)
+        bob_x, bob_z = (qubit_povm(0.0, u) for u in in_plane_pair(bloch_x, bloch_z)[0](t))
+        c_x, c_z = plane_coordinates(bloch_x, bloch_z)(t)
+        saturated = 0
+        for bias, c_max, c_min, measurements in (
+            (bias_x, c_x, c_z, (alice_x, alice_z, bob_x, bob_z)),
+            (bias_z, c_z, c_x, (alice_z, alice_x, bob_z, bob_x)),
+        ):
+            pipeline = scenarios._pipeline_threshold(
+                scenarios._pipeline_tables(*measurements), 0.5, self.TOL
+            )
+            closed = scenarios._qubit_threshold(bias, c_max, c_min)
+            assert (closed == 1.0) == pipeline.saturated, (closed, pipeline)
+            assert pipeline.value - self.TOL <= closed <= pipeline.value, (closed, pipeline)
+            saturated += pipeline.saturated
+        return saturated
+
+    def test_matches_the_pipeline_threshold(self):
+        kinds, saturated = Counter(), Counter()
+        for kind, *case in self._cases(np.random.default_rng(2024)):
+            saturated[kind] += self.check(*case)
+            kinds[kind] += 2
+        assert set(kinds) == {"unbiased-symmetric", "unbiased-asymmetric", "biased", "extremal"}
+        assert 0 < sum(saturated.values()) < sum(kinds.values()), saturated
+
+    def test_spurious_root_saturates(self):
+        # squaring twice adds a root below 1 where the criterion detects nothing
+        bias, c_max, c_min = -0.0527, 0.9228, 0.1424
+        quadratic = [c_min**2 * (c_max**2 + c_min**2), -(c_min**2) * (1 + bias**2), bias**2]
+        assert math.sqrt(max(np.roots(quadratic).real)) == pytest.approx(0.9958, abs=1e-4)
+        assert scenarios._qubit_threshold(bias, c_max, c_min) == 1.0
+        # Bob along x and z at t = 0, so the Bloch vectors give c_max and c_min
+        assert self.check(bias, (c_max, 0.0, 0.0), 0.3, (0.0, 0.0, c_min), 0.0) == 2
 
 
 def in_plane_pair(bloch_x, bloch_z):
@@ -556,13 +593,27 @@ def searched_qubit_cases(n):
         yield args, [in_plane_pair(*args[1:])[1] + 0.25]
 
 
-def qubit_objective(bias_x, bloch_x, bloch_z, tol=2.5e-5):
-    """The search's objective, max-entropy on x, over the angle of Bob's
-    in-plane orthogonal pair."""
+def plane_coordinates(bloch_x, bloch_z):
+    """c_x and c_z of ``in_plane_pair``'s Bob pair at angle t: each Bloch
+    vector dotted with Bob's direction for its setting, read through the y
+    mirror."""
     pair = in_plane_pair(bloch_x, bloch_z)[0]
 
+    def coordinates(t):
+        return tuple(
+            float(np.dot(r, scenarios._mirror_y(u))) for r, u in zip((bloch_x, bloch_z), pair(t))
+        )
+
+    return coordinates
+
+
+def qubit_objective(bias_x, bloch_x, bloch_z):
+    """The search's objective, max-entropy on x, over the angle of Bob's
+    in-plane orthogonal pair."""
+    coordinates = plane_coordinates(bloch_x, bloch_z)
+
     def objective(t, cutoff):
-        return scenarios._qubit_case_threshold(bias_x, bloch_x, bloch_z, *pair(t[0]), tol, cutoff)
+        return scenarios._qubit_threshold(bias_x, *coordinates(t[0]))
 
     return objective
 
@@ -589,39 +640,6 @@ class TestPrunedSearch:
                 assert value >= cutoff, (cutoff, value, full)
                 pruned += value != full
         return pruned
-
-    def test_qubit_solve_prunes_only_at_or_above_the_cutoff(self):
-        kinds, pruned = Counter(), 0
-        for kind, _, bloch_z, bias_x, bloch_x, u_x, u_z in TestQubitClosedForm._cases(
-            np.random.default_rng(5)
-        ):
-            alice = (float(bias_x), tuple(map(float, bloch_x)), tuple(map(float, bloch_z)))
-            bob = (tuple(map(float, u_x)), tuple(map(float, u_z)))
-            pruned += self.check_cutoffs(
-                lambda c: scenarios._qubit_case_threshold(*alice, *bob, 1e-6, c)
-            )
-            kinds[kind] += 1
-        assert set(kinds) == {"unbiased-symmetric", "unbiased-asymmetric", "biased", "extremal"}
-        assert pruned > 0
-
-    def test_qubit_search_path_unchanged(self, monkeypatch):
-        solves = Counter()
-
-        def counted(*args):
-            solves[mode] += 1
-            return bisect_threshold(*args)
-
-        monkeypatch.setattr(scenarios, "bisect_threshold", counted)
-        for args, start in searched_qubit_cases(3):
-            objective = qubit_objective(*args)
-            mode = "pruned"
-            pruned = scenarios._coordinate_search(objective, start, ftol=5e-5)
-            mode = "full"
-            full = scenarios._coordinate_search(
-                lambda x, cutoff: objective(x, math.inf), start, ftol=5e-5
-            )
-            assert pruned == full
-        assert solves["pruned"] < solves["full"] / 2
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, math.inf])
     def test_pipeline_solve_prunes_only_at_or_above_the_cutoff(self, alpha):
