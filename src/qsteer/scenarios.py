@@ -203,7 +203,9 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
     comes from pipeline bisection at alpha = 1/2 and the exact one from the
     closed-form qubit boundary; the scan also verifies the conditional
     probabilities (1 +- v cos theta)/2 before trusting its own statistics.
+    ``tol`` is checked before any work, so also for an empty grid.
     """
+    tol = check_tolerance(tol)
     thetas = [float(t) for t in theta_grid]
     for t in thetas:
         if not 0.0 <= t < math.pi / 4.0:
@@ -398,7 +400,9 @@ def d3_family_scan(
     here and stay unset.  ``refine_bob`` additionally searches small unitary
     perturbations of Bob's bases for a lower detected threshold, from two
     starts: Bob's ideal bases and one fixed small perturbation of them.
+    ``tol`` is checked before any work, so also for an empty grid.
     """
+    tol = check_tolerance(tol)
     ts = sorted(float(t) for t in t_grid)
     bases = [rotated_d3_bases(t) for t in ts]  # checks every t before a solve
     rows = []
@@ -476,14 +480,18 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
 
     ``n_models`` is the total number of models, split evenly over the
     dimensions ``LHS_DIMS`` (the first takes the remainder; the report's
-    ``dims`` are those that received one); every model is tested against
-    every entropy order of ``LHS_ALPHAS`` and two projective measurement
-    pairs for Bob, with one ``steering_lhs`` call per order on the stacked
-    tables of all models.  Statistics from any such model satisfy the
-    inequality, so the maximum observed violation must stay at floating-point
-    scale; anything larger falsifies the implementation.  ``worst_case`` is
-    the first maximum over (d, model, Bob pair, order).  Fully deterministic
-    in ``seed``.
+    ``dims`` are those that received one); model i of a dimension has
+    ``LHS_N_LAMBDAS[i % 4]`` hidden states and its own seed, drawn from
+    ``seed``.  Every model is tested against every entropy order of
+    ``LHS_ALPHAS`` and two projective measurement pairs for Bob.  The models
+    of one dimension and hidden-variable count are sampled as one stack by
+    one ``sample_lhs_model`` call and contracted by one ``lhs_statistics``
+    call per Bob pair; their tables fill one (count, n_b, n_a) stack in model
+    order, with one ``steering_lhs`` call per order.  Statistics from any
+    such model satisfy the inequality, so the maximum observed violation must
+    stay at floating-point scale; anything larger falsifies the
+    implementation.  ``worst_case`` is the first maximum over (d, model, Bob
+    pair, order).  Fully deterministic in ``seed``.
     """
     n_models, seed = check_int(n_models, 1, "n_models"), check_int(seed, 0, "seed")
     master = np.random.default_rng(seed)
@@ -493,18 +501,20 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     per_dim = [n_models // len(LHS_DIMS)] * len(LHS_DIMS)
     per_dim[0] += n_models - sum(per_dim)
     shares = [(d, count) for d, count in zip(LHS_DIMS, per_dim) if count]
+    cycle = len(LHS_N_LAMBDAS)
     for d, count in shares:
         pairs = _bob_pairs(d)
         model_seeds = master.integers(0, 2**63 - 1, size=count)
-        models = [
-            steering.sample_lhs_model(int(s), d, LHS_N_LAMBDAS[i % len(LHS_N_LAMBDAS)])
-            for i, s in enumerate(model_seeds)
-        ]
+        # model i sits in stack i % cycle, of LHS_N_LAMBDAS[i % cycle] states each;
+        # ``order`` puts the stacks' concatenated tables back in model order
+        groups = range(min(count, cycle))
+        stacks = [steering.sample_lhs_model(model_seeds[g::cycle], d, LHS_N_LAMBDAS[g]) for g in groups]
+        order = np.argsort(np.concatenate([np.arange(g, count, cycle) for g in groups]))
         violations = np.empty((count, len(pairs), len(LHS_ALPHAS)))  # worst_case's order
         for k, (_, bx, bz) in enumerate(pairs):
             bound = steering.overlap_bound(bx, bz)
-            stats = [steering.lhs_statistics(model, bx, bz) for model in models]
-            jx, jz = (JointDistribution(np.stack([t[j].table for t in stats])) for j in (0, 1))
+            stats = [steering.lhs_statistics(stack, bx, bz) for stack in stacks]
+            jx, jz = (JointDistribution(np.concatenate([s[j].table for s in stats])[order]) for j in (0, 1))
             for a, alpha in enumerate(LHS_ALPHAS):
                 violations[:, k, a] = bound - steering.steering_lhs(jx, jz, alpha)
         n_evals += violations.size
@@ -515,7 +525,7 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
                 "d": d,
                 "model_index": int(index),
                 "model_seed": int(model_seeds[index]),
-                "n_lambda": models[index].n_lambda,
+                "n_lambda": LHS_N_LAMBDAS[index % cycle],
                 "alpha": LHS_ALPHAS[a],
                 "bob_pair": pairs[k][0],
             }

@@ -11,8 +11,11 @@ measurements on the maximally entangled state (``born_statistics``), or those
 of a local-hidden-state model (``lhs_statistics``).  A positive violation
 (bound minus left-hand side) certifies steering; statistics produced by any
 local-hidden-state model can never violate it.  Bob's effects (``Povm.effects``)
-and a model's hidden states arrive as validated read-only (n, d, d) stacks and
-are contracted as they are; ``steering_lhs`` also takes stacks of tables.
+and a model's hidden states arrive as validated read-only stacks and are
+contracted as they are.  An ``LhsModel`` may itself be a stack of models with
+a common hidden-variable count: ``sample_lhs_model`` draws one from a sequence
+of seeds, one ``default_rng`` stream per seed, and ``lhs_statistics`` turns
+it into one stack of tables; ``steering_lhs`` takes stacks of tables.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 
 from .entropy import (
     JointDistribution,
-    as_distribution,
     check_probabilities,
     conditional_renyi,
     dual_order,
@@ -119,13 +121,15 @@ def evaluate(
 
 @dataclass(frozen=True)
 class LhsModel:
-    """Local-hidden-state model: weights, Bob's states, Alice's responses.
+    """Local-hidden-state model: weights, Bob's states, Alice's responses;
+    or a stack of such models with one leading shape ``...``.
 
-    ``hidden_states`` is one :class:`DensityMatrix` holding the stack of
-    Bob's states sigma_l, shape (n_lambda, d, d), one per weight.
-    ``responses`` is a read-only mapping; ``responses[label]``, for each label
-    of ``MEASUREMENT_LABELS`` and no other, is a read-only array of shape
-    (n_lambda, n_outcomes), n_outcomes >= 1: the distribution of Alice's
+    ``weights`` has shape (..., n_lambda), one distribution per model.
+    ``hidden_states`` is one :class:`DensityMatrix` holding Bob's states
+    sigma_l, shape (..., n_lambda, d, d), one per weight.  ``responses`` is a
+    read-only mapping; ``responses[label]``, for each label of
+    ``MEASUREMENT_LABELS`` and no other, is a read-only array of shape
+    (..., n_lambda, n_outcomes), n_outcomes >= 1: the distribution of Alice's
     announced outcome for each hidden variable.  Weights and every response
     row are validated and clamped like joint tables, by ``check_probabilities``.
     """
@@ -135,72 +139,103 @@ class LhsModel:
     responses: Mapping[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        w = as_distribution(self.weights)
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim == 0 or w.size == 0:
+            raise ValueError("weights must be a nonempty distribution or stack of them")
+        w = check_probabilities(w, "distribution", -1)
         object.__setattr__(self, "weights", w)
+        shape = ", ".join(map(str, w.shape))  # "n" for one model, "m, n" for a stack
         states = self.hidden_states
-        if not isinstance(states, DensityMatrix) or states.matrix.shape[:-2] != (w.size,):
-            raise ValueError(f"hidden states must be a DensityMatrix of shape ({w.size}, d, d)")
+        if not isinstance(states, DensityMatrix) or states.matrix.shape[:-2] != w.shape:
+            raise ValueError(f"hidden states must be a DensityMatrix of shape ({shape}, d, d)")
         odd = sorted(set(self.responses) ^ set(MEASUREMENT_LABELS))
         if odd:
             raise ValueError(f"response map {odd[0]!r} is missing or unknown")
         responses = {}
         for label, resp in self.responses.items():
             r = np.asarray(resp, dtype=float)
-            if r.ndim != 2 or r.shape[0] != w.size or r.shape[1] == 0:
+            if r.shape[:-1] != w.shape or r.shape[-1] == 0:
                 raise ValueError(
-                    f"response map {label!r} must have shape ({w.size}, k), k >= 1, got {r.shape}"
+                    f"response map {label!r} must have shape ({shape}, k), k >= 1, got {r.shape}"
                 )
-            responses[label] = check_probabilities(r, f"response map {label!r}", 1)
+            responses[label] = check_probabilities(r, f"response map {label!r}", -1)
         object.__setattr__(self, "responses", MappingProxyType(responses))
 
     @property
     def n_lambda(self) -> int:
-        return self.weights.size
+        return self.weights.shape[-1]
 
     @property
     def dim(self) -> int:
         return self.hidden_states.dim
 
 
-def _flat_dirichlet(rng: np.random.Generator, shape) -> np.ndarray:
-    """``rng.dirichlet(np.ones(k), size)`` bit for bit, by its own recipe of
-    exponentials over their running sum, without its per-call checks."""
-    e = rng.standard_exponential(shape)
+def _flat_dirichlet(e: np.ndarray) -> np.ndarray:
+    """``rng.dirichlet(np.ones(k), size)`` bit for bit from its standard
+    exponentials ``e``, by its own recipe of ``e`` over the running sum of
+    each row, without its per-call checks.  The sum runs along each row
+    alone, so a stack of rows normalises as each row would on its own."""
     return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
 
 
-def sample_lhs_model(rng_seed: int, d: int, n_lambda: int) -> LhsModel:
-    """Draw a random local-hidden-state model, deterministic in the seed.
+def _draws(seed: int, d: int, n_lambda: int) -> tuple:
+    """One model's standard exponentials and Gaussians, in the order of its
+    own stream: the weights, then state by state 2d mixing exponentials and
+    (2d, 2, d) Gaussians, then the response rows for x and for z."""
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_exponential(n_lambda)
+    states = [(rng.standard_exponential(2 * d), rng.normal(size=(2 * d, 2, d))) for _ in range(n_lambda)]
+    mix, gauss = zip(*states)
+    return weights, mix, gauss, rng.standard_exponential((len(MEASUREMENT_LABELS), n_lambda, d))
 
+
+def sample_lhs_model(rng_seed, d: int, n_lambda: int) -> LhsModel:
+    """Draw a random local-hidden-state model, deterministic in the seed; or,
+    for a 1-d sequence of seeds, the stack of those models, leading shape (m,).
+
+    Each seed has its own ``default_rng(seed)`` stream, read as ``_draws``
+    says, so a model of a stack is bit for bit the model of its seed alone.
     Each hidden state mixes 2d Haar-like pure states (normalized complex
-    Gaussians) with Dirichlet weights, drawn state by state; the states are
-    summed and validated as one (n_lambda, d, d) stack.
+    Gaussians) with Dirichlet weights; the raw draws of all models are
+    stacked first, then the states of every model are summed and validated
+    at once.  A single seed is the stack of one, indexed before validation.
     """
     d, n_lambda = check_int(d, 2, "dimension"), check_int(n_lambda, 1, "n_lambda")
-    rng = np.random.default_rng(check_int(rng_seed, 0, "seed"))
-    weights = _flat_dirichlet(rng, n_lambda)
-    draws = [(_flat_dirichlet(rng, 2 * d), rng.normal(size=(2 * d, 2, d))) for _ in range(n_lambda)]
-    mix, gauss = (np.array(a) for a in zip(*draws))
+    shape = np.shape(rng_seed)
+    if len(shape) > 1 or shape == (0,):
+        raise ValueError(f"seeds must be one integer or a nonempty 1-d sequence, got shape {shape}")
+    seeds = [check_int(s, 0, "seed") for s in (rng_seed if shape else [rng_seed])]
+    weights, mix, gauss, responses = (np.array(a) for a in zip(*(_draws(s, d, n_lambda) for s in seeds)))
+    weights, mix, responses = (_flat_dirichlet(e) for e in (weights, mix, responses))
     psi = gauss[..., 0, :] + 1j * gauss[..., 1, :]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    # sigma_l = sum_k mix_lk |psi_lk><psi_lk| for every l at once
-    states = DensityMatrix(np.swapaxes(psi * mix[..., None], -1, -2) @ psi.conj())
-    responses = {
-        label: _flat_dirichlet(rng, (n_lambda, d))
-        for label in MEASUREMENT_LABELS
-    }
-    return LhsModel(weights=weights, hidden_states=states, responses=responses)
+    # sigma_l = sum_k mix_lk |psi_lk><psi_lk| for every model and l at once
+    states = np.swapaxes(psi * mix[..., None], -1, -2) @ psi.conj()
+    if not shape:  # one seed: index the stack of one
+        weights, states, responses = weights[0], states[0], responses[0]
+    return LhsModel(
+        weights=weights,
+        hidden_states=DensityMatrix(states),
+        responses=dict(zip(MEASUREMENT_LABELS, np.moveaxis(responses, -3, 0))),
+    )
 
 
 def lhs_statistics(
     model: LhsModel, bob_x: Povm, bob_z: Povm
 ) -> tuple[JointDistribution, JointDistribution]:
-    """Observable tables p(b, a) = sum_l p(l) resp(a|l) tr[F_b sigma_l]."""
+    """Observable tables p(b, a) = sum_l p(l) resp(a|l) tr[F_b sigma_l], of
+    shape (..., n_b, n_a) for a model stack of leading shape ``...``.
+
+    The trace is one product over the flattened (i, j) index, summed in one
+    order whatever the stack, so a stack's tables are bit for bit those of
+    each of its models alone."""
     if bob_x.dim != model.dim or bob_z.dim != model.dim:
         raise ValueError("Bob's measurements do not match the model dimension")
     sigmas = model.hidden_states.matrix
+    sigma_t = np.swapaxes(sigmas, -1, -2).reshape(sigmas.shape[:-2] + (-1,))
     joints = []
     for label, bob in zip(MEASUREMENT_LABELS, (bob_x, bob_z)):
-        born = np.einsum("bij,lji->bl", bob.effects, sigmas).real  # tr[F_b sigma_l]
-        joints.append(JointDistribution((born * model.weights) @ model.responses[label]))
+        # tr[F_b sigma_l] = sum_ij F_b[i, j] sigma_l[j, i]
+        born = np.einsum("bk,...lk->...bl", bob.effects.reshape(bob.n_outcomes, -1), sigma_t).real
+        joints.append(JointDistribution((born * model.weights[..., None, :]) @ model.responses[label]))
     return joints[0], joints[1]

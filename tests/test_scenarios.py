@@ -196,6 +196,17 @@ def test_qubit_check_rejects_a_bad_tolerance_before_the_search(tol, monkeypatch)
         qubit_random_povm_check(3, 1, tol=tol)
 
 
+@pytest.mark.parametrize(
+    "scan, tol",
+    [(qubit_angle_scan, -1), (qubit_angle_scan, 1.0), (d3_family_scan, math.nan), (d3_family_scan, 0.0)],
+)
+def test_scans_reject_a_bad_tolerance_on_an_empty_grid(scan, tol):
+    # no solve runs on an empty grid, so the scan itself checks the tolerance
+    with pytest.raises(ValueError, match=re.escape(f"tolerance must lie in (0, 1), got {tol!r}")):
+        scan([], tol=tol)
+    assert scan([], tol=1e-3).metadata["tol"] == 1e-3
+
+
 def test_scan_records_must_be_sorted_by_parameter():
     records = [ThresholdRecord(parameter=p, detected=0.8) for p in (1.0, 0.0)]
     with pytest.raises(ValueError, match="scan records must be sorted by parameter"):
@@ -761,6 +772,20 @@ class TestLhsFalsification:
         assert report.n_evaluations == n_evals
         assert report.worst_case == worst
         assert abs(report.max_violation - max_violation) <= 1e-12
+
+    def test_one_sample_and_statistics_call_per_hidden_variable_count(self, monkeypatch):
+        calls = Counter()
+        for name in ("sample_lhs_model", "lhs_statistics"):
+            def counted(*args, _name=name, _fn=getattr(steering, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(steering, name, counted)
+        lhs_falsification_suite(seed=5, n_models=40)  # 20 models a dimension, 4 counts, 2 Bob pairs
+        assert calls == {"sample_lhs_model": 8, "lhs_statistics": 16}
+        calls.clear()
+        lhs_falsification_suite(seed=5, n_models=3)  # 2 models in d = 2, 1 in d = 3
+        assert calls == {"sample_lhs_model": 3, "lhs_statistics": 6}
 
     def test_dims_lists_only_dimensions_with_models(self):
         assert lhs_falsification_suite(seed=1, n_models=1).dims == (2,)

@@ -220,16 +220,70 @@ class TestLhsModel:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_same_draws_as_the_per_state_sampler(self, d):
         # one normal(size=(2d, 2, d)) call per state reads the stream exactly
-        # as 2d pairs of normal(size=d) calls did
-        for seed in range(12):
-            for n_lambda in (1, 2, 3, 4, 8):
-                model = sample_lhs_model(seed * 1009 + d, d, n_lambda)
-                weights, states, responses = parent_sample_lhs_model(seed * 1009 + d, d, n_lambda)
+        # as 2d pairs of normal(size=d) calls did; each seed of a stack keeps
+        # its own stream, so the stack holds its models bit for bit
+        seeds = [seed * 1009 + d for seed in range(12)]
+        for n_lambda in (1, 2, 3, 4, 8):
+            stack = sample_lhs_model(seeds, d, n_lambda)
+            assert stack.weights.shape == (12, n_lambda)
+            assert stack.hidden_states.matrix.shape == (12, n_lambda, d, d)
+            assert (stack.n_lambda, stack.dim) == (n_lambda, d)
+            for i, seed in enumerate(seeds):
+                model = sample_lhs_model(seed, d, n_lambda)
+                weights, states, responses = parent_sample_lhs_model(seed, d, n_lambda)
                 assert np.array_equal(model.weights, weights)
+                assert np.array_equal(stack.weights[i], weights)
                 for label in responses:
                     assert np.array_equal(model.responses[label], responses[label])
+                    assert np.array_equal(stack.responses[label][i], responses[label])
                 assert model.hidden_states.matrix.shape == (n_lambda, d, d)
                 assert np.abs(model.hidden_states.matrix - states).max() <= 1e-14
+                assert np.array_equal(stack.hidden_states.matrix[i], model.hidden_states.matrix)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_statistics_are_each_models_own(self, d):
+        rng = np.random.default_rng(d)
+        comp, four = mub_pair(d)
+        pairs = [(four, comp), (Povm.from_basis(random_unitary(rng, d)), comp)]
+        if d == 2:
+            pairs.append((qubit_povm(0.0, (math.sin(math.pi / 3), 0, math.cos(math.pi / 3))), comp))
+        for n_lambda in (1, 2, 3, 4, 8):
+            seeds = list(range(40 * n_lambda, 40 * n_lambda + 40))
+            stack = sample_lhs_model(seeds, d, n_lambda)
+            for bx, bz in pairs:
+                jx, jz = lhs_statistics(stack, bx, bz)
+                assert jx.table.shape == jz.table.shape == (40, d, d)
+                for i, seed in enumerate(seeds):
+                    one_x, one_z = lhs_statistics(sample_lhs_model(seed, d, n_lambda), bx, bz)
+                    assert np.array_equal(jx.table[i], one_x.table)
+                    assert np.array_equal(jz.table[i], one_z.table)
+
+    def test_stack_axes_must_agree(self):
+        stack = sample_lhs_model([3, 4, 5, 6], 2, 3)
+        w, sigma, resp = stack.weights, stack.hidden_states.matrix, dict(stack.responses)
+        assert LhsModel(w, stack.hidden_states, resp).weights.shape == (4, 3)
+        with pytest.raises(ValueError, match=r"DensityMatrix of shape \(4, 3, d, d\)"):
+            LhsModel(w, DensityMatrix(sigma[:3]), resp)
+        with pytest.raises(ValueError, match=r"DensityMatrix of shape \(4, 3, d, d\)"):
+            LhsModel(w, DensityMatrix(sigma[:, :2]), resp)
+        with pytest.raises(ValueError, match=r"DensityMatrix of shape \(3, 3, d, d\)"):
+            LhsModel(w[:3], stack.hidden_states, resp)
+        for bad in (resp["x"][:3], resp["x"][:, :2], resp["x"][0]):
+            with pytest.raises(ValueError, match=r"response map 'x' must have shape \(4, 3, k\)"):
+                LhsModel(w, stack.hidden_states, {"x": bad, "z": resp["z"]})
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ([], r"nonempty 1-d sequence, got shape \(0,\)"),
+            ([[1, 2]], r"nonempty 1-d sequence, got shape \(1, 2\)"),
+            ([1, -2], "seed must be an integer of at least 0, got -2"),
+            ([1, 2.5], "seed must be an integer of at least 0, got 2.5"),
+        ],
+    )
+    def test_malformed_seed_sequences_rejected(self, seeds, message):
+        with pytest.raises(ValueError, match=message):
+            sample_lhs_model(seeds, 2, 2)
 
     def test_invariants_hold_for_samples(self):
         for seed in range(20):
