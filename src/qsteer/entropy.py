@@ -52,6 +52,16 @@ def check_probabilities(arr: np.ndarray, noun: str, axis) -> np.ndarray:
     return arr
 
 
+def check_visibility(v, name: str):
+    """The visibility rule: ``v`` as a float or float array, or a ValueError naming
+    ``name`` and the value unless all of it lies in [0, 1] (NaN does not)."""
+    v = v.astype(float, copy=False) if isinstance(v, np.ndarray) else float(v)
+    low, high = (v, v) if isinstance(v, float) else (float(v.min()), float(v.max()))  # both keep NaN
+    if not (0.0 <= low and high <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {(high if low >= 0.0 else low)!r}")
+    return v
+
+
 def as_distribution(probs) -> np.ndarray:
     """``probs`` as a read-only 1-d array, checked and clamped by ``check_probabilities``."""
     p = np.asarray(probs, dtype=float)
@@ -66,7 +76,8 @@ class JointDistribution:
     Entries may carry tiny negative noise from Born-rule arithmetic;
     ``check_probabilities`` clamps it, rejects larger negativity and checks
     that each table sums to one.  Conditioning acts on the second axis.  The
-    array is stored read-only.
+    array is stored read-only and checked once: the transpose or a convex mixture
+    of checked tables (``swapped``, ``mixture``) is nonnegative with unit sums.
     """
 
     __slots__ = ("table",)
@@ -77,9 +88,26 @@ class JointDistribution:
             raise ValueError("a joint distribution must be a nonempty 2-d table or stack")
         self.table = check_probabilities(arr, "joint table", (-2, -1))
 
+    @classmethod
+    def _valid(cls, table: np.ndarray) -> "JointDistribution":
+        """``table``, valid by how it was made, stored read-only unchecked."""
+        joint = object.__new__(cls)
+        joint.table = table
+        table.setflags(write=False)
+        return joint
+
+    @classmethod
+    def mixture(cls, one: "JointDistribution", zero: "JointDistribution", w) -> "JointDistribution":
+        """``w * one + (1 - w) * zero``, or the stack of them for an array of weights."""
+        if one.table.shape != zero.table.shape:
+            raise ValueError(f"cannot mix tables of shapes {one.table.shape} and {zero.table.shape}")
+        w = check_visibility(w, "mixture weight")
+        w = w.reshape(w.shape + (1,) * one.table.ndim) if isinstance(w, np.ndarray) else w
+        return cls._valid(w * one.table + (1.0 - w) * zero.table)
+
     def swapped(self) -> "JointDistribution":
         """The same joint with the roles of the two variables exchanged."""
-        return JointDistribution(self.table.swapaxes(-1, -2))
+        return JointDistribution._valid(self.table.swapaxes(-1, -2))
 
     def __repr__(self) -> str:
         return f"JointDistribution(shape={self.table.shape})"

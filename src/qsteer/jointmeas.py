@@ -14,7 +14,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .qobj import check_int, check_tolerance, check_visibility
+from .entropy import check_visibility
+from .qobj import check_int, check_tolerance
 
 
 class ThresholdSolution(NamedTuple):
@@ -54,48 +55,45 @@ class ThresholdRecord:
             object.__setattr__(self, "gap", gap)
 
 
-def _midpoints(a: float, b: float, levels: int) -> list[float]:
-    """The 2^levels - 1 midpoints that ``levels`` halvings of [a, b] can visit."""
-    if levels == 0:
-        return []
-    mid = 0.5 * (a + b)
-    return [mid, *_midpoints(a, mid, levels - 1), *_midpoints(mid, b, levels - 1)]
-
-
 def bisect_threshold(pred: Callable, tol: float, levels: int = 1) -> ThresholdSolution:
     """Switching point of a predicate that is False below it on [0, 1] and
     True above it.
 
-    ``pred(1)`` and ``pred(0)`` are evaluated once each.  If ``pred(1)`` is
-    False the answer saturates to ``(1.0, True)``; if ``pred(0)`` is True it
-    saturates to ``(0.0, True)``.  Otherwise the bracket is halved until it
-    is narrower than ``tol``, or its ends are adjacent doubles, and its True
-    end is returned, the side that never undershoots the boundary; ``tol``
-    must lie in (0, 1).  With ``levels`` = k > 1, one call of ``pred`` on an
-    array answers the 2^k - 1 midpoints, 0.5 * (a + b) recursively, that the
-    next k halvings can visit, one bool each; so the walk returns the
-    one-level solution if ``pred`` answers an array as it answers each float.
-    Monotonicity is the caller's responsibility.
+    ``pred(1.0)`` comes first; if it is False the answer saturates to
+    ``(1.0, True)``, and if ``pred`` is True at 0 to ``(0.0, True)``.
+    Otherwise the bracket is halved until it is narrower than ``tol``, or its
+    ends are adjacent doubles, and its True end is returned, the side that
+    never undershoots the boundary; ``tol`` must lie in (0, 1).  With
+    ``levels`` = k > 1 one call of ``pred`` on an array answers the grid
+    a + (b - a) j / 2^k of the bracket [a, b], one bool each: j = 0 .. 2^k - 1
+    on [0, 1] first, v = 0 included, then j = 1 .. 2^k - 1 every k halvings.
+    Dyadic brackets make each grid point a halving visits its midpoint
+    0.5 * (a + b) exactly, so the walk returns the one-level solution if
+    ``pred`` answers an array as it answers each float.  Monotonicity is the
+    caller's responsibility.
     """
     tol = check_tolerance(tol)
     levels = check_int(levels, 1, "levels")
     if not pred(1.0):
         return ThresholdSolution(1.0, saturated=True)
-    if pred(0.0):
+    cells = 2**levels
+    answers = [pred(0.0)] if levels == 1 else pred(np.arange(cells) / cells)
+    if answers[0]:
         return ThresholdSolution(0.0, saturated=True)
-    a, b = 0.0, 1.0
-    answers = {}
+    a, b, lo, hi = 0.0, 1.0, 0, cells  # a and b at indices lo and hi of answers
     while b - a > tol:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:  # tol is below the float spacing here
             break
-        if levels > 1 and mid not in answers:
-            points = _midpoints(a, b, levels)
-            answers = dict(zip(points, pred(np.array(points))))
-        if pred(mid) if levels == 1 else answers[mid]:
-            b = mid
+        if levels == 1:
+            detected = pred(mid)
         else:
-            a = mid
+            if hi - lo == 1:  # [a, b] is one cell of the last grid; answers[j] is point j + 1
+                answers, lo, hi = pred(a + (b - a) * np.arange(1, cells) / cells), -1, cells - 1
+            j = (lo + hi) // 2
+            detected = answers[j]
+            lo, hi = (lo, j) if detected else (j, hi)
+        a, b = (a, mid) if detected else (mid, b)
     return ThresholdSolution(b)
 
 

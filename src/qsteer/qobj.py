@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .entropy import JointDistribution
+from .entropy import JointDistribution, check_visibility
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -49,15 +49,6 @@ def check_int(value, least: int, name: str) -> int:
     if not valid:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)
-
-
-def check_visibility(v: float, name: str) -> float:
-    """The visibility rule: ``v`` as a float, or a ValueError naming ``name``
-    and the value unless it lies in [0, 1] (NaN does not)."""
-    v = float(v)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-    return v
 
 
 def check_tolerance(tol: float) -> float:

@@ -112,16 +112,15 @@ def _pipeline_threshold(
     ``depolarize`` is affine in v and the Born rule linear, so the tables are
     T(v) = v T(1) + (1 - v) T(0): a solver call mixes the precomputed
     ``tables`` at one visibility or a stack of them and makes one
-    ``steering.evaluate``.  A stack covers k <= 5 bisection levels in 2^k - 1
-    tables of 4096 entries in all at most (k = 5 to d = 11, 1 from d = 37):
-    numpy sums larger stacks in another order than it sums single tables."""
+    ``steering.evaluate``.  A stack covers k <= 5 bisection levels in at most
+    2^k tables, 2^k n <= 4096 for tables of n entries (k = 5 to d = 11, 1 from
+    d = 33): numpy sums larger stacks in another order than it sums single tables."""
     t1, t0, bound = tables
     n = max(t.table.size for t in t1)
-    levels = max(1, min(5, int(math.log2(4096 // n + 1))))
+    levels = max(1, min(5, (4096 // n).bit_length() - 1))
 
     def detects(v):
-        w = v[:, None, None] if isinstance(v, np.ndarray) else v
-        jx, jz = (JointDistribution(w * a.table + (1.0 - w) * b.table) for a, b in zip(t1, t0))
+        jx, jz = (JointDistribution.mixture(a, b, v) for a, b in zip(t1, t0))
         return steering.evaluate(jx, jz, bound, alpha).detected
 
     return _solve_below(detects, tol, cutoff, levels)

@@ -84,8 +84,10 @@ def steering_lhs(jx: JointDistribution, jz: JointDistribution, alpha: float):
     """Left-hand side H_a(X_B|X_A) + H_b(Z_B|Z_A) with b the dual order.
 
     Both tables carry Bob's outcome on the first axis and Alice's on the
-    second (the conditioning side); stacks of tables give one value per pair.
+    second (the conditioning side); two stacks of one shape give one value per pair.
     """
+    if jx.table.shape[:-2] != jz.table.shape[:-2]:
+        raise ValueError(f"cannot pair x and z stacks of shapes {jx.table.shape[:-2]} and {jz.table.shape[:-2]}")
     beta = dual_order(alpha)
     return conditional_renyi(jx, alpha) + conditional_renyi(jz, beta)
 
@@ -106,9 +108,11 @@ def evaluate(
     """Steering test of Bob-first tables, from ``born_statistics`` or ``lhs_statistics``.
 
     ``bound`` is ``overlap_bound(bob_x, bob_z)``: it depends on Bob's
-    measurements only (Alice's devices stay uncharacterized).  Stacks of
-    tables give one certificate whose values are arrays, one per pair.
+    measurements only (Alice's devices stay uncharacterized); a finite one of
+    at least 0.  Stacks of tables give one certificate whose values are arrays.
     """
+    if not 0.0 <= bound < np.inf:  # also rejects NaN
+        raise ValueError(f"bound must be finite and nonnegative, got {bound!r}")
     lhs = steering_lhs(jx, jz, alpha)
     return SteeringCertificate(
         lhs=lhs,

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsteer import scenarios
 from qsteer.entropy import (
     ALPHA_ONE_WINDOW,
     JointDistribution,
@@ -400,6 +402,15 @@ class TestJointDistribution:
         j = JointDistribution([[0.1, 0.2], [0.3, 0.4]])
         assert np.array_equal(j.swapped().table, j.table.T)
 
+    def test_swapped_is_bit_equal_and_read_only(self):
+        # a transpose of a checked table is not checked again
+        j = JointDistribution(np.random.default_rng(3).dirichlet(np.ones(12)).reshape(3, 4))
+        s = j.swapped()
+        assert s.table.tobytes() == JointDistribution(j.table.T).table.tobytes()
+        assert s.table.shape == (4, 3) and not s.table.flags.writeable
+        with pytest.raises(ValueError):
+            s.table[0, 0] = 1.0
+
     def test_each_table_of_a_stack_must_sum_to_one(self):
         # the stack's mean total is one, so a whole-stack check would pass it
         stack = np.stack([np.full((2, 2), 0.275), np.full((2, 2), 0.225)])
@@ -424,3 +435,44 @@ class TestJointDistribution:
         j = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
         with pytest.raises(ValueError):
             j.table[0, 0] = 1.0
+
+
+class TestMixture:
+    """``JointDistribution.mixture`` builds the checked constructor's tables
+    without a second check, and checks what it mixes instead."""
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_equals_the_checked_mixture_bit_for_bit(self, d):
+        t1, t0, _ = scenarios._mub_tables(d)
+        dyadic = np.arange(32) / 32  # a first stacked call: v = 0 and d = 9's boundary 5/8
+        assert dyadic[0] == 0.0 and 0.625 in dyadic
+        for vs in (dyadic, np.random.default_rng(d).uniform(size=31)):
+            for one, zero in zip(t1, t0):
+                w = vs[:, None, None]
+                stacked = JointDistribution.mixture(one, zero, vs).table
+                assert stacked.tobytes() == JointDistribution(w * one.table + (1.0 - w) * zero.table).table.tobytes()
+                for v in vs.tolist():
+                    single = JointDistribution.mixture(one, zero, v).table
+                    assert single.tobytes() == JointDistribution(v * one.table + (1.0 - v) * zero.table).table.tobytes()
+
+    def test_result_is_read_only(self):
+        one, zero = JointDistribution(np.eye(2) / 2), JointDistribution(np.full((2, 2), 0.25))
+        for w in (0.3, np.array([0.0, 0.3, 1.0])):
+            table = JointDistribution.mixture(one, zero, w).table
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[..., 0, 0] = 1.0
+
+    @pytest.mark.parametrize("w", [-0.1, 1.5, math.nan])
+    def test_weight_outside_unit_interval_rejected(self, w):
+        one, zero = JointDistribution(np.eye(2) / 2), JointDistribution(np.full((2, 2), 0.25))
+        message = re.escape(f"mixture weight must lie in [0, 1], got {w!r}")
+        with pytest.raises(ValueError, match=message):
+            JointDistribution.mixture(one, zero, w)
+        with pytest.raises(ValueError, match=message):
+            JointDistribution.mixture(one, zero, np.array([0.5, w, 0.0]))
+
+    def test_tables_of_unequal_shape_rejected(self):
+        one, zero = JointDistribution(np.eye(2) / 2), JointDistribution(np.full((2, 3), 1 / 6))
+        with pytest.raises(ValueError, match=re.escape("cannot mix tables of shapes (2, 2) and (2, 3)")):
+            JointDistribution.mixture(one, zero, 0.5)

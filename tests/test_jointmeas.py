@@ -105,10 +105,13 @@ class TestBisect:
             return np.asarray(v) >= 0.7
 
         assert bisect_threshold(pred, 1e-20, levels) == (0.7, False)
-        assert calls[:2] == [1.0, 0.0]
+        # v = 1 alone, then the grid of [0, 1] with v = 0 first, then the
+        # inner points of each later bracket's grid
+        assert type(calls[0]) is float and calls[0] == 1.0
+        assert calls[1].tolist() == [j / 2**levels for j in range(2**levels)]
         assert all(np.shape(v) == (2**levels - 1,) for v in calls[2:])
         # the 53 halvings of the one-level walk, levels at a time
-        assert len(calls) == 2 + math.ceil(53 / levels)
+        assert len(calls) == 1 + math.ceil(53 / levels)
 
     @pytest.mark.parametrize("levels", [0, -1, 1.5, "3", None])
     def test_levels_must_be_a_positive_integer(self, levels):

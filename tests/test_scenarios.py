@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qsteer import acceptance, qobj, scenarios, steering
+from qsteer import acceptance, entropy, qobj, scenarios, steering
 from qsteer.entropy import JointDistribution, dual_order
 from qsteer.jointmeas import (
     ThresholdRecord,
@@ -247,12 +247,26 @@ class TestPipelineSolveCost:
         return counts
 
     @pytest.mark.parametrize("d, alpha", [(2, 0.5), (3, 1.0), (5, math.inf), (10, 0.7)])
-    def test_mub_solve_costs_6_stacked_evaluations(self, calls, d, alpha):
-        # v = 1 and v = 0 once each, then the 20 halvings down to 1e-6 as four
-        # calls of five levels, 31 visibilities each
+    def test_mub_solve_costs_5_stacked_evaluations(self, calls, d, alpha):
+        # v = 1 alone, then the 20 halvings down to 1e-6 as four calls of five
+        # levels: 32 visibilities from v = 0 in the first, 31 in each other
         mub_pipeline_threshold(d, alpha, tol=1e-6)
-        assert calls["evaluate"] == 6
+        assert calls["evaluate"] == 5
         assert calls["points"] <= 2 + 4 * 31
+
+    @pytest.mark.parametrize("d, alpha", [(2, 0.5), (7, 1.0), (10, math.inf), (50, 0.5)])
+    def test_solve_checks_4_tables(self, monkeypatch, d, alpha):
+        # the two Born tables and the two v = 0 tables; their transposes and
+        # mixtures are valid by construction and not checked again
+        checks = Counter()
+
+        def counted(*args, _original=entropy.check_probabilities):
+            checks[args[1]] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(entropy, "check_probabilities", counted)
+        mub_pipeline_threshold(d, alpha, tol=1e-6)
+        assert checks == {"joint table": 4}
 
     def test_d50_solve_costs_22_single_evaluations(self, calls):
         # 50 x 50 tables are too large to stack: one visibility per call
@@ -293,9 +307,9 @@ class TestStackedSolves:
     @pytest.mark.parametrize("d", range(2, 11))
     def test_stacked_evaluate_equals_single_tables(self, d):
         t1, t0, bound = scenarios._mub_tables(d)
-        dyadic = np.arange(1, 32) / 32  # a first stacked call; 5/8 is d = 9's exact boundary
-        assert 0.625 in dyadic
-        for vs in (dyadic, np.random.default_rng(d).uniform(size=31)):
+        dyadic = np.arange(32) / 32  # a first stacked call, from v = 0; 5/8 is d = 9's exact boundary
+        assert dyadic[0] == 0.0 and 0.625 in dyadic
+        for vs in (dyadic, dyadic[1:], np.random.default_rng(d).uniform(size=31)):
             w = vs[:, None, None]
             jx, jz = (JointDistribution(w * a.table + (1.0 - w) * b.table) for a, b in zip(t1, t0))
             singles = [

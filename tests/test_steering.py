@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,16 @@ class TestSteeringLhs:
         with pytest.raises(NoDualOrderError):
             steering_lhs(j, j, 0.4)
 
+    @pytest.mark.parametrize("x_stack, z_stack", [((), (3,)), ((3,), ()), ((2,), (3,)), ((2, 3), (3, 2))])
+    def test_stacks_of_different_shapes_rejected(self, x_stack, z_stack):
+        # one table against a stack used to broadcast to the stack's values
+        jx, jz = (JointDistribution(np.full(s + (2, 2), 0.25)) for s in (x_stack, z_stack))
+        message = f"cannot pair x and z stacks of shapes {x_stack} and {z_stack}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            steering_lhs(jx, jz, 0.5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(jx, jz, 1.0, 0.5)
+
 
 class TestEvaluate:
     def test_ideal_mubs_violate_by_one_bit(self):
@@ -143,6 +154,13 @@ class TestEvaluate:
             for bx, bz in ((four, comp), (tilted, comp)):
                 jx, jz = lhs_statistics(model, bx, bz)
                 assert evaluate(jx, jz, overlap_bound(bx, bz), alpha).violation <= 0.0
+
+    @pytest.mark.parametrize("bound", [math.nan, -0.5, math.inf])
+    def test_bound_that_is_nan_negative_or_infinite_rejected(self, bound):
+        # a NaN bound used to give detected=False with a NaN violation
+        j = JointDistribution(np.full((2, 2), 0.25))
+        with pytest.raises(ValueError, match=re.escape(f"bound must be finite and nonnegative, got {bound!r}")):
+            evaluate(j, j, bound, 0.5)
 
     def test_certificate_consistency_bit_for_bit(self):
         comp, four = mub_pair(3)
