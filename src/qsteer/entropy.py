@@ -54,12 +54,19 @@ def check_probabilities(arr: np.ndarray, noun: str, axis) -> np.ndarray:
 
 def check_visibility(v, name: str):
     """The visibility rule: ``v`` as a float or float array, or a ValueError naming
-    ``name`` and the value unless all of it lies in [0, 1] (NaN does not)."""
-    v = v.astype(float, copy=False) if isinstance(v, np.ndarray) else float(v)
-    low, high = (v, v) if isinstance(v, float) else (float(v.min()), float(v.max()))  # both keep NaN
-    if not (0.0 <= low and high <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {(high if low >= 0.0 else low)!r}")
-    return v
+    ``name`` and the value unless all of it lies in [0, 1] (NaN does not); a
+    value that is no real number, such as "0.5", None or 1+0j, gets the same error."""
+    array = isinstance(v, np.ndarray)
+    v = v.astype(float, copy=False) if array else v
+    low, high = (float(v.min()), float(v.max())) if array else (v, v)  # both keep NaN
+    try:
+        valid = 0.0 <= low and high <= 1.0
+        value = float(high if low >= 0.0 else low)  # float(v) for a number v
+    except TypeError:
+        valid, value = False, v
+    if not valid:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return v if array else value
 
 
 def as_distribution(probs) -> np.ndarray:

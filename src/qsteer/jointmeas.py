@@ -66,14 +66,16 @@ def bisect_threshold(pred: Callable, tol: float, levels: int = 1) -> ThresholdSo
     never undershoots the boundary; ``tol`` must lie in (0, 1).  With
     ``levels`` = k > 1 one call of ``pred`` on an array answers the grid
     a + (b - a) j / 2^k of the bracket [a, b], one bool each: j = 0 .. 2^k - 1
-    on [0, 1] first, v = 0 included, then j = 1 .. 2^k - 1 every k halvings.
-    Dyadic brackets make each grid point a halving visits its midpoint
-    0.5 * (a + b) exactly, so the walk returns the one-level solution if
-    ``pred`` answers an array as it answers each float.  Monotonicity is the
+    on [0, 1] first, v = 0 included, then j = 1 .. 2^k - 1 every k halvings
+    (k <= 16).  Dyadic brackets make each grid point a halving visits its
+    midpoint 0.5 * (a + b) exactly, so the walk returns the one-level solution
+    if ``pred`` answers an array as it answers each float.  Monotonicity is the
     caller's responsibility.
     """
     tol = check_tolerance(tol)
     levels = check_int(levels, 1, "levels")
+    if levels > 16:  # a stacked call asks 2^levels points
+        raise ValueError(f"levels must be at most 16, got {levels!r}")
     if not pred(1.0):
         return ThresholdSolution(1.0, saturated=True)
     cells = 2**levels

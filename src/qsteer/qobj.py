@@ -12,8 +12,6 @@ limit is v = 0).
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .config import DEFAULT_TOLS
@@ -200,51 +198,28 @@ def joint_distribution(alice: Povm, bob: Povm) -> JointDistribution:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
-def _d3_rotation_frame() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed data for the d=3 family: (Z basis, relabeled X basis, generator).
-
-    The rotation generator projects onto one vector of a third basis that is
-    mutually unbiased with both the computational and the Fourier basis: the
-    eigenbasis of the Weyl clock-shift product, eigenvalues ordered by phase
-    in [0, 2 pi).  The Fourier-basis columns are relabeled once so that the
-    two rotated bases coincide outcome-by-outcome at t = 1/2.
-    """
-    d = 3
-    comp = np.eye(d, dtype=complex)
-    four = fourier_matrix(d)
-
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)  # |j> -> |j + 1 mod d>
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    evals, evecs = np.linalg.eig(shift @ clock)
-    order = np.argsort(np.angle(evals) % (2.0 * np.pi))
-    first = evecs[:, order[0]]
-    first = first / np.linalg.norm(first)
-    proj = np.outer(first, first.conj())
-
-    def half_turn(sign):
-        return np.eye(d) + (np.exp(sign * 1j * np.pi / d) - 1.0) * proj
-
-    # outcome pairing at the coincidence point t = 1/2
-    overlap = np.abs((half_turn(+1) @ comp).conj().T @ (half_turn(-1) @ four))
-    perm = np.argmax(overlap, axis=1)
-    if sorted(perm) != list(range(d)):
-        raise AssertionError("coincidence pairing is not a permutation")
-    return comp, four[:, perm], proj
+# the family's frame, built once: f, its projector, the relabeled Fourier basis
+_D3_F = np.exp(-2j * np.pi / 3.0 * np.array([0.0, 1.0, 1.0])) / np.sqrt(3.0)
+_D3_PROJ = np.outer(_D3_F, _D3_F.conj())
+_D3_FOURIER = fourier_matrix(3)[:, [0, 2, 1]]
 
 
 def rotated_d3_bases(t: float) -> tuple[Povm, Povm]:
     """The d=3 family interpolating from a MUB pair (t=0) to equal bases (t=1/2).
 
-    Both bases of the Fourier-connected pair are rotated by conjugate phase
-    factors generated by a third-basis projector; their pairwise overlap
-    grows with ``t`` until the bases coincide at t = 1/2.
+    The computational and the Fourier basis are rotated by the conjugate
+    phases I + (e^(+-2 pi i t/3) - 1)|f><f| on f = (1, wbar, wbar)/sqrt(3),
+    wbar = e^(-2 pi i/3): a vector of the third basis unbiased to both
+    (Wootters and Fields, Ann. Phys. 191, 363 (1989)), the eigenvector of
+    least phase in [0, 2 pi) of the Weyl product shift @ clock.  Their
+    pairwise overlap grows with ``t`` until the bases coincide at t = 1/2; the
+    Fourier columns are relabeled 0, 2, 1 so that they coincide there outcome
+    by outcome.
     """
     t = float(t)
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"family parameter must lie in [0, 0.5], got {t!r}")
-    comp, four, proj = _d3_rotation_frame()
     phase = np.exp(2j * np.pi * t / 3.0)
-    u_plus = np.eye(3) + (phase - 1.0) * proj
-    u_minus = np.eye(3) + (phase.conjugate() - 1.0) * proj
-    return Povm.from_basis(u_plus @ comp), Povm.from_basis(u_minus @ four)
+    u_plus = np.eye(3) + (phase - 1.0) * _D3_PROJ
+    u_minus = np.eye(3) + (phase.conjugate() - 1.0) * _D3_PROJ
+    return Povm.from_basis(u_plus), Povm.from_basis(u_minus @ _D3_FOURIER)

@@ -90,24 +90,15 @@ def _pipeline_tables(alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm) -> 
     return t1, t0, steering.overlap_bound(bob_x, bob_z)
 
 
-def _solve_below(pred: Callable, tol: float, cutoff: float, levels: int = 1) -> ThresholdSolution:
-    """``bisect_threshold(pred, tol, levels)``, or ``cutoff`` itself when that
-    solution cannot lie below ``cutoff``: at once if ``cutoff`` <= 0, and after
-    one call ``pred(cutoff)`` if ``cutoff`` < 1 and that is False.  The solver
-    returns the True end of its bracket, so for a monotone ``pred`` a False at
-    ``cutoff`` puts the solution above it; a search that keeps only values
-    below ``cutoff`` rejects both alike."""
-    if cutoff <= 0.0 or (cutoff < 1.0 and not pred(cutoff)):
-        return ThresholdSolution(cutoff)
-    return bisect_threshold(pred, tol, levels)
-
-
 def _pipeline_threshold(
     tables: tuple, alpha: float, tol: float, cutoff: float = math.inf
 ) -> ThresholdSolution:
     """Smallest visibility, applied to both of Alice's measurements, at which
     the full pipeline detects steering; saturated at 1 if none does.  A finite
-    ``cutoff`` lets ``_solve_below`` prune a solve that cannot end below it.
+    ``cutoff`` is returned itself, at once if it is <= 0 and after one call if
+    nothing is detected at ``cutoff`` < 1, because detection is monotone in v and
+    the solver returns the detecting end of its bracket: such a solve cannot end
+    below ``cutoff``, and a search that keeps only values below it rejects both alike.
 
     ``depolarize`` is affine in v and the Born rule linear, so the tables are
     T(v) = v T(1) + (1 - v) T(0): a solver call mixes the precomputed
@@ -123,7 +114,9 @@ def _pipeline_threshold(
         jx, jz = (JointDistribution.mixture(a, b, v) for a, b in zip(t1, t0))
         return steering.evaluate(jx, jz, bound, alpha).detected
 
-    return _solve_below(detects, tol, cutoff, levels)
+    if cutoff <= 0.0 or (cutoff < 1.0 and not detects(cutoff)):
+        return ThresholdSolution(cutoff)
+    return bisect_threshold(detects, tol, levels)
 
 
 def _mub_tables(d: int) -> tuple:
@@ -236,8 +229,8 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
 def _coordinate_search(
     objective: Callable[[list[float], float], float],
     start: Sequence[float],
+    ftol: float,
     step0: float = 0.3,
-    ftol: float = 1e-8,
 ) -> tuple[list[float], float]:
     """Deterministic pattern search: cycle coordinates, halve the step to 1e-4.
 

@@ -45,10 +45,15 @@ class TestRunExitCodes:
         assert "error: tolerance must lie in (0, 1)" in captured.err
 
     def test_bad_order_lists_exit_2(self, capsys):
-        assert run(["scan-fig1", "--d", "2", "--alphas", ","]) == 2
-        assert "at least one entropy order is required" in capsys.readouterr().err
+        # an empty or non-numeric field is rejected, not dropped ("0.5,,1" ran 0.5 and 1)
+        for alphas in (",", "0.5,,1", "0.5,", "x,1"):
+            assert run(["scan-fig1", "--d", "2", "--alphas", alphas]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"bad order list: {alphas!r}" in captured.err
+        # the order rule is the library's, which names the value
         assert run(["check", "--d", "2", "--alpha", "nan"]) == 2
-        assert "entropy order must be >= 0.5" in capsys.readouterr().err
+        assert "no dual order for alpha=nan < 1/2" in capsys.readouterr().err
 
     def test_sum_errors_print_plain_floats(self, capsys):
         assert run(["entropy", "--probs", "0.7,0.7"]) == 2
@@ -103,7 +108,10 @@ class TestRunExitCodes:
         + [([command, "--d", "1"], "dimension must be an integer of at least 2, got 1")
            for command in ("scan-fig1", "tightness")]
         + [(["tightness", "--grid-points", "0"], "grid_points must be an integer of at least 1")]
-        + [(["lhs-test", "--seed", "-1"], "seed must be an integer of at least 0, got -1")],
+        + [(["lhs-test", "--seed", "-1"], "seed must be an integer of at least 0, got -1")]
+        + [([command, "--d", "2", "--alpha", a], f"no dual order for alpha={a} < 1/2")
+           for command in ("check", "threshold") for a in ("0.3", "nan")]
+        + [(["scan-fig1", "--d", "2", "--alphas", "0.3"], "no dual order for alpha=0.3 < 1/2")],
     )
     def test_value_the_library_rejects_exits_2(self, capsys, argv, named):
         # the CLI leaves these checks to the library, which names the value

@@ -79,7 +79,7 @@ class TestBisect:
         assert bisect_threshold(pred, 1e-20) == (0.7, False)
         assert len(calls) == 55
 
-    @pytest.mark.parametrize("levels", range(1, 7))
+    @pytest.mark.parametrize("levels", [*range(1, 7), 16])
     def test_levels_return_the_one_level_solution(self, levels):
         switches = np.random.default_rng(12).uniform(size=20).tolist()
         cases = [(lambda v, s=s: np.asarray(v) >= s, 1e-6) for s in switches]
@@ -118,6 +118,14 @@ class TestBisect:
         with pytest.raises(ValueError, match="levels"):
             bisect_threshold(lambda v: np.asarray(v) >= 0.3, 1e-6, levels)
 
+    @pytest.mark.parametrize("levels", [17, 40, 64])
+    def test_levels_above_16_rejected(self, levels):
+        # a stacked call asks 2^levels points: 40 asked numpy for 8 TiB
+        calls = []
+        with pytest.raises(ValueError, match=re.escape(f"levels must be at most 16, got {levels}")):
+            bisect_threshold(lambda v: calls.append(v) or np.asarray(v) >= 0.3, 1e-6, levels)
+        assert calls == []
+
     def test_integral_float_levels_solve_like_the_int(self):
         # levels follows the one integer rule, which takes 2.0 as 2
         def pred(v):
@@ -151,6 +159,13 @@ class TestMubJm:
             mub_jm_holds(1, 0.5, 0.5)
         with pytest.raises(ValueError):
             mub_jm_holds(3, 1.2, 0.5)
+
+    @pytest.mark.parametrize("value", [None, 1 + 0j, "0.5"])
+    def test_visibility_that_is_no_number_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"va must lie in [0, 1], got {value!r}")):
+            mub_jm_holds(3, value, 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"vx must lie in [0, 1], got {value!r}")):
+            renyi_mub_holds(3, 0.5, value)
 
 
 class TestSymmetricThresholds:

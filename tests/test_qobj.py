@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from qsteer import qobj
+from qsteer.entropy import check_visibility
 from qsteer.qobj import (
     DensityMatrix,
     Povm,
@@ -248,7 +250,40 @@ class TestQubitPovm:
         assert np.abs(total - np.eye(2)).max() < 1e-14
 
 
+def weyl_frame():
+    """The d = 3 frame derived at run time: eigenvectors of the Weyl product
+    shift @ clock ordered by phase in [0, 2 pi), the first one's projector,
+    and the outcome pairing of the two bases at t = 1/2 by largest overlap."""
+    shift = np.roll(np.eye(3, dtype=complex), 1, axis=0)  # |j> -> |j + 1 mod 3>
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    evals, evecs = np.linalg.eig(shift @ clock)
+    first = evecs[:, np.argsort(np.angle(evals) % (2.0 * np.pi))[0]]
+    first = first / np.linalg.norm(first)
+    proj = np.outer(first, first.conj())
+    half_turn = [np.eye(3) + (np.exp(s * 1j * np.pi / 3) - 1.0) * proj for s in (1, -1)]
+    overlap = np.abs(half_turn[0].conj().T @ (half_turn[1] @ fourier_matrix(3)))
+    return shift @ clock, evals, proj, np.argmax(overlap, axis=1)
+
+
 class TestRotatedD3:
+    def test_frame_vector_is_the_weyl_eigenvector_of_least_phase(self):
+        weyl, evals, proj, _ = weyl_frame()
+        f = qobj._D3_F
+        eigenvalue = np.vdot(f, weyl @ f)
+        assert np.abs(weyl @ f - eigenvalue * f).max() < 1e-15
+        phases = np.angle(evals) % (2.0 * np.pi)
+        assert abs(np.angle(eigenvalue) % (2.0 * np.pi) - phases.min()) < 1e-15
+        assert np.abs(qobj._D3_PROJ - proj).max() < 1e-15
+
+    def test_frame_vector_is_unbiased_to_both_bases(self):
+        for basis in (np.eye(3), fourier_matrix(3)):
+            assert np.abs(np.abs(basis.conj().T @ qobj._D3_F) ** 2 - 1.0 / 3.0).max() < 1e-15
+
+    def test_fourier_relabeling_is_the_coincidence_pairing(self):
+        _, _, _, pairing = weyl_frame()
+        assert pairing.tolist() == [0, 2, 1]
+        assert qobj._D3_FOURIER.tobytes() == fourier_matrix(3)[:, pairing].tobytes()
+
     def test_t0_is_mub_pair(self):
         z0, x0 = rotated_d3_bases(0.0)
         comp, four = mub_pair(3)
@@ -386,3 +421,17 @@ class TestValidation:
             check_int(value, 2, "dimension")
         with pytest.raises(ValueError, match=re.escape(message)):
             mub_pair(value)
+
+    @pytest.mark.parametrize("value", ["0.5", None, 1 + 0j, "x"])
+    def test_visibility_rule_names_a_value_that_is_no_number(self, value):
+        # "0.5" used to pass as 0.5, and None and 1+0j escaped as TypeError from float()
+        message = f"visibility must lie in [0, 1], got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_visibility(value, "visibility")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            depolarize(mub_pair(2)[0], value)
+
+    def test_visibility_rule_names_a_numpy_scalar_as_a_float(self):
+        with pytest.raises(ValueError, match=re.escape("visibility must lie in [0, 1], got 1.5")):
+            depolarize(mub_pair(2)[0], np.float64(1.5))
+        assert type(check_visibility(np.float64(0.5), "visibility")) is float

@@ -465,7 +465,7 @@ class TestQubitRandomPovmCheck:
         def no_solve(*args):
             raise AssertionError("the qubit search called the threshold solver")
 
-        for name in ("bisect_threshold", "_solve_below"):
+        for name in ("bisect_threshold", "_pipeline_threshold"):
             monkeypatch.setattr(scenarios, name, no_solve)
         for args, _ in searched_qubit_cases(3):
             setting, u_x, u_z = scenarios._bob_qubit_pair(args[0], -args[0], *args[1:], 1e-6)
@@ -712,6 +712,17 @@ class TestD3FamilyScan:
     def test_interior_exact_unknown(self, scan):
         for rec in scan.records[1:-1]:
             assert rec.exact is None
+
+    def test_thresholds_pinned(self):
+        # the records of the frame derived at run time (eig of the Weyl product)
+        scan = d3_family_scan(np.linspace(0.0, 0.5, 11), 1e-6)
+        assert [r.detected.hex() for r in scan.records] == [
+            "0x1.5db3e00000000p-1", "0x1.9c45600000000p-1", "0x1.c6b5e00000000p-1",
+            "0x1.e13f600000000p-1", "0x1.f0be400000000p-1", "0x1.f92d600000000p-1",
+            "0x1.fd60c00000000p-1", "0x1.ff36200000000p-1", "0x1.ffd9a00000000p-1",
+            "0x1.fffdc00000000p-1", "0x1.0000000000000p+0",
+        ]
+        assert [r.saturated for r in scan.records] == [False] * 10 + [True]
 
     def test_refinement_never_hurts(self):
         grid = [0.2]
