@@ -39,23 +39,27 @@ def _result(number: int, name: str, started: float, passed: bool, detail: str) -
 
 
 def criterion_1_mub_tightness() -> CriterionResult:
-    """Closed form vs bisection, and the asymmetric curves of both conditions."""
+    """Closed form vs the root-finder, both conditions around it, and the asymmetric curves."""
     t0 = time.perf_counter()
     worst_sym = 0.0
     worst_asym = 0.0
+    switch = True
     for d in range(2, 11):
         closed = jointmeas.mub_jm_threshold_symmetric(d)
         solved = jointmeas.renyi_mub_threshold_symmetric(d, tol=1e-9)
         worst_sym = max(worst_sym, abs(solved - closed))
         worst_asym = max(worst_asym, jointmeas.eta_tightness_gap(d, 21, tol=1e-8))
-    passed = worst_sym <= 1e-6 and worst_asym <= 2e-6
+        for holds in (jointmeas.mub_jm_holds, jointmeas.renyi_mub_holds):
+            switch &= holds(d, closed, closed) and not holds(d, closed + 1e-9, closed + 1e-9)
+    passed = worst_sym <= 1e-6 and worst_asym <= 2e-6 and switch
     return _result(
         1,
         "MUB tightness",
         t0,
         passed,
         f"max symmetric dev {worst_sym:.2e} (tol 1e-6), "
-        f"max eta(chi) dev {worst_asym:.2e} (tol 2e-6)",
+        f"max eta(chi) dev {worst_asym:.2e} (tol 2e-6), "
+        f"both conditions switch within 1e-9 above the closed form: {switch}",
     )
 
 
@@ -125,12 +129,8 @@ def criterion_5_qubit_angles() -> CriterionResult:
     worst_formula = 0.0
     for rec in scan.records:
         formula = jointmeas.qubit_renyi_threshold(rec.parameter)
-        t = rec.parameter
-        closed = math.sqrt(2.0) / (
-            math.sqrt(1.0 - math.sin(2 * t)) + math.sqrt(1.0 + math.sin(2 * t))
-        )
         worst_pipeline = max(worst_pipeline, abs(rec.detected - formula))
-        worst_formula = max(worst_formula, abs(formula - closed))
+        worst_formula = max(worst_formula, abs(formula - rec.exact))  # Busch's boundary
     passed = worst_pipeline <= 1e-5 and worst_formula <= 1e-12
     return _result(
         5,

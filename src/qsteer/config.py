@@ -25,7 +25,7 @@ class Tolerances:
         equality points evaluate as satisfied.
     sufficiency : float
         Detected thresholds may undershoot the exact boundary by at most
-        this much (bisection always reports the detecting side).
+        this much (the solver always reports the detecting side).
     """
 
     structural: float = 1e-10

@@ -55,11 +55,14 @@ def check_probabilities(arr: np.ndarray, noun: str, axis) -> np.ndarray:
 def check_visibility(v, name: str):
     """The visibility rule: ``v`` as a float or float array, or a ValueError naming
     ``name`` and the value unless all of it lies in [0, 1] (NaN does not); a
-    value that is no real number, such as "0.5", None or 1+0j, gets the same error."""
+    value that is no real number, such as "0.5", None, 1+0j or a numpy array or
+    scalar of strings or complex numbers, gets the same error."""
     array = isinstance(v, np.ndarray)
-    v = v.astype(float, copy=False) if array else v
-    low, high = (float(v.min()), float(v.max())) if array else (v, v)  # both keep NaN
     try:
+        if getattr(v, "dtype", np.dtype(float)).kind not in "biuf":  # astype would parse or drop
+            raise TypeError
+        v = v.astype(float, copy=False) if array else v
+        low, high = (float(v.min()), float(v.max())) if array else (v, v)  # both keep NaN
         valid = 0.0 <= low and high <= 1.0
         value = float(high if low >= 0.0 else low)  # float(v) for a number v
     except TypeError:

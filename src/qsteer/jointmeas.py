@@ -55,65 +55,74 @@ class ThresholdRecord:
             object.__setattr__(self, "gap", gap)
 
 
-def bisect_threshold(pred: Callable, tol: float, levels: int = 1) -> ThresholdSolution:
-    """Switching point of a predicate that is False below it on [0, 1] and
-    True above it.
-
-    ``pred(1.0)`` comes first; if it is False the answer saturates to
-    ``(1.0, True)``, and if ``pred`` is True at 0 to ``(0.0, True)``.
-    Otherwise the bracket is halved until it is narrower than ``tol``, or its
-    ends are adjacent doubles, and its True end is returned, the side that
-    never undershoots the boundary; ``tol`` must lie in (0, 1).  With
-    ``levels`` = k > 1 one call of ``pred`` on an array answers the grid
-    a + (b - a) j / 2^k of the bracket [a, b], one bool each: j = 0 .. 2^k - 1
-    on [0, 1] first, v = 0 included, then j = 1 .. 2^k - 1 every k halvings
-    (k <= 16).  Dyadic brackets make each grid point a halving visits its
-    midpoint 0.5 * (a + b) exactly, so the walk returns the one-level solution
-    if ``pred`` answers an array as it answers each float.  Monotonicity is the
-    caller's responsibility.
+def bisect_threshold(margin: Callable, tol: float) -> ThresholdSolution:
+    """Root on [0, 1] of a signed ``margin``: above 0 detected, at or below 0
+    not, monotone in v (the caller's duty).  Saturates to ``(1.0, True)`` if
+    margin(1) <= 0 and to ``(0.0, True)`` if margin(0) > 0; else shrinks [a, b],
+    margin(a) <= 0 < margin(b), until it is at most ``tol`` wide, in (0, 1), or
+    a and b are adjacent doubles, and returns b, which never undershoots the
+    root.  A NaN margin raises.  Each step is the Illinois point (Dowell and
+    Jarratt, BIT 11, 168 (1971): regula falsi halving the stored margin of an
+    end kept twice in a row), clamped into [a + tol/2, b - tol/2] so the step
+    after the estimate comes within tol/2 of the root closes the bracket.  The
+    midpoint replaces it if not inside (a, b), or if margin(a) is 0 and was 0
+    before a last moved, so a boolean predicate (False, True as 0, 1) is plainly
+    bisected, while a fresh 0 is the root to rounding and a + tol/2 ends the
+    solve.  ``perfbench/spans.py`` counts the solver's calls by this name.
     """
     tol = check_tolerance(tol)
-    levels = check_int(levels, 1, "levels")
-    if levels > 16:  # a stacked call asks 2^levels points
-        raise ValueError(f"levels must be at most 16, got {levels!r}")
-    if not pred(1.0):
+
+    def at(v: float):
+        m = margin(v)
+        if m != m:
+            raise ValueError(f"margin is NaN at v={v!r}")
+        return m
+
+    fb = at(1.0)
+    if fb <= 0:
         return ThresholdSolution(1.0, saturated=True)
-    cells = 2**levels
-    answers = [pred(0.0)] if levels == 1 else pred(np.arange(cells) / cells)
-    if answers[0]:
+    fa = at(0.0)
+    if fa > 0:
         return ThresholdSolution(0.0, saturated=True)
-    a, b, lo, hi = 0.0, 1.0, 0, cells  # a and b at indices lo and hi of answers
+    a, b, side, flat = 0.0, 1.0, 0, True  # side: the end the last point replaced (-1 a, 1 b)
     while b - a > tol:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:  # tol is below the float spacing here
             break
-        if levels == 1:
-            detected = pred(mid)
+        v = mid
+        if fa != 0 or not flat:
+            v = min(max((a * fb - b * fa) / (fb - fa), a + 0.5 * tol), b - 0.5 * tol)
+            if not a < v < b:  # also NaN
+                v = mid
+        m = at(v)
+        if m > 0:
+            fa = 0.5 * fa if side == 1 else fa
+            b, fb, side = v, m, 1
         else:
-            if hi - lo == 1:  # [a, b] is one cell of the last grid; answers[j] is point j + 1
-                answers, lo, hi = pred(a + (b - a) * np.arange(1, cells) / cells), -1, cells - 1
-            j = (lo + hi) // 2
-            detected = answers[j]
-            lo, hi = (lo, j) if detected else (j, hi)
-        a, b = (a, mid) if detected else (mid, b)
+            fb = 0.5 * fb if side == -1 else fb
+            a, fa, side, flat = v, m, -1, fa == 0
     return ThresholdSolution(b)
 
 
-def mub_jm_holds(d: int, va: float, vx: float) -> bool:
-    """Joint measurability of two noisy mutually unbiased bases.
-
-    For d >= 3 this is the known algebraic condition; the d = 2 case is its
-    equality-curve limit va^2 + vx^2 <= 1.
-    """
+def _mub_jm_margin(d: int, va: float, vx: float) -> float:
+    """Signed joint-measurability margin of two noisy MUBs, above 0 exactly where
+    they are incompatible, with ``DEFAULT_TOLS.boundary`` of slack.  For d >= 3
+    the known algebraic condition; the d = 2 case is its equality-curve limit
+    va^2 + vx^2 <= 1."""
     d = check_int(d, 2, "dimension")
     va = check_visibility(va, "va")
     vx = check_visibility(vx, "vx")
-    slack = DEFAULT_TOLS.boundary
     if d == 2:
-        return va * va + vx * vx <= 1.0 + slack
-    radicand = max(d - (d - 1) * (va - vx) ** 2, 0.0)
-    lhs = ((d - 1) * (va + vx) - math.sqrt(radicand)) / (d - 2)
-    return lhs <= 1.0 + slack
+        lhs = va * va + vx * vx
+    else:
+        radicand = max(d - (d - 1) * (va - vx) ** 2, 0.0)
+        lhs = ((d - 1) * (va + vx) - math.sqrt(radicand)) / (d - 2)
+    return lhs - (1.0 + DEFAULT_TOLS.boundary)
+
+
+def mub_jm_holds(d: int, va: float, vx: float) -> bool:
+    """Joint measurability of two noisy mutually unbiased bases."""
+    return _mub_jm_margin(d, va, vx) <= 0.0
 
 
 def mub_jm_threshold_symmetric(d: int) -> float:
@@ -127,35 +136,38 @@ def mub_jm_threshold_symmetric(d: int) -> float:
     return (s + 2.0) / (2.0 * (s + 1.0))
 
 
-def renyi_mub_holds(d: int, va: float, vx: float) -> bool:
-    """No-steering condition of the min/max-entropy criterion for noisy MUBs.
-
-    ``va`` is the visibility on the measurement evaluated by the
-    min-entropy (it enters the denominator), ``vx`` the one evaluated by the
-    max-entropy (numerator).
-    """
+def _renyi_mub_margin(d: int, va: float, vx: float) -> float:
+    """Signed margin of the min/max-entropy criterion for noisy MUBs, above 0
+    exactly where it detects steering, with ``DEFAULT_TOLS.boundary`` of slack.
+    ``va`` is the visibility on the measurement of the min-entropy (in the
+    denominator), ``vx`` the one of the max-entropy (numerator)."""
     d = check_int(d, 2, "dimension")
     va = check_visibility(va, "va")
     vx = check_visibility(vx, "vx")
     numer = (math.sqrt(vx + (1.0 - vx) / d) + (d - 1) * math.sqrt((1.0 - vx) / d)) ** 2
-    return numer / (1.0 + (d - 1) * va) >= 1.0 - DEFAULT_TOLS.boundary
+    return 1.0 - DEFAULT_TOLS.boundary - numer / (1.0 + (d - 1) * va)
+
+
+def renyi_mub_holds(d: int, va: float, vx: float) -> bool:
+    """No-steering condition of the min/max-entropy criterion for noisy MUBs."""
+    return _renyi_mub_margin(d, va, vx) <= 0.0
 
 
 def renyi_mub_threshold_symmetric(d: int, tol: float = 1e-9) -> float:
-    """Symmetric visibility threshold of the entropic criterion, by bisection."""
-    return bisect_threshold(lambda v: not renyi_mub_holds(d, v, v), tol).value
+    """Symmetric visibility threshold of the entropic criterion, by the root-finder."""
+    return bisect_threshold(lambda v: _renyi_mub_margin(d, v, v), tol).value
 
 
 def renyi_eta_of_chi(d: int, vx: float, tol: float = 1e-9) -> ThresholdSolution:
     """Boundary va of the entropic criterion given vx: the first va it flags,
     within ``tol`` above the largest one on which it stays silent."""
-    return bisect_threshold(lambda va: not renyi_mub_holds(d, va, vx), tol)
+    return bisect_threshold(lambda va: _renyi_mub_margin(d, va, vx), tol)
 
 
 def exact_eta_of_chi(d: int, vx: float, tol: float = 1e-9) -> ThresholdSolution:
     """Joint-measurability boundary va of the noisy MUB pair given vx: the
     first incompatible va, within ``tol`` above the largest compatible one."""
-    return bisect_threshold(lambda va: not mub_jm_holds(d, va, vx), tol)
+    return bisect_threshold(lambda va: _mub_jm_margin(d, va, vx), tol)
 
 
 def eta_tightness_gap(d: int, grid_points: int, tol: float) -> float:

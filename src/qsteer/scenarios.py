@@ -1,11 +1,12 @@
 """End-to-end experiment drivers: noise-threshold scans over the full
 pipeline (Born tables on the maximally entangled state at visibility 1 and
-0 -> their mixture -> entropic criterion -> bisected threshold) and the
+0 -> their mixture -> entropic criterion -> root of its violation) and the
 local-hidden-state falsification suite.
 
-Detected thresholds always come from bisection of the actual pipeline and
-report the detecting side of the final bracket, so they can undershoot an
-exact boundary only by floating-point noise, never by bisection width.
+Detected thresholds always come from the root-finder ``bisect_threshold`` on
+the steering violation of the actual pipeline and report the detecting side
+of the final bracket, so they can undershoot an exact boundary only by
+floating-point noise, never by bracket width.
 Every scan hands its solutions to ``_scan``, which alone writes the records
 and the metadata of a ``ScanResult``.  No driver checks the entropy order
 itself: ``dual_order`` rejects one below 1/2, or NaN, in the first solve.
@@ -30,7 +31,7 @@ from .jointmeas import (
     mub_jm_threshold_symmetric,
     qubit_exact_threshold,
 )
-from .qobj import Povm, check_int, check_tolerance, joint_distribution, mub_pair, qubit_povm, rotated_d3_bases
+from .qobj import Povm, check_int, check_tolerance, mub_pair, qubit_povm, rotated_d3_bases
 
 
 @dataclass(frozen=True)
@@ -101,22 +102,18 @@ def _pipeline_threshold(
     below ``cutoff``, and a search that keeps only values below it rejects both alike.
 
     ``depolarize`` is affine in v and the Born rule linear, so the tables are
-    T(v) = v T(1) + (1 - v) T(0): a solver call mixes the precomputed
-    ``tables`` at one visibility or a stack of them and makes one
-    ``steering.evaluate``.  A stack covers k <= 5 bisection levels in at most
-    2^k tables, 2^k n <= 4096 for tables of n entries (k = 5 to d = 11, 1 from
-    d = 33): numpy sums larger stacks in another order than it sums single tables."""
+    T(v) = v T(1) + (1 - v) T(0): the solver's margin mixes the precomputed
+    ``tables`` at one visibility and returns the violation of one
+    ``steering.evaluate``, a real number continuous in v."""
     t1, t0, bound = tables
-    n = max(t.table.size for t in t1)
-    levels = max(1, min(5, (4096 // n).bit_length() - 1))
 
-    def detects(v):
+    def violation(v):
         jx, jz = (JointDistribution.mixture(a, b, v) for a, b in zip(t1, t0))
-        return steering.evaluate(jx, jz, bound, alpha).detected
+        return steering.evaluate(jx, jz, bound, alpha).violation
 
-    if cutoff <= 0.0 or (cutoff < 1.0 and not detects(cutoff)):
+    if cutoff <= 0.0 or (cutoff < 1.0 and violation(cutoff) <= 0.0):
         return ThresholdSolution(cutoff)
-    return bisect_threshold(detects, tol, levels)
+    return bisect_threshold(violation, tol)
 
 
 def _mub_tables(d: int) -> tuple:
@@ -136,7 +133,7 @@ def fig1_scan(
     """Detected vs exact symmetric thresholds over dimensions and orders.
 
     For each dimension and each entropy order, the detected column is the
-    pipeline bisection threshold and the exact column the closed-form
+    pipeline root-finder's threshold and the exact column the closed-form
     joint-measurability boundary.  The min/max-entropy rows (alpha = 1/2)
     reproduce the boundary itself; Shannon rows sit strictly above it.
     """
@@ -191,11 +188,10 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
     """Equal-visibility unbiased qubit pair at Bloch angle 90deg - 2 theta.
 
     Alice's directions sit in the x-z plane, Bob measures the orthogonal
-    pair symmetrically surrounding them.  Per angle the detected threshold
-    comes from pipeline bisection at alpha = 1/2 and the exact one from the
-    closed-form qubit boundary; the scan also verifies the conditional
-    probabilities (1 +- v cos theta)/2 before trusting its own statistics.
-    ``tol`` is checked before any work, so also for an empty grid.
+    pair symmetrically surrounding them, with conditional probabilities
+    (1 +- v cos theta)/2.  Per angle the detected threshold comes from the
+    pipeline root-finder at alpha = 1/2 and the exact one from the closed-form
+    qubit boundary.  ``tol`` is checked before any work, so also for an empty grid.
     """
     tol = check_tolerance(tol)
     thetas = [float(t) for t in theta_grid]
@@ -208,18 +204,6 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
     for t in sorted(thetas):
         dir_z = np.array([math.sin(t), 0.0, math.cos(t)])
         dir_x = np.array([math.cos(t), 0.0, math.sin(t)])
-
-        probe = 0.7
-        jz = joint_distribution(qubit_povm(0.0, probe * dir_z), bob_z).swapped()
-        expected = np.array(
-            [
-                [(1 + probe * math.cos(t)) / 4, (1 - probe * math.cos(t)) / 4],
-                [(1 - probe * math.cos(t)) / 4, (1 + probe * math.cos(t)) / 4],
-            ]
-        )
-        if np.abs(jz.table - expected).max() > 1e-12:
-            raise RuntimeError("pipeline statistics deviate from the closed form")
-
         tables = _pipeline_tables(qubit_povm(0.0, dir_x), qubit_povm(0.0, dir_z), bob_x, bob_z)
         exact = qubit_exact_threshold(dir_z, dir_x)
         rows.append((t, _pipeline_threshold(tables, 0.5, tol), exact))

@@ -472,6 +472,19 @@ class TestMixture:
         with pytest.raises(ValueError, match=message):
             JointDistribution.mixture(one, zero, np.array([0.5, w, 0.0]))
 
+    @pytest.mark.parametrize("w", [np.array(["0.5", "1"]), np.array([0.5, 1.0], dtype=object)])
+    def test_weights_that_are_strings_rejected(self, w):
+        # astype(float) used to parse them, so the mixture ran with weights 0.5 and 1
+        one, zero = JointDistribution(np.eye(2) / 2), JointDistribution(np.full((2, 2), 0.25))
+        with pytest.raises(ValueError, match=re.escape("mixture weight must lie in [0, 1], got array(")):
+            JointDistribution.mixture(one, zero, w)
+
+    def test_complex_weights_rejected(self):
+        # astype(float) used to drop the imaginary part with only a ComplexWarning
+        one, zero = JointDistribution(np.eye(2) / 2), JointDistribution(np.full((2, 2), 0.25))
+        with pytest.raises(ValueError, match=re.escape("mixture weight must lie in [0, 1], got array([0.5+0.j")):
+            JointDistribution.mixture(one, zero, np.array([0.5, 1.0], dtype=complex))
+
     def test_tables_of_unequal_shape_rejected(self):
         one, zero = JointDistribution(np.eye(2) / 2), JointDistribution(np.full((2, 3), 1 / 6))
         with pytest.raises(ValueError, match=re.escape("cannot mix tables of shapes (2, 2) and (2, 3)")):

@@ -103,3 +103,6 @@ def test_every_traced_name_resolves():
     spec.loader.exec_module(spans)
     wrapped = spans.FUNCTION_SPANS + spans.CLASS_SPANS + spans.COUNTED_CALLS
     assert [(m, a) for m, a, _ in wrapped if not hasattr(getattr(qsteer, m), a)] == []
+    # the counted solver is the one the threshold solves call
+    module, name = spans.SOLVER.split(".")
+    assert getattr(getattr(qsteer, module), name) is qsteer.scenarios.bisect_threshold

@@ -79,59 +79,83 @@ class TestBisect:
         assert bisect_threshold(pred, 1e-20) == (0.7, False)
         assert len(calls) == 55
 
-    @pytest.mark.parametrize("levels", [*range(1, 7), 16])
-    def test_levels_return_the_one_level_solution(self, levels):
-        switches = np.random.default_rng(12).uniform(size=20).tolist()
-        cases = [(lambda v, s=s: np.asarray(v) >= s, 1e-6) for s in switches]
-        cases += [
-            (lambda v: np.asarray(v) >= 0.625, 1e-6),  # d = 9's dyadic boundary 5/8
-            (lambda v: np.asarray(v) > 0.625, 1e-6),
-            (lambda v: np.zeros(np.shape(v), bool), 1e-6),  # saturates at 1
-            (lambda v: np.ones(np.shape(v), bool), 1e-6),  # saturates at 0
-            (lambda v: np.asarray(v) >= 0.3, 0.9),
-            (lambda v: np.asarray(v) >= 0.7, 1e-20),  # ends become adjacent doubles
-        ]
-        for pred, tol in cases:
-            assert bisect_threshold(pred, tol, levels) == bisect_threshold(pred, tol)
+    def test_boolean_predicate_is_plain_bisection(self):
+        # False and True read as margins 0 and 1: the midpoint guard takes every step
+        def plain(pred, tol):
+            a, b, calls = 0.0, 1.0, [1.0, 0.0]
+            while b - a > tol and a < 0.5 * (a + b) < b:
+                calls.append(0.5 * (a + b))
+                a, b = (a, calls[-1]) if pred(calls[-1]) else (calls[-1], b)
+            return b, calls
 
-    @pytest.mark.parametrize("levels", [2, 5])
-    def test_stacked_calls_follow_the_end_probes(self, levels):
+        switches = np.random.default_rng(12).uniform(size=20).tolist() + [0.625, 0.7]
+        for s in switches:
+            for pred in (lambda v: v >= s, lambda v: np.bool_(v > s)):
+                for tol in (1e-6, 1e-20, 0.9):
+                    calls = []
+                    solution = bisect_threshold(lambda v: calls.append(v) or pred(v), tol)
+                    assert not solution.saturated
+                    assert (solution.value, calls) == plain(pred, tol)
+
+    def test_nan_margin_at_one_is_an_error(self):
+        # a NaN used to read as "not detected" and saturate the solve at 1
+        with pytest.raises(ValueError, match=re.escape("margin is NaN at v=1.0")):
+            bisect_threshold(lambda v: math.nan, 1e-6)
+
+    def test_nan_margin_mid_solve_is_an_error(self):
         calls = []
 
-        def pred(v):
+        def margin(v):
+            calls.append(v)
+            return math.nan if 0.25 < v < 0.35 else v - 0.3
+
+        with pytest.raises(ValueError, match="margin is NaN at v=") as caught:
+            bisect_threshold(margin, 1e-6)
+        assert calls[:2] == [1.0, 0.0] and len(calls) == 3
+        assert str(caught.value) == f"margin is NaN at v={calls[-1]!r}"
+
+    @pytest.mark.parametrize("name, margin, n_calls", [
+        ("sign only", lambda v: 1.0 if v >= 0.3 else -1.0, 25),
+        ("slopes 1 and 1e6", lambda v: v - 0.3 if v < 0.3 else 1e6 * (v - 0.3), 88),
+        ("cube", lambda v: (v - 0.3) ** 3, 42),
+    ])
+    def test_margins_without_a_useful_slope_end(self, name, margin, n_calls):
+        calls = []
+
+        def counted(v):
             calls.append(v)
             if len(calls) > 200:
-                raise RuntimeError("bisection does not end")
-            return np.asarray(v) >= 0.7
+                raise RuntimeError("the root-finder does not end")
+            return margin(v)
 
-        assert bisect_threshold(pred, 1e-20, levels) == (0.7, False)
-        # v = 1 alone, then the grid of [0, 1] with v = 0 first, then the
-        # inner points of each later bracket's grid
-        assert type(calls[0]) is float and calls[0] == 1.0
-        assert calls[1].tolist() == [j / 2**levels for j in range(2**levels)]
-        assert all(np.shape(v) == (2**levels - 1,) for v in calls[2:])
-        # the 53 halvings of the one-level walk, levels at a time
-        assert len(calls) == 1 + math.ceil(53 / levels)
+        solution = bisect_threshold(counted, 1e-6)
+        assert 0.3 <= solution.value <= 0.3 + 1e-6 and not solution.saturated
+        assert len(calls) == n_calls
 
-    @pytest.mark.parametrize("levels", [0, -1, 1.5, "3", None])
-    def test_levels_must_be_a_positive_integer(self, levels):
-        with pytest.raises(ValueError, match="levels"):
-            bisect_threshold(lambda v: np.asarray(v) >= 0.3, 1e-6, levels)
-
-    @pytest.mark.parametrize("levels", [17, 40, 64])
-    def test_levels_above_16_rejected(self, levels):
-        # a stacked call asks 2^levels points: 40 asked numpy for 8 TiB
+    def test_smooth_margin_ends_within_rounding(self):
+        # the last Illinois step closes the bracket once the estimate is within tol/2
         calls = []
-        with pytest.raises(ValueError, match=re.escape(f"levels must be at most 16, got {levels}")):
-            bisect_threshold(lambda v: calls.append(v) or np.asarray(v) >= 0.3, 1e-6, levels)
-        assert calls == []
 
-    def test_integral_float_levels_solve_like_the_int(self):
-        # levels follows the one integer rule, which takes 2.0 as 2
-        def pred(v):
-            return np.asarray(v) >= 0.3
+        def margin(v):
+            calls.append(v)
+            return math.exp(v) - math.exp(0.37)
 
-        assert bisect_threshold(pred, 1e-6, 2.0) == bisect_threshold(pred, 1e-6, 2)
+        solution = bisect_threshold(margin, 1e-13)
+        assert 0.37 <= solution.value <= 0.37 + 1e-13
+        assert len(calls) <= 12
+
+    def test_margin_that_rounds_to_zero_costs_one_more_point(self):
+        # a margin of exactly 0 at an Illinois point is the root to rounding:
+        # the next point is a + tol/2, not the midpoint of what is left
+        calls = []
+
+        def margin(v):
+            calls.append(v)
+            return 0.0 if len(calls) == 3 else v - calls[2] if len(calls) > 3 else v - 0.4
+
+        solution = bisect_threshold(margin, 1e-9)
+        assert calls[2] == pytest.approx(0.4) and len(calls) == 4
+        assert solution.value == calls[3] == calls[2] + 0.5e-9
 
     def test_entropic_boundary_d2(self):
         solution = bisect_threshold(lambda v: not renyi_mub_holds(2, v, v), 1e-9)

@@ -431,6 +431,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             depolarize(mub_pair(2)[0], value)
 
+    @pytest.mark.parametrize("value", [np.complex128(0.5 + 1j), np.complex128(0.5), np.str_("0.5")])
+    def test_visibility_rule_rejects_complex_and_string_numpy_scalars(self, value):
+        # numpy orders complex scalars, so 0.5+1j used to pass and depolarize
+        # returned the v = 0.5 POVM with only a ComplexWarning
+        message = f"visibility must lie in [0, 1], got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_visibility(value, "visibility")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            depolarize(mub_pair(2)[0], value)
+
     def test_visibility_rule_names_a_numpy_scalar_as_a_float(self):
         with pytest.raises(ValueError, match=re.escape("visibility must lie in [0, 1], got 1.5")):
             depolarize(mub_pair(2)[0], np.float64(1.5))

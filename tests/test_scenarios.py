@@ -223,8 +223,7 @@ class TestBisectionStability:
 
 class TestPipelineSolveCost:
     """A pipeline threshold computes its Born tables and Bob's bound once per
-    solve; every solver call is one steering.evaluate, on one visibility or a
-    stack of them."""
+    solve; every solver call is one steering.evaluate on one visibility."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -247,12 +246,11 @@ class TestPipelineSolveCost:
         return counts
 
     @pytest.mark.parametrize("d, alpha", [(2, 0.5), (3, 1.0), (5, math.inf), (10, 0.7)])
-    def test_mub_solve_costs_5_stacked_evaluations(self, calls, d, alpha):
-        # v = 1 alone, then the 20 halvings down to 1e-6 as four calls of five
-        # levels: 32 visibilities from v = 0 in the first, 31 in each other
+    def test_mub_solve_costs_at_most_10_evaluations(self, calls, d, alpha):
+        # v = 1, v = 0, then Illinois points down to a bracket of 1e-6
         mub_pipeline_threshold(d, alpha, tol=1e-6)
-        assert calls["evaluate"] == 5
-        assert calls["points"] <= 2 + 4 * 31
+        assert calls["evaluate"] <= 10
+        assert calls["points"] == calls["evaluate"]
 
     @pytest.mark.parametrize("d, alpha", [(2, 0.5), (7, 1.0), (10, math.inf), (50, 0.5)])
     def test_solve_checks_4_tables(self, monkeypatch, d, alpha):
@@ -268,10 +266,19 @@ class TestPipelineSolveCost:
         mub_pipeline_threshold(d, alpha, tol=1e-6)
         assert checks == {"joint table": 4}
 
-    def test_d50_solve_costs_22_single_evaluations(self, calls):
-        # 50 x 50 tables are too large to stack: one visibility per call
+    def test_d50_solve_costs_at_most_10_single_evaluations(self, calls):
         mub_pipeline_threshold(50, 0.5, tol=1e-6)
-        assert calls["evaluate"] == calls["points"] == 22
+        assert calls["evaluate"] == calls["points"] <= 10
+
+    @pytest.mark.parametrize("tol, budget", [(1e-6, 10), (1e-13, 12)])
+    def test_every_mub_scan_order_solves_within_budget(self, calls, tol, budget):
+        # the benchmark's twelve orders at d = 2..20, 30 and 50
+        for d in [*range(2, 21), 30, 50]:
+            tables = scenarios._mub_tables(d)
+            for alpha in MUB_SCAN_ALPHAS:
+                calls.clear()
+                scenarios._pipeline_threshold(tables, alpha, tol)
+                assert calls["evaluate"] == calls["points"] <= budget, (d, alpha, calls)
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-8])
     @pytest.mark.parametrize("d, alpha", [(2, 0.5), (5, math.inf)])
@@ -301,8 +308,8 @@ MUB_SCAN_ALPHAS = (0.5, 0.55, 0.6, 0.7, 0.85, 1.0, 1.25, 1.5, 2.0, 4.0, 8.0, mat
 
 
 class TestStackedSolves:
-    """A pipeline solve on stacks of small tables makes the decisions of
-    one-visibility bisection, bit for bit."""
+    """``steering.evaluate`` on a stack of tables, as the LHS suite calls it,
+    gives the values of the single tables, bit for bit."""
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_stacked_evaluate_equals_single_tables(self, d):
@@ -322,18 +329,43 @@ class TestStackedSolves:
                 assert stacked.violation.tolist() == [c.violation for c in single]
                 assert stacked.detected.tolist() == [c.detected for c in single]
 
-    def test_fig1_scan_equals_one_level_solves(self, monkeypatch):
-        stacked = fig1_scan(range(2, 11), MUB_SCAN_ALPHAS, 1e-6)
-        levels_seen = set()
 
-        def one_level(pred, tol, levels):
-            levels_seen.add(levels)
-            return bisect_threshold(pred, tol)
+class TestRootFinderPrecision:
+    """At tol 1e-13 the root-finder on the violation lands within rounding of
+    the boundary: within 1e-12 of the exact column where one is known, and of
+    a boolean bisection at tol 1e-14 elsewhere."""
 
-        monkeypatch.setattr(scenarios, "bisect_threshold", one_level)
-        single = fig1_scan(range(2, 11), MUB_SCAN_ALPHAS, 1e-6)
-        assert levels_seen == {5}
-        assert stacked.records == single.records
+    def test_fig1_half_alpha_records_meet_the_exact_boundary(self):
+        scan = fig1_scan(range(2, 21), [0.5], tol=1e-13)
+        assert len(scan.records) == 19
+        for rec in scan.records:
+            assert abs(rec.detected - rec.exact) <= 1e-12, rec
+
+    def test_qubit_angle_records_meet_busch_boundary(self):
+        scan = qubit_angle_scan(np.linspace(0.0, 0.78, 20), tol=1e-13)
+        for rec in scan.records:
+            assert abs(rec.detected - rec.exact) <= 1e-12, rec
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_unbiased_qubit_records_meet_busch_boundary(self, seed):
+        scan = qubit_random_povm_check(30, seed, tol=1e-13)
+        unbiased = [r for r in scan.records if r.exact is not None]
+        assert len(unbiased) == 20
+        for rec in unbiased:
+            assert abs(rec.detected - rec.exact) <= 1e-12, rec
+
+    def test_other_orders_meet_a_boolean_bisection(self):
+        alphas = [a for a in MUB_SCAN_ALPHAS if a != 0.5]
+        scan = fig1_scan(range(2, 11), alphas, tol=1e-13)
+        tables = {d: scenarios._mub_tables(d) for d in range(2, 11)}
+        for rec in scan.records:
+            t1, t0, bound = tables[int(rec.parameter)]
+
+            def detects(v, alpha=rec.alpha):
+                jx, jz = (JointDistribution.mixture(a, b, v) for a, b in zip(t1, t0))
+                return evaluate(jx, jz, bound, alpha).detected
+
+            assert abs(rec.detected - bisect_threshold(detects, 1e-14).value) <= 1e-12, rec
 
 
 class TestPipelineTables:
@@ -409,6 +441,19 @@ class TestQubitAngleScan:
         with pytest.raises(ValueError):
             qubit_angle_scan([math.pi / 4])
 
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7])
+    def test_pipeline_tables_match_the_closed_form(self, theta):
+        # the scan's geometry mixed at v: p(b, a) = (1 +- v cos theta)/4 on both settings
+        dir_z = (math.sin(theta), 0.0, math.cos(theta))
+        dir_x = (math.cos(theta), 0.0, math.sin(theta))
+        bob_z, bob_x = Povm.from_basis(np.eye(2, dtype=complex)), qubit_povm(0.0, (1.0, 0.0, 0.0))
+        t1, t0, _ = scenarios._pipeline_tables(qubit_povm(0.0, dir_x), qubit_povm(0.0, dir_z), bob_x, bob_z)
+        for v in (0.0, 0.7, 1.0):
+            c = v * math.cos(theta)
+            expected = np.array([[1 + c, 1 - c], [1 - c, 1 + c]]) / 4
+            for one, zero in zip(t1, t0):
+                assert np.abs(JointDistribution.mixture(one, zero, v).table - expected).max() <= 1e-12
+
 
 class TestQubitRandomPovmCheck:
     @pytest.fixture(scope="class")
@@ -442,12 +487,12 @@ class TestQubitRandomPovmCheck:
         # values of the one-angle search; a change that moves it fails here
         scan = qubit_random_povm_check(6, 7, tol=1e-4)
         assert [r.detected for r in scan.records] == [
-            0.71221923828125,
+            0.7122154036242891,
             1.0,
             1.0,
-            0.71319580078125,
-            0.95648193359375,
-            0.97296142578125,
+            0.7132189451946174,
+            0.956444186758415,
+            0.973008296826783,
         ]
         settings = [c["max_entropy_setting"] for c in scan.metadata["cases"]]
         assert settings == ["x", "x", "x", "x", "x", "z"]
@@ -524,7 +569,7 @@ class TestQubitClosedForm:
     """The closed-form qubit threshold agrees with the Born-rule pipeline on
     Bob's orthogonal in-plane pairs, for both order assignments."""
 
-    TOL = 1e-10
+    TOL = 1e-13
 
     @staticmethod
     def _cases(rng):
@@ -552,8 +597,8 @@ class TestQubitClosedForm:
 
     def check(self, bias_x, bloch_x, bias_z, bloch_z, t):
         """Both assignments of one case against the pipeline solve at TOL:
-        the closed form lies in [pipeline - TOL, pipeline] and saturates
-        exactly where the pipeline does.  Returns how many saturate."""
+        the closed form lies within 1e-12 of it and saturates exactly where
+        the pipeline does.  Returns how many saturate."""
         alice_x, alice_z = qubit_povm(bias_x, bloch_x), qubit_povm(bias_z, bloch_z)
         bob_x, bob_z = (qubit_povm(0.0, u) for u in in_plane_pair(bloch_x, bloch_z)[0](t))
         c_x, c_z = plane_coordinates(bloch_x, bloch_z)(t)
@@ -567,7 +612,7 @@ class TestQubitClosedForm:
             )
             closed = scenarios._qubit_threshold(bias, c_max, c_min)
             assert (closed == 1.0) == pipeline.saturated, (closed, pipeline)
-            assert pipeline.value - self.TOL <= closed <= pipeline.value, (closed, pipeline)
+            assert abs(closed - pipeline.value) <= 1e-12, (closed, pipeline)
             saturated += pipeline.saturated
         return saturated
 
@@ -714,13 +759,14 @@ class TestD3FamilyScan:
             assert rec.exact is None
 
     def test_thresholds_pinned(self):
-        # the records of the frame derived at run time (eig of the Weyl product)
+        # the records of the root-finder on the violation, each within 4.3e-7
+        # of the bisection bracket ends that the frame derived at run time gave
         scan = d3_family_scan(np.linspace(0.0, 0.5, 11), 1e-6)
         assert [r.detected.hex() for r in scan.records] == [
-            "0x1.5db3e00000000p-1", "0x1.9c45600000000p-1", "0x1.c6b5e00000000p-1",
-            "0x1.e13f600000000p-1", "0x1.f0be400000000p-1", "0x1.f92d600000000p-1",
-            "0x1.fd60c00000000p-1", "0x1.ff36200000000p-1", "0x1.ffd9a00000000p-1",
-            "0x1.fffdc00000000p-1", "0x1.0000000000000p+0",
+            "0x1.5db3e771ab6e3p-1", "0x1.9c456b302ea7ep-1", "0x1.c6b5ee3fc99aap-1",
+            "0x1.e13f66ddd6147p-1", "0x1.f0be3762c37d6p-1", "0x1.f92d61e486836p-1",
+            "0x1.fd60c8c56b1c3p-1", "0x1.ff361bacb57fdp-1", "0x1.ffd99dd4ba4f7p-1",
+            "0x1.fffdb3d3301c5p-1", "0x1.0000000000000p+0",
         ]
         assert [r.saturated for r in scan.records] == [False] * 10 + [True]
 
