@@ -97,6 +97,40 @@ class TestBisect:
                     assert not solution.saturated
                     assert (solution.value, calls) == plain(pred, tol)
 
+    @pytest.mark.parametrize("levels", [*range(1, 7), 16])
+    def test_levels_return_the_one_level_solution(self, levels):
+        # a margin of 0 below the switch and any positive level above it is
+        # bisected like the boolean (level 1): the midpoint guard reads only
+        # that margin(a) is 0, never how high margin(b) is
+        switches = np.random.default_rng(12).uniform(size=20).tolist()
+        cases = [(lambda v, s=s: v >= s, 1e-6) for s in switches]
+        cases += [
+            (lambda v: v >= 0.625, 1e-6),  # d = 9's dyadic boundary 5/8
+            (lambda v: v > 0.625, 1e-6),
+            (lambda v: False, 1e-6),  # saturates at 1
+            (lambda v: True, 1e-6),  # saturates at 0
+            (lambda v: v >= 0.3, 0.9),
+            (lambda v: v >= 0.7, 1e-20),  # ends become adjacent doubles
+        ]
+        for pred, tol in cases:
+            level_calls, one_calls = [], []
+            at_level = bisect_threshold(lambda v: level_calls.append(v) or levels * pred(v), tol)
+            one_level = bisect_threshold(lambda v: one_calls.append(v) or pred(v), tol)
+            assert (at_level, level_calls) == (one_level, one_calls)
+
+    def test_integral_float_levels_solve_like_the_int(self):
+        # an integer-valued margin takes the same Illinois steps whether it
+        # returns int or float: no step truncates or divides as integers
+        def staircase(v):
+            return math.ceil(16 * (v - 0.3))
+
+        for margin in (staircase, lambda v: 2 * (v >= 0.3)):
+            int_calls, float_calls = [], []
+            as_int = bisect_threshold(lambda v: int_calls.append(v) or margin(v), 1e-6)
+            as_float = bisect_threshold(lambda v: float_calls.append(v) or float(margin(v)), 1e-6)
+            assert (as_int, int_calls) == (as_float, float_calls)
+            assert 0.3 <= as_int.value <= 0.3 + 1e-6 and not as_int.saturated
+
     def test_nan_margin_at_one_is_an_error(self):
         # a NaN used to read as "not detected" and saturate the solve at 1
         with pytest.raises(ValueError, match=re.escape("margin is NaN at v=1.0")):
