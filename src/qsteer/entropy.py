@@ -52,24 +52,21 @@ def check_probabilities(arr: np.ndarray, noun: str, axis) -> np.ndarray:
     return arr
 
 
-def check_visibility(v, name: str):
-    """The visibility rule: ``v`` as a float or float array, or a ValueError naming
-    ``name`` and the value unless all of it lies in [0, 1] (NaN does not); a
-    value that is no real number, such as "0.5", None, 1+0j or a numpy array or
-    scalar of strings or complex numbers, gets the same error."""
-    array = isinstance(v, np.ndarray)
+def check_visibility(v, name: str) -> float:
+    """The visibility rule: ``v`` as a float, or a ValueError naming ``name`` and
+    the value unless it is one number in [0, 1] (NaN is not); a value that is no
+    real number, such as "0.5", None, 1+0j, any numpy array or a numpy scalar of
+    strings or complex numbers, gets the same error."""
     try:
-        if getattr(v, "dtype", np.dtype(float)).kind not in "biuf":  # astype would parse or drop
+        # float() would parse a string and drop an imaginary part
+        if isinstance(v, np.ndarray) or getattr(v, "dtype", np.dtype(float)).kind not in "biuf":
             raise TypeError
-        v = v.astype(float, copy=False) if array else v
-        low, high = (float(v.min()), float(v.max())) if array else (v, v)  # both keep NaN
-        valid = 0.0 <= low and high <= 1.0
-        value = float(high if low >= 0.0 else low)  # float(v) for a number v
+        valid, v = 0.0 <= v <= 1.0, float(v)  # NaN is not valid
     except TypeError:
-        valid, value = False, v
+        valid = False
     if not valid:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return v if array else value
+        raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+    return v
 
 
 def as_distribution(probs) -> np.ndarray:
@@ -107,12 +104,11 @@ class JointDistribution:
         return joint
 
     @classmethod
-    def mixture(cls, one: "JointDistribution", zero: "JointDistribution", w) -> "JointDistribution":
-        """``w * one + (1 - w) * zero``, or the stack of them for an array of weights."""
+    def mixture(cls, one: "JointDistribution", zero: "JointDistribution", w: float) -> "JointDistribution":
+        """``w * one + (1 - w) * zero`` for one weight ``w``."""
         if one.table.shape != zero.table.shape:
             raise ValueError(f"cannot mix tables of shapes {one.table.shape} and {zero.table.shape}")
         w = check_visibility(w, "mixture weight")
-        w = w.reshape(w.shape + (1,) * one.table.ndim) if isinstance(w, np.ndarray) else w
         return cls._valid(w * one.table + (1.0 - w) * zero.table)
 
     def swapped(self) -> "JointDistribution":
@@ -162,19 +158,20 @@ def _conditionals(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weighted_sum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_y w_y v_y for each table, rounded as the 1-d dot product ``w @ v``."""
-    return (w[..., None, :] @ v[..., :, None])[..., 0, 0]
+    """sum_y w_y v_y for each table: ``w @ v`` for one, and for a stack a batched
+    product of rows and columns that rounds like that 1-d dot product."""
+    return w @ v if w.ndim == 1 else (w[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _power_excess(c: np.ndarray, k: float) -> np.ndarray:
     """Per column sum_x c^(1+k) - sum_x c, without cancellation for small k."""
     log_c = np.log(np.where(c > 0.0, c, 1.0))  # zero entries carry no weight
-    return np.sum(c * np.expm1(k * log_c), axis=-2)
+    return (c * np.expm1(k * log_c)).sum(axis=-2)
 
 
 def _conditional_shannon(table: np.ndarray):
     w, c = _conditionals(table)
-    return _value(_weighted_sum(w, -np.sum(c * np.log2(np.where(c > 0.0, c, 1.0)), axis=-2)))
+    return _value(_weighted_sum(w, -(c * np.log2(np.where(c > 0.0, c, 1.0))).sum(axis=-2)))
 
 
 def _conditional_min_entropy(table: np.ndarray):
@@ -184,7 +181,7 @@ def _conditional_min_entropy(table: np.ndarray):
 
 def _conditional_max_entropy(table: np.ndarray):
     # sum_y p(y) (sum_x sqrt p(x|y))^2 telescopes likewise.
-    return _value(np.log2(np.sum(np.sqrt(table).sum(axis=-2) ** 2, axis=-1)))
+    return _value(np.log2((np.sqrt(table).sum(axis=-2) ** 2).sum(axis=-1)))
 
 
 def _conditional_renyi_generic(table: np.ndarray, alpha: float):
@@ -196,7 +193,7 @@ def _conditional_renyi_generic(table: np.ndarray, alpha: float):
         excess = _weighted_sum(w, np.expm1(log_norm))
         return _value(alpha / (1.0 - alpha) * np.log1p(excess) / _LN2)
     m = c.max(axis=-2)
-    s = np.sum((c / np.where(m > 0.0, m, 1.0)[..., None, :]) ** alpha, axis=-2)
+    s = ((c / np.where(m > 0.0, m, 1.0)[..., None, :]) ** alpha).sum(axis=-2)
     return _value(alpha / (1.0 - alpha) * np.log2(_weighted_sum(w, m * s ** (1.0 / alpha))))
 
 

@@ -61,14 +61,17 @@ def bisect_threshold(margin: Callable, tol: float) -> ThresholdSolution:
     margin(1) <= 0 and to ``(0.0, True)`` if margin(0) > 0; else shrinks [a, b],
     margin(a) <= 0 < margin(b), until it is at most ``tol`` wide, in (0, 1), or
     a and b are adjacent doubles, and returns b, which never undershoots the
-    root.  A NaN margin raises.  Each step is the Illinois point (Dowell and
-    Jarratt, BIT 11, 168 (1971): regula falsi halving the stored margin of an
-    end kept twice in a row), clamped into [a + tol/2, b - tol/2] so the step
-    after the estimate comes within tol/2 of the root closes the bracket.  The
-    midpoint replaces it if not inside (a, b), or if margin(a) is 0 and was 0
-    before a last moved, so a boolean predicate (False, True as 0, 1) is plainly
+    root.  A NaN margin raises.  Each step is the Anderson-Bjorck point (N.
+    Anderson and A. Bjorck, BIT 13, 253 (1973)): regula falsi that scales the
+    stored margin of an end kept twice in a row by g = 1 - m_new/m_old, m_old
+    the margin of the end the new point replaces, or by 1/2 if g <= 0 or
+    m_old = 0; clamped into [a + tol/2, b - tol/2] so the step after the
+    estimate comes within tol/2 of the root closes the bracket.  The midpoint
+    replaces it if not inside (a, b), or if margin(a) is 0 and was 0 before a
+    last moved, so a boolean predicate (False, True as 0, 1) is plainly
     bisected, while a fresh 0 is the root to rounding and a + tol/2 ends the
-    solve.  ``perfbench/spans.py`` counts the solver's calls by this name.
+    solve.  The name stays, though only such a predicate is bisected, because
+    ``perfbench/spans.py`` counts the solver's calls by it.
     """
     tol = check_tolerance(tol)
 
@@ -95,11 +98,14 @@ def bisect_threshold(margin: Callable, tol: float) -> ThresholdSolution:
             if not a < v < b:  # also NaN
                 v = mid
         m = at(v)
+        old = fb if m > 0 else fa  # the margin of the end this point replaces
+        g = 1 - m / old if old else 0.5
+        g = g if g > 0 else 0.5  # also NaN
         if m > 0:
-            fa = 0.5 * fa if side == 1 else fa
+            fa = g * fa if side == 1 else fa
             b, fb, side = v, m, 1
         else:
-            fb = 0.5 * fb if side == -1 else fb
+            fb = g * fb if side == -1 else fb
             a, fa, side, flat = v, m, -1, fa == 0
     return ThresholdSolution(b)
 

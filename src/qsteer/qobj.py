@@ -28,11 +28,20 @@ def is_hermitian(a: np.ndarray) -> bool:
     return bool(np.abs(a - np.swapaxes(a, -1, -2).conj()).max() <= DEFAULT_TOLS.structural)
 
 
+def _psd_within_tolerance(a: np.ndarray) -> bool:
+    """The PSD rule for a Hermitian ``a`` or ``(..., d, d)`` stack: every
+    a + structural I has a Cholesky factor, so no eigenvalue lies below
+    ``-structural``."""
+    try:
+        np.linalg.cholesky(a + DEFAULT_TOLS.structural * np.eye(a.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def is_psd(a: np.ndarray) -> bool:
     """True when ``a``, or every matrix of a ``(..., d, d)`` stack, is PSD."""
-    if not is_hermitian(a):
-        return False
-    return bool(np.linalg.eigvalsh(a).min() >= -DEFAULT_TOLS.structural)
+    return is_hermitian(a) and _psd_within_tolerance(a)
 
 
 def check_int(value, least: int, name: str) -> int:
@@ -78,7 +87,7 @@ class DensityMatrix:
         if not off.max() <= DEFAULT_TOLS.structural:
             tr = float(traces.flat[off.argmax()])
             raise ValueError(f"density matrix has trace {tr!r}, not 1")
-        if np.linalg.eigvalsh(m).min() < -DEFAULT_TOLS.structural:
+        if not _psd_within_tolerance(m):
             raise ValueError("density matrix has a negative eigenvalue")
         m.setflags(write=False)
         self.matrix = m

@@ -105,10 +105,10 @@ def _pipeline_threshold(
     T(v) = v T(1) + (1 - v) T(0): the solver's margin mixes the precomputed
     ``tables`` at one visibility and returns the violation of one
     ``steering.evaluate``, a real number continuous in v."""
-    t1, t0, bound = tables
+    (x1, z1), (x0, z0), bound = tables
 
     def violation(v):
-        jx, jz = (JointDistribution.mixture(a, b, v) for a, b in zip(t1, t0))
+        jx, jz = JointDistribution.mixture(x1, x0, v), JointDistribution.mixture(z1, z0, v)
         return steering.evaluate(jx, jz, bound, alpha).violation
 
     if cutoff <= 0.0 or (cutoff < 1.0 and violation(cutoff) <= 0.0):

@@ -1,6 +1,8 @@
 import ast
 import importlib.util
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -106,3 +108,13 @@ def test_every_traced_name_resolves():
     # the counted solver is the one the threshold solves call
     module, name = spans.SOLVER.split(".")
     assert getattr(getattr(qsteer, module), name) is qsteer.scenarios.bisect_threshold
+
+
+def test_benchmark_selftest_passes():
+    # tiny untraced and traced runs of every workload that select every declared
+    # per-layer metric: a package change that leaves one unset, such as a Povm
+    # built without qobj.is_psd, fails the benchmark's traced run and this test
+    out = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stdout + out.stderr

@@ -445,3 +445,41 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape("visibility must lie in [0, 1], got 1.5")):
             depolarize(mub_pair(2)[0], np.float64(1.5))
         assert type(check_visibility(np.float64(0.5), "visibility")) is float
+
+
+class TestPsdTolerance:
+    """One PSD rule for effects and states: no eigenvalue below -1e-10."""
+
+    @staticmethod
+    def rotated(least, rest):
+        # a Hermitian matrix with eigenvalues (least, *rest) in a random basis
+        q = random_unitary(np.random.default_rng(4), 3)
+        return q @ np.diag([least, *rest]) @ q.conj().T
+
+    @pytest.mark.parametrize("least, psd", [(-0.5e-10, True), (-2e-10, False)])
+    def test_is_psd_single_and_stacked(self, least, psd):
+        a = self.rotated(least, [0.3, 0.7])
+        assert is_hermitian(a)
+        assert is_psd(a) is psd
+        assert is_psd(np.stack([np.eye(3), a, np.eye(3) / 3])) is psd
+        assert is_psd(np.stack([[np.eye(3), a], [np.eye(3), np.eye(3)]])) is psd
+
+    @pytest.mark.parametrize("least, psd", [(-0.5e-10, True), (-2e-10, False)])
+    def test_povm_effect(self, least, psd):
+        effect = self.rotated(least, [0.3, 0.7])
+        effects = [effect, np.eye(3) - effect]
+        if psd:
+            assert Povm(effects).n_outcomes == 2
+        else:
+            with pytest.raises(ValueError, match="^POVM effect is not positive semidefinite$"):
+                Povm(effects)
+
+    @pytest.mark.parametrize("least, psd", [(-0.5e-10, True), (-2e-10, False)])
+    def test_density_matrix_single_and_stacked(self, least, psd):
+        rho = self.rotated(least, [0.3, 0.7 - least])
+        for m in (rho, np.stack([np.eye(3) / 3, rho])):
+            if psd:
+                assert DensityMatrix(m).dim == 3
+            else:
+                with pytest.raises(ValueError, match="^density matrix has a negative eigenvalue$"):
+                    DensityMatrix(m)
