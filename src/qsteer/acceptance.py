@@ -84,7 +84,7 @@ def criterion_3_large_d_limit() -> CriterionResult:
     values = [jointmeas.renyi_mub_threshold_symmetric(d, tol=1e-9) for d in dims]
     monotone = all(a > b for a, b in zip(values, values[1:]))
     limit_dev = abs(values[-1] - 0.5)
-    # the full pipeline at d = 50; d = 400 would need Bob's effects as basis matrices
+    # the pipeline at d = 50; at d = 400 each basis still builds about 1 GB of effects to validate
     exact_50 = jointmeas.mub_jm_threshold_symmetric(50)
     pipeline_50 = scenarios.mub_pipeline_threshold(50, 0.5, 1e-6)
     on_boundary = exact_50 <= pipeline_50 <= exact_50 + 1e-6

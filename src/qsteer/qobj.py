@@ -102,9 +102,12 @@ class DensityMatrix:
 
 class Povm:
     """Finite measurement: PSD effects summing to the identity, kept as the
-    validated stack itself, one read-only ``effects`` array of shape (n, d, d)."""
+    validated stack itself, one read-only ``effects`` array of shape (n, d, d).
+    ``from_basis`` also keeps its d x d matrix, read-only, as ``basis`` (else
+    None), so that two bases contract by one d x d product; their effects are
+    still validated here through ``is_psd``: a basis passes exactly when they do."""
 
-    __slots__ = ("effects",)
+    __slots__ = ("effects", "basis")
 
     def __init__(self, effects):
         try:
@@ -121,12 +124,23 @@ class Povm:
             raise ValueError("POVM effects do not sum to the identity")
         stack.setflags(write=False)
         self.effects = stack
+        self.basis = None
 
     @classmethod
-    def from_basis(cls, basis: np.ndarray) -> "Povm":
-        """Rank-1 projective POVM from the columns of a unitary matrix."""
-        cols = np.asarray(basis, dtype=complex).T
-        return cls(cols[:, :, None] * cols[:, None, :].conj())
+    def from_basis(cls, basis) -> "Povm":
+        """Rank-1 projective POVM |b_k><b_k| from the columns of a unitary matrix,
+        kept as a read-only copy in ``basis``.  A d x n frame with n != d can make a
+        POVM that is not projective, so it is refused like any non-square or non-numeric input."""
+        b = np.array(basis)
+        if b.dtype.kind not in "biufc":
+            raise ValueError(f"basis must be a numeric matrix, got {basis!r}")
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise ValueError(f"basis must be a square matrix, got shape {b.shape}")
+        b = b.astype(complex, copy=False)
+        b.setflags(write=False)
+        povm = cls(b.T[:, :, None] * b.T[:, None, :].conj())
+        povm.basis = b
+        return povm
 
     @property
     def dim(self) -> int:
@@ -138,6 +152,8 @@ class Povm:
 
     def is_rank1_projective(self) -> bool:
         e, tol = self.effects, DEFAULT_TOLS.projective
+        if self.basis is not None:  # |b><b|^2 - |b><b| = (|b|^2 - 1)|b><b|
+            return bool(np.abs((self.basis * self.basis.conj()).real.sum(axis=0) - 1.0).max() <= tol)
         traces = np.trace(e, axis1=1, axis2=2).real
         return bool(np.abs(traces - 1.0).max() <= tol and np.abs(e @ e - e).max() <= tol)
 
@@ -165,8 +181,8 @@ def qubit_povm(bias: float, bloch) -> Povm:
 def fourier_matrix(d: int) -> np.ndarray:
     """Discrete Fourier matrix F[j,k] = omega^(-jk)/sqrt(d), omega = e^(2 pi i/d)."""
     d = check_int(d, 2, "dimension")
-    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return np.exp(-2j * np.pi * j * k / d) / np.sqrt(d)
+    k = np.arange(d)
+    return np.exp(-2j * np.pi * k[:, None] * k / d) / np.sqrt(d)
 
 
 def mub_pair(d: int) -> tuple[Povm, Povm]:
@@ -190,12 +206,15 @@ def joint_distribution(alice: Povm, bob: Povm) -> JointDistribution:
     |Phi+> = sum_i |ii>/sqrt(d): p(a, b) = <Phi+|E_a (x) F_b|Phi+> = tr(E_a F_b^T)/d.
 
     Alice holds the first tensor factor; the returned table has her outcome
-    on the first axis.
+    on the first axis.  Two bases (``Povm.from_basis``) give |a^T b|^2/d by one
+    d x d product.
     """
     d = alice.dim
     if bob.dim != d:
         raise ValueError(f"measurements act on different dimensions: {d} and {bob.dim}")
     amp2 = (1.0 / np.sqrt(d)) ** 2  # |<ii|Phi+>|^2; may differ from 1/d in the last bit
+    if alice.basis is not None and bob.basis is not None:  # tr(|a><a| |b*><b*|) = |a^T b|^2
+        return JointDistribution(np.abs(alice.basis.T @ bob.basis) ** 2 * amp2)
     e = alice.effects.reshape(alice.n_outcomes, -1) * amp2
     f = bob.effects.reshape(bob.n_outcomes, -1)
     # tr(E F^T) = sum_ij E[i,j] F[i,j]: one product of the flattened effects

@@ -42,23 +42,28 @@ class UnsupportedBoundError(ValueError):
 
 
 def overlap_bound(x: Povm, z: Povm) -> float:
-    """Uncertainty bound q = -log2 c^2, c the largest eigenvector overlap.
+    """Uncertainty bound q = -log2 c^2, c = max |<x_i|z_j>| the largest
+    eigenvector overlap (Maassen and Uffink, PRL 60, 1103 (1988)).
 
     Defined for rank-1 projective measurements only; general POVMs are
-    rejected rather than guessed at.
+    rejected rather than guessed at.  A basis (``Povm.from_basis``) passes that
+    test on its unit columns, its effects |b><b| having rank 1; two bases X, Z
+    give c by the d x d product X^+ Z, any other pair by its effects.  Both
+    operand orders are taken, since the two products may round apart, so the
+    bound is exactly symmetric.
     """
     for p in (x, z):
         if not p.is_rank1_projective():
-            raise UnsupportedBoundError(
-                "overlap bound requires rank-1 projective measurements"
-            )
+            raise UnsupportedBoundError("overlap bound requires rank-1 projective measurements")
     if x.dim != z.dim:
         raise ValueError("measurements act on different dimensions")
-    # |<x_i|z_j>|^2 = tr[X_i Z_j] = sum_kl X_i[k,l] Z_j^T[k,l]: one product of the
-    # flattened effects.  Both operand orders keep the bound exactly symmetric.
-    fx, fz = (p.effects.reshape(p.n_outcomes, -1) for p in (x, z))
-    tx, tz = (np.swapaxes(p.effects, 1, 2).reshape(p.n_outcomes, -1) for p in (x, z))
-    c2 = max((fx @ tz.T).real.max(), (fz @ tx.T).real.max())
+    if x.basis is not None and z.basis is not None:
+        c = max(np.abs(x.basis.conj().T @ z.basis).max(), np.abs(z.basis.conj().T @ x.basis).max())
+        c2 = c * c
+    else:  # |<x_i|z_j>|^2 = tr[X_i Z_j] = sum_kl X_i[k,l] Z_j^T[k,l]: flattened effects
+        fx, fz = (p.effects.reshape(p.n_outcomes, -1) for p in (x, z))
+        tx, tz = (np.swapaxes(p.effects, 1, 2).reshape(p.n_outcomes, -1) for p in (x, z))
+        c2 = max((fx @ tz.T).real.max(), (fz @ tx.T).real.max())
     c2 = min(max(float(c2), 1.0 / x.dim), 1.0)
     return float(-np.log2(c2))
 

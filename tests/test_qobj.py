@@ -49,6 +49,13 @@ class TestFourier:
         with pytest.raises(ValueError):
             fourier_matrix(1)
 
+    def test_bytes_equal_the_meshgrid_formula(self):
+        # broadcasting k[:, None] * k takes the same operations in the same order
+        for d in range(2, 65):
+            j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+            reference = np.exp(-2j * np.pi * j * k / d) / np.sqrt(d)
+            assert fourier_matrix(d).tobytes() == reference.tobytes(), d
+
 
 class TestMubPair:
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -103,6 +110,67 @@ class TestEffectStack:
             for v in (0.0, 0.3, 0.77, 1.0):
                 ref = [v * e + (1.0 - v) * np.trace(e).real * np.eye(d) / d for e in p.effects]
                 assert np.array_equal(depolarize(p, v).effects, np.array(ref))
+
+
+# the 2 x 3 trine frame: three real unit vectors at 120 degrees, scaled by sqrt(2/3)
+TRINE = np.sqrt(2.0 / 3.0) * np.array(
+    [[np.cos(2 * np.pi * k / 3) for k in range(3)], [np.sin(2 * np.pi * k / 3) for k in range(3)]]
+)
+
+
+class TestFromBasis:
+    def test_basis_kept_as_a_read_only_copy(self):
+        given = fourier_matrix(3).copy()
+        p = Povm.from_basis(given)
+        assert p.basis.dtype == complex and np.array_equal(p.basis, given)
+        assert not p.basis.flags.writeable and given.flags.writeable
+        given[0, 0] = 7.0
+        assert p.basis[0, 0] == 1.0 / np.sqrt(3.0)
+        real = Povm.from_basis(np.eye(2, dtype=int))
+        assert real.basis.dtype == complex and np.array_equal(real.basis, np.eye(2))
+
+    def test_povms_built_from_effects_keep_no_basis(self):
+        comp, four = mub_pair(3)
+        assert comp.basis is not None and four.basis is not None
+        others = [Povm(four.effects), depolarize(four, 1.0), qubit_povm(0.0, (0, 0, 1))]
+        assert all(p.basis is None for p in others)
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ([1, 0], "square matrix, got shape (2,)"),
+            ([[1, 0]], "square matrix, got shape (1, 2)"),
+            (TRINE, "square matrix, got shape (2, 3)"),
+            (np.eye(2)[None], "square matrix, got shape (1, 2, 2)"),
+            (3.0, "square matrix, got shape ()"),
+            ("ab", "numeric matrix, got 'ab'"),
+            ([["1", "0"], ["0", "1"]], "numeric matrix, got [['1', '0'], ['0', '1']]"),
+            (None, "numeric matrix, got None"),
+            ([[1, 0], [0]], "inhomogeneous shape"),
+        ],
+    )
+    def test_non_square_or_non_numeric_input_rejected(self, basis, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Povm.from_basis(basis)
+
+    def test_trine_is_a_povm_that_is_not_projective(self):
+        # the frame that from_basis refuses makes a valid three-outcome POVM
+        trine = Povm([np.outer(c, c) for c in TRINE.T])
+        assert trine.n_outcomes == 3 and trine.dim == 2
+        assert trine.basis is None and not trine.is_rank1_projective()
+
+    def test_rank1_test_reads_the_column_norms(self):
+        # at d = 50 one Fourier column stretched to |b|^2 = 1 + 4.5e-9 keeps the
+        # effects' sum within 9e-11 of I, so the POVM is valid, yet its effect
+        # misses the rank-1 projective test (1e-9) on either path
+        d = 50
+        stretched = fourier_matrix(d)
+        stretched[:, 0] *= np.sqrt(1.0 + 4.5e-9)
+        p = Povm.from_basis(stretched)
+        assert not p.is_rank1_projective() and not Povm(p.effects).is_rank1_projective()
+        for b in (fourier_matrix(d), random_unitary(np.random.default_rng(5), d)):
+            p = Povm.from_basis(b)
+            assert p.is_rank1_projective() and Povm(p.effects).is_rank1_projective()
 
 
 class TestDepolarize:
@@ -208,6 +276,19 @@ class TestJointDistributionOp:
         comp3, _ = mub_pair(3)
         with pytest.raises(ValueError):
             joint_distribution(comp2, comp3)
+
+    @pytest.mark.parametrize("d", [*range(2, 11), 50])
+    def test_bases_match_their_effects(self, d):
+        # two bases take |A^T B|^2/d from their matrices; every other pair
+        # contracts the effects exactly as a pair without bases does
+        rng = np.random.default_rng(100 + d)
+        for _ in range(3):
+            a, b = (Povm.from_basis(random_unitary(rng, d)) for _ in range(2))
+            bare_a, bare_b = Povm(a.effects), Povm(b.effects)
+            reference = joint_distribution(bare_a, bare_b).table
+            assert np.abs(joint_distribution(a, b).table - reference).max() <= 1e-15
+            for x, y in ((a, bare_b), (bare_a, b)):
+                assert joint_distribution(x, y).table.tobytes() == reference.tobytes()
 
 
 class TestQubitPovm:

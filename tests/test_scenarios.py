@@ -1,6 +1,8 @@
+import json
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +114,21 @@ class TestFig1Scan:
         )
         (rec,) = fig1_scan([2], [0.5], tol=1e-6).records
         assert rec.detected == 1.0 and rec.saturated
+
+    def test_matches_the_benchmark_reference(self):
+        # the benchmark's mub_scan check, on its whole grid: every threshold
+        # within tol of the committed reference, the alpha = 1/2 rows also
+        # within tol of the exact boundary
+        data = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "mub_reference.json").read_text())
+        reference = {(row["d"], row["alpha"]): row["threshold"] for row in data["thresholds"]}
+        alphas = [0.5, 0.55, 0.6, 0.7, 0.85, 1.0, 1.25, 1.5, 2.0, 4.0, 8.0, math.inf]
+        scan = fig1_scan(range(2, 11), alphas, tol=1e-6)
+        assert data["tol"] == 1e-6 and len(scan.records) == 108
+        for rec in scan.records:
+            key = "inf" if math.isinf(rec.alpha) else repr(rec.alpha)
+            assert abs(rec.detected - reference[(rec.parameter, key)]) <= 1e-6, rec
+            if rec.alpha == 0.5:
+                assert abs(rec.detected - mub_jm_threshold_symmetric(rec.parameter)) <= 1e-6, rec
 
     def test_rejects_alpha_below_half(self):
         with pytest.raises(ValueError):

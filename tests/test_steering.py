@@ -90,6 +90,29 @@ class TestOverlapBound:
         with pytest.raises(ValueError, match="measurements act on different dimensions"):
             overlap_bound(mub_pair(2)[0], mub_pair(3)[1])
 
+    @pytest.mark.parametrize("d", [*range(2, 11), 20, 50])
+    def test_bases_match_their_effects_and_are_exactly_symmetric(self, d):
+        # two bases take c from X^+ Z; a pair with one POVM built from effects
+        # takes the effects' path, bit for bit as a pair with none
+        rng = np.random.default_rng(200 + d)
+        for _ in range(5):
+            x, z = (Povm.from_basis(random_unitary(rng, d)) for _ in range(2))
+            bare_x, bare_z = Povm(x.effects), Povm(z.effects)
+            reference = overlap_bound(bare_x, bare_z)
+            assert overlap_bound(x, z) == overlap_bound(z, x)
+            assert abs(overlap_bound(x, z) - reference) <= 1e-14
+            for a, b in ((x, bare_z), (bare_x, z)):
+                assert overlap_bound(a, b) == overlap_bound(b, a) == reference
+
+    def test_trine_rejected(self):
+        # the 2 x 3 trine frame, which from_basis refuses, is a valid POVM but not projective
+        trine = np.sqrt(2.0 / 3.0) * np.array(
+            [[math.cos(2 * math.pi * k / 3) for k in range(3)], [math.sin(2 * math.pi * k / 3) for k in range(3)]]
+        )
+        comp, _ = mub_pair(2)
+        with pytest.raises(UnsupportedBoundError):
+            overlap_bound(Povm([np.outer(c, c) for c in trine.T]), comp)
+
 
 class TestSteeringLhs:
     def test_product_uniform_two_bits(self):
