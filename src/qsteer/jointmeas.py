@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .entropy import check_visibility
-from .qobj import check_int, check_tolerance
+from .qobj import check_int, check_numeric, check_tolerance
 
 
 class ThresholdSolution(NamedTuple):
@@ -189,8 +189,8 @@ def eta_tightness_gap(d: int, grid_points: int, tol: float) -> float:
 def qubit_exact_threshold(z, x) -> float:
     """Visibility threshold 2/(|z+x| + |z-x|) for equal-visibility unbiased
     qubit measurements along unit Bloch vectors z and x."""
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
+    z = check_numeric(z, "z", "vector", real=True)
+    x = check_numeric(x, "x", "vector", real=True)
     for name, u in (("z", z), ("x", x)):
         if u.shape != (3,) or not abs(np.linalg.norm(u) - 1.0) <= DEFAULT_TOLS.projective:
             raise ValueError(f"{name} must be a unit 3-vector")

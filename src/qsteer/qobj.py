@@ -12,15 +12,18 @@ limit is v = 0).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import DEFAULT_TOLS
 from .entropy import JointDistribution, check_visibility
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# I, sigma_x, sigma_y, sigma_z, each flattened to a row: (b, r) @ _PAULI is b I + r.sigma
+_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], dtype=complex)
+_PAULI.setflags(write=False)
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # s in the effects (I + s (b I + r.sigma))/2
+_SIGNS.setflags(write=False)
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -58,6 +61,18 @@ def check_int(value, least: int, name: str) -> int:
     return int(value)
 
 
+def check_numeric(value, name: str, noun: str, real: bool = False) -> np.ndarray:
+    """The numeric-input rule: ``value`` as a new complex array (float when
+    ``real``), or a ValueError naming ``name`` and the value unless every entry is
+    a number, a real one when ``real``.  The dtype is read before converting, so
+    strings, None and objects are never parsed; a ragged list gets numpy's error."""
+    a = np.asarray(value)
+    if a.dtype.kind not in ("biuf" if real else "biufc"):
+        kind = "real" if real else "numeric"
+        raise ValueError(f"{name} must be a {kind} {noun}, got {value!r}")
+    return a.astype(float if real else complex)
+
+
 def check_tolerance(tol: float) -> float:
     """The tolerance rule for every threshold solve: ``tol`` as a float, or a
     ValueError naming the value unless it lies in (0, 1) (NaN and "x" do not)."""
@@ -77,7 +92,7 @@ class DensityMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
+        m = check_numeric(matrix, "density matrix", "matrix")
         if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
             raise ValueError("density matrix must be a nonempty square matrix or stack")
         if not is_hermitian(m):
@@ -111,9 +126,10 @@ class Povm:
 
     def __init__(self, effects):
         try:
-            stack = np.array(effects, dtype=complex)
+            stack = np.asarray(effects)
         except ValueError as exc:  # ragged input
             raise ValueError("POVM effects must be square matrices of equal size") from exc
+        stack = check_numeric(stack, "POVM effects", "array")
         if stack.shape[:1] == (0,):
             raise ValueError("a POVM needs at least one effect")
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
@@ -131,12 +147,9 @@ class Povm:
         """Rank-1 projective POVM |b_k><b_k| from the columns of a unitary matrix,
         kept as a read-only copy in ``basis``.  A d x n frame with n != d can make a
         POVM that is not projective, so it is refused like any non-square or non-numeric input."""
-        b = np.array(basis)
-        if b.dtype.kind not in "biufc":
-            raise ValueError(f"basis must be a numeric matrix, got {basis!r}")
+        b = check_numeric(basis, "basis", "matrix")
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"basis must be a square matrix, got shape {b.shape}")
-        b = b.astype(complex, copy=False)
         b.setflags(write=False)
         povm = cls(b.T[:, :, None] * b.T[:, None, :].conj())
         povm.basis = b
@@ -165,17 +178,18 @@ def qubit_povm(bias: float, bloch) -> Povm:
     """Two-outcome qubit measurement (I +- (b I + r.sigma))/2.
 
     ``bias`` is the outcome imbalance b; ``bloch`` the subnormalized Bloch
-    vector r.  Validity of both effects requires |b| + |r| <= 1, and the call
-    raises ``ValueError`` otherwise; the visibility of the measurement is |r|.
+    vector r, both real.  Validity of both effects requires |b| + |r| <= 1, and
+    the call raises ``ValueError`` otherwise; the visibility of the measurement is |r|.
     """
-    bias, r = float(bias), np.asarray(bloch, dtype=float)
+    bias = float(check_numeric(bias, "bias", "number", real=True))
+    r = check_numeric(bloch, "bloch", "vector", real=True)
     if r.shape != (3,):
         raise ValueError("bloch must be a real 3-vector")
-    size = abs(bias) + np.linalg.norm(r)
+    size = abs(bias) + math.sqrt(r @ r)
     if not size <= 1.0 + DEFAULT_TOLS.prob_negativity:
         raise ValueError(f"invalid qubit POVM: |bias| + |bloch| = {size:.6f} exceeds 1")
-    shift = bias * np.eye(2) + sum(c * s for c, s in zip(r, PAULI))
-    return Povm([(np.eye(2) + shift) / 2.0, (np.eye(2) - shift) / 2.0])
+    shift = (np.array([bias, *r]) @ _PAULI).reshape(2, 2)
+    return Povm((np.eye(2) + _SIGNS * shift) / 2.0)
 
 
 def fourier_matrix(d: int) -> np.ndarray:

@@ -161,7 +161,7 @@ def _mirror_y(u: np.ndarray) -> np.ndarray:
 
 def _unit(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    return u / np.linalg.norm(u)
+    return u / math.sqrt(u @ u)
 
 
 def _qubit_threshold(bias: float, c_max: float, c_min: float) -> float:
@@ -318,7 +318,8 @@ def qubit_random_povm_check(n_cases: int, seed: int, tol: float = 1e-6) -> ScanR
         bob = (qubit_povm(0.0, u_x), qubit_povm(0.0, u_z))[::order]
         solution = _pipeline_threshold(_pipeline_tables(*alice, *bob), 0.5, tol)
 
-        busch = 2.0 / (np.linalg.norm(bloch_z + bloch_x) + np.linalg.norm(bloch_z - bloch_x))
+        plus, minus = bloch_z + bloch_x, bloch_z - bloch_x
+        busch = 2.0 / (math.sqrt(plus @ plus) + math.sqrt(minus @ minus))
         rows.append((float(idx), solution, None if kind == "biased" else min(1.0, busch)))
         cases.append(
             {

@@ -66,12 +66,13 @@ def test_no_module_imports_another_modules_private_names():
 
 
 # Message fragments of the input rules: check_int, check_visibility, check_tolerance,
-# check_probabilities.
+# check_probabilities, check_numeric.
 RULE_FRAGMENTS = (
     "must be an integer of at least",
     "must lie in [0, 1], got",
     "must lie in (0, 1), got",
     "has negative or NaN entr",
+    "must be a {kind} {noun}, got",
 )
 
 

@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from qsteer import qobj
+from qsteer import qobj, scenarios
 from qsteer.entropy import check_visibility
+from qsteer.jointmeas import qubit_exact_threshold
 from qsteer.qobj import (
     DensityMatrix,
     Povm,
@@ -330,6 +331,46 @@ class TestQubitPovm:
         total = sum(qubit_povm(0.2, (0.1, 0.2, 0.3)).effects)
         assert np.abs(total - np.eye(2)).max() < 1e-14
 
+    def test_effects_equal_the_pauli_generator_sum(self):
+        # the generator sum b I + sum_k r_k sigma_k, one effect at a time, is the
+        # reference: each entry of the one product has one nonzero term per part
+        sigma = [
+            np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+            np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+            np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+        ]
+
+        def reference(bias, bloch):
+            shift = bias * np.eye(2) + sum(c * s for c, s in zip(bloch, sigma))
+            return Povm([(np.eye(2) + shift) / 2.0, (np.eye(2) - shift) / 2.0])
+
+        rng = np.random.default_rng(2253)
+        cases = [(0.0, np.zeros(3)), (1.0, np.zeros(3)), (-0.4, np.array([0.0, -0.6, 0.0]))]
+        for i in range(1200):
+            r = rng.normal(size=3)
+            r[rng.random(3) < 0.3] = 0.0
+            norm = np.linalg.norm(r)
+            if norm:  # lengths in [1/2, 1] leave 1 - |r| exact, so |b| + |r| = 1 exactly
+                r *= rng.uniform(0.5, 1.0) / norm if i % 3 == 0 else rng.uniform(0.0, 1.0) / norm
+            room = 1.0 - np.linalg.norm(r)
+            cases.append((room * (rng.choice([-1.0, 1.0]) if i % 3 == 0 else rng.uniform(-1.0, 1.0)), r))
+        on_boundary = [abs(b) + np.linalg.norm(r) == 1.0 for b, r in cases]
+        assert sum(on_boundary) >= 400
+        assert sum(0.0 in r for _, r in cases) >= 400 and sum((r < 0.0).any() for _, r in cases) >= 800
+        for bias, bloch in cases:
+            assert np.array_equal(qubit_povm(bias, bloch).effects, reference(bias, bloch).effects), (bias, bloch)
+        stack = np.stack([np.eye(2), *sigma]).reshape(4, 4)
+        assert np.array_equal(qobj._PAULI, stack) and not qobj._PAULI.flags.writeable
+
+    def test_unit_vectors_equal_the_norm_formula(self):
+        rng = np.random.default_rng(2254)
+        for _ in range(1000):
+            u = rng.normal(size=3) * rng.uniform(1e-3, 1e3)
+            u[rng.random(3) < 0.2] = 0.0
+            if u.any():
+                assert scenarios._unit(u).tobytes() == (u / np.linalg.norm(u)).tobytes(), u
+                assert scenarios._unit(tuple(u)).tobytes() == (u / np.linalg.norm(u)).tobytes(), u
+
 
 def weyl_frame():
     """The d = 3 frame derived at run time: eigenvectors of the Weyl product
@@ -521,6 +562,60 @@ class TestValidation:
             check_visibility(value, "visibility")
         with pytest.raises(ValueError, match=re.escape(message)):
             depolarize(mub_pair(2)[0], value)
+
+    @pytest.mark.parametrize(
+        "build, value, message",
+        [
+            (Povm, [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]], "POVM effects must be a numeric array"),
+            (Povm, None, "POVM effects must be a numeric array, got array(None, dtype=object)"),
+            (Povm, np.array([np.eye(2) / 2] * 2, dtype=object), "POVM effects must be a numeric array"),
+            (DensityMatrix, [["1", "0"], ["0", "0"]], "density matrix must be a numeric matrix, got [['1', '0'], ['0', '0']]"),
+            (DensityMatrix, None, "density matrix must be a numeric matrix, got None"),
+            (DensityMatrix, np.eye(2, dtype=object) / 2, "density matrix must be a numeric matrix, got array("),
+            (Povm.from_basis, np.eye(2, dtype=object), "basis must be a numeric matrix, got array("),
+        ],
+        ids=["povm-strings", "povm-none", "povm-objects", "state-strings", "state-none", "state-objects", "basis-objects"],
+    )
+    def test_numeric_rule_rejects_what_is_no_number(self, build, value, message):
+        # strings used to be parsed as numbers and object arrays converted
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(value)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("0.1", (0.5, 0.0, 0.0)), "bias must be a real number, got '0.1'"),
+            ((None, (0.5, 0.0, 0.0)), "bias must be a real number, got None"),
+            ((0.1 + 0j, (0.5, 0.0, 0.0)), "bias must be a real number, got (0.1+0j)"),
+            ((np.array(0.1, dtype=object), (0.5, 0.0, 0.0)), "bias must be a real number, got array(0.1, dtype=object)"),
+            ((0.1, ["0.5", "0", "0"]), "bloch must be a real vector, got ['0.5', '0', '0']"),
+            ((0.0, None), "bloch must be a real vector, got None"),
+            ((0.0, np.array([0.5 + 0.3j, 0, 0])), "bloch must be a real vector, got array([0.5+0.3j, 0. +0.j , 0. +0.j ])"),
+            ((0.0, np.array([0.5, 0, 0], dtype=object)), "bloch must be a real vector, got array([0.5, 0, 0], dtype=object)"),
+        ],
+        ids=["bias-string", "bias-none", "bias-complex", "bias-object", "bloch-strings", "bloch-none", "bloch-complex", "bloch-objects"],
+    )
+    def test_numeric_rule_takes_only_real_qubit_parameters(self, args, message):
+        # strings used to be parsed, None escaped as TypeError and a complex
+        # Bloch vector lost its imaginary part with only a ComplexWarning
+        with pytest.raises(ValueError, match=re.escape(message)):
+            qubit_povm(*args)
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            (("0", "0", "1"), "z must be a real vector, got ('0', '0', '1')"),
+            (None, "z must be a real vector, got None"),
+            ((0, 0, 1 + 0j), "z must be a real vector, got (0, 0, (1+0j))"),
+            (np.array([0, 0, 1], dtype=object), "z must be a real vector, got array([0, 0, 1], dtype=object)"),
+        ],
+        ids=["strings", "none", "complex", "objects"],
+    )
+    def test_numeric_rule_takes_only_real_bloch_directions(self, z, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            qubit_exact_threshold(z, (1, 0, 0))
+        with pytest.raises(ValueError, match=re.escape(message.replace("z must", "x must"))):
+            qubit_exact_threshold((1, 0, 0), z)
 
     def test_visibility_rule_names_a_numpy_scalar_as_a_float(self):
         with pytest.raises(ValueError, match=re.escape("visibility must lie in [0, 1], got 1.5")):

@@ -326,6 +326,29 @@ class TestPipelineSolveCost:
         assert acceptance.criterion_4_shannon_suboptimality().passed
         assert calls["joint_distribution"] == 14
 
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        # the benchmark's traced run counts these: every Povm is checked by is_psd
+        counts = Counter()
+        for target, name in ((qobj, "is_psd"), (qobj.Povm, "__init__")):
+            def counted(*args, _name=name, _original=getattr(target, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(target, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_qubit_case_validates_4_povms(self, validations, seed):
+        # Alice's two POVMs and Bob's two, each built and checked once
+        qubit_random_povm_check(1, seed, 1e-4)
+        assert validations == {"is_psd": 4, "__init__": 4}
+
+    @pytest.mark.parametrize("d, alpha", [(2, 0.5), (5, 1.0), (10, math.inf)])
+    def test_mub_solve_validates_2_povms(self, validations, d, alpha):
+        mub_pipeline_threshold(d, alpha)
+        assert validations == {"is_psd": 2, "__init__": 2}
+
     def test_never_detecting_scenario_costs_one_evaluation(self, calls):
         scan = d3_family_scan([0.5], tol=1e-6)
         assert scan.records[0].saturated and scan.records[0].detected == 1.0
@@ -511,6 +534,15 @@ class TestQubitRandomPovmCheck:
         again = qubit_random_povm_check(n_cases=6, seed=7, tol=1e-6)
         for a, b in zip(scan.records, again.records):
             assert a.detected == b.detected and a.exact == b.exact
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_exact_column_is_buschs_formula(self, seed):
+        scan = qubit_random_povm_check(9, seed, tol=1e-4)
+        for rec, case in zip(scan.records, scan.metadata["cases"]):
+            if case["kind"] != "biased":
+                z, x = np.array(case["bloch_z"]), np.array(case["bloch_x"])
+                busch = 2.0 / (np.linalg.norm(z + x) + np.linalg.norm(z - x))
+                assert rec.exact == min(1.0, busch), (rec, case)
 
     def test_results_pinned(self):
         # values of the one-angle search; a change that moves it fails here
