@@ -39,27 +39,26 @@ def _result(number: int, name: str, started: float, passed: bool, detail: str) -
 
 
 def criterion_1_mub_tightness() -> CriterionResult:
-    """Closed form vs the root-finder, both conditions around it, and the asymmetric curves."""
+    """The pipeline's symmetric thresholds and eta(chi) curves against the exact
+    boundary, and the joint-measurability condition switching on it."""
     t0 = time.perf_counter()
-    worst_sym = 0.0
-    worst_asym = 0.0
+    dims = range(2, 11)
+    worst_sym = max(abs(r.gap) for r in scenarios.fig1_scan(dims, [0.5], 1e-13).records)
+    worst_asym = max(abs(r.gap) for d in dims for r in scenarios.mub_eta_scan(d, 21, 1e-13).records)
     switch = True
-    for d in range(2, 11):
+    for d in dims:
         closed = jointmeas.mub_jm_threshold_symmetric(d)
-        solved = jointmeas.renyi_mub_threshold_symmetric(d, tol=1e-9)
-        worst_sym = max(worst_sym, abs(solved - closed))
-        worst_asym = max(worst_asym, jointmeas.eta_tightness_gap(d, 21, tol=1e-8))
-        for holds in (jointmeas.mub_jm_holds, jointmeas.renyi_mub_holds):
-            switch &= holds(d, closed, closed) and not holds(d, closed + 1e-9, closed + 1e-9)
-    passed = worst_sym <= 1e-6 and worst_asym <= 2e-6 and switch
+        switch &= jointmeas.mub_jm_holds(d, closed, closed)
+        switch &= not jointmeas.mub_jm_holds(d, closed + 1e-9, closed + 1e-9)
+    passed = worst_sym <= 1e-12 and worst_asym <= 1e-12 and switch
     return _result(
         1,
         "MUB tightness",
         t0,
         passed,
-        f"max symmetric dev {worst_sym:.2e} (tol 1e-6), "
-        f"max eta(chi) dev {worst_asym:.2e} (tol 2e-6), "
-        f"both conditions switch within 1e-9 above the closed form: {switch}",
+        f"max symmetric dev {worst_sym:.2e} (tol 1e-12), "
+        f"max eta(chi) dev {worst_asym:.2e} (tol 1e-12), "
+        f"joint measurability switches within 1e-9 above the closed form: {switch}",
     )
 
 
@@ -123,22 +122,15 @@ def criterion_4_shannon_suboptimality() -> CriterionResult:
 
 def criterion_5_qubit_angles() -> CriterionResult:
     t0 = time.perf_counter()
-    thetas = np.linspace(0.0, 0.76, 20)
-    scan = scenarios.qubit_angle_scan(thetas, tol=1e-6)
-    worst_pipeline = 0.0
-    worst_formula = 0.0
-    for rec in scan.records:
-        formula = jointmeas.qubit_renyi_threshold(rec.parameter)
-        worst_pipeline = max(worst_pipeline, abs(rec.detected - formula))
-        worst_formula = max(worst_formula, abs(formula - rec.exact))  # Busch's boundary
-    passed = worst_pipeline <= 1e-5 and worst_formula <= 1e-12
+    scan = scenarios.qubit_angle_scan(np.linspace(0.0, 0.76, 20), tol=1e-13)
+    worst = max(abs(rec.detected - rec.exact) for rec in scan.records)  # Busch's boundary
+    passed = worst <= 1e-12
     return _result(
         5,
         "qubit angle equivalence",
         t0,
         passed,
-        f"max |pipeline - 1/(sqrt2 cos)| {worst_pipeline:.2e} (tol 1e-5), "
-        f"max formula dev {worst_formula:.2e} (tol 1e-12)",
+        f"max |pipeline - exact| {worst:.2e} (tol 1e-12)",
     )
 
 

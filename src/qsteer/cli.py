@@ -1,7 +1,7 @@
 """Command-line surface: scans, checks, CSV/SVG emission, self-test.
 
 Thin adapters only; every number printed here is produced by the entropy,
-jointmeas, steering or scenarios APIs.  Exit codes: 0 success, 2 usage or
+steering or scenarios APIs.  Exit codes: 0 success, 2 usage or
 validation error, 1 internal failure.
 """
 
@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, jointmeas, scenarios, steering
+from . import acceptance, scenarios, steering
 from .entropy import (
     JointDistribution,
     conditional_renyi,
@@ -236,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.add_argument("--svg")
 
-    p = sub.add_parser("tightness", help="compare entropic and exact eta(chi) curves")
+    p = sub.add_parser("tightness", help="compare the pipeline's and the exact eta(chi) curves")
     p.add_argument("--d", type=_int_range, default=list(range(2, 11)), help="e.g. 2..10")
     p.add_argument("--grid-points", type=int, default=21)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -346,9 +346,10 @@ def _cmd_scan_d3(args) -> int:
 def _cmd_tightness(args) -> int:
     worst = 0.0
     for d in args.d:
-        dev = jointmeas.eta_tightness_gap(d, args.grid_points, args.tol)
+        scan = scenarios.mub_eta_scan(d, args.grid_points, args.tol)
+        dev = max(abs(rec.gap) for rec in scan.records)
         worst = max(worst, dev)
-        print(f"d={d}: max |eta_renyi(chi) - eta_exact(chi)| = {dev:.3e}")
+        print(f"d={d}: max |eta_pipeline(chi) - eta_exact(chi)| = {dev:.3e}")
     print(f"overall max deviation {worst:.3e}")
     return 0
 

@@ -52,6 +52,19 @@ def check_probabilities(arr: np.ndarray, noun: str, axis) -> np.ndarray:
     return arr
 
 
+def check_numeric(value, name: str, noun: str, real: bool = False) -> np.ndarray:
+    """The numeric-input rule: ``value`` as a new complex array (float when
+    ``real``), or a ValueError naming ``name`` and the value unless every entry is
+    a number, a real one when ``real``, and, for the ``noun`` "number", unless it
+    is one number (0-d).  The dtype is read before converting, so strings, None
+    and objects are never parsed; a ragged list gets numpy's error."""
+    a = np.asarray(value)
+    if a.dtype.kind not in ("biuf" if real else "biufc") or (noun == "number" and a.ndim):
+        kind = "real" if real else "numeric"
+        raise ValueError(f"{name} must be a {kind} {noun}, got {value!r}")
+    return a.astype(float if real else complex)
+
+
 def check_visibility(v, name: str) -> float:
     """The visibility rule: ``v`` as a float, or a ValueError naming ``name`` and
     the value unless it is one number in [0, 1] (NaN is not); a value that is no
@@ -71,7 +84,7 @@ def check_visibility(v, name: str) -> float:
 
 def as_distribution(probs) -> np.ndarray:
     """``probs`` as a read-only 1-d array, checked and clamped by ``check_probabilities``."""
-    p = np.asarray(probs, dtype=float)
+    p = check_numeric(probs, "distribution", "vector", real=True)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("a distribution must be a nonempty 1-d vector")
     return check_probabilities(p, "distribution", -1)
@@ -90,7 +103,7 @@ class JointDistribution:
     __slots__ = ("table",)
 
     def __init__(self, table):
-        arr = np.asarray(table, dtype=float)
+        arr = check_numeric(table, "joint table", "table", real=True)
         if arr.ndim < 2 or arr.size == 0:
             raise ValueError("a joint distribution must be a nonempty 2-d table or stack")
         self.table = check_probabilities(arr, "joint table", (-2, -1))

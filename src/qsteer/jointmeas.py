@@ -1,4 +1,9 @@
-"""Analytic joint-measurability conditions and threshold solvers.
+"""The exact side of every boundary, and the threshold root-finder.
+
+Joint-measurability conditions and boundaries of noisy MUBs and unbiased
+qubit pairs give the scans their exact columns; ``bisect_threshold`` solves
+every threshold.  One entropic formula, ``renyi_mub_threshold_symmetric``,
+stays for d = 400, where the pipeline cannot yet build the bases.
 
 All arguments named ``va``/``vx`` are visibilities: the coefficient of the
 sharp measurement in ``v * ideal + (1 - v) * white noise``.  Noise in the
@@ -14,8 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .entropy import check_visibility
-from .qobj import check_int, check_numeric, check_tolerance
+from .entropy import check_numeric, check_visibility
+from .qobj import check_int, check_tolerance
 
 
 class ThresholdSolution(NamedTuple):
@@ -110,11 +115,10 @@ def bisect_threshold(margin: Callable, tol: float) -> ThresholdSolution:
     return ThresholdSolution(b)
 
 
-def _mub_jm_margin(d: int, va: float, vx: float) -> float:
-    """Signed joint-measurability margin of two noisy MUBs, above 0 exactly where
-    they are incompatible, with ``DEFAULT_TOLS.boundary`` of slack.  For d >= 3
-    the known algebraic condition; the d = 2 case is its equality-curve limit
-    va^2 + vx^2 <= 1."""
+def mub_jm_holds(d: int, va: float, vx: float) -> bool:
+    """Joint measurability of two noisy mutually unbiased bases, with
+    ``DEFAULT_TOLS.boundary`` of slack.  For d >= 3 the known algebraic
+    condition; the d = 2 case is its equality-curve limit va^2 + vx^2 <= 1."""
     d = check_int(d, 2, "dimension")
     va = check_visibility(va, "va")
     vx = check_visibility(vx, "vx")
@@ -123,12 +127,7 @@ def _mub_jm_margin(d: int, va: float, vx: float) -> float:
     else:
         radicand = max(d - (d - 1) * (va - vx) ** 2, 0.0)
         lhs = ((d - 1) * (va + vx) - math.sqrt(radicand)) / (d - 2)
-    return lhs - (1.0 + DEFAULT_TOLS.boundary)
-
-
-def mub_jm_holds(d: int, va: float, vx: float) -> bool:
-    """Joint measurability of two noisy mutually unbiased bases."""
-    return _mub_jm_margin(d, va, vx) <= 0.0
+    return lhs <= 1.0 + DEFAULT_TOLS.boundary
 
 
 def mub_jm_threshold_symmetric(d: int) -> float:
@@ -142,48 +141,28 @@ def mub_jm_threshold_symmetric(d: int) -> float:
     return (s + 2.0) / (2.0 * (s + 1.0))
 
 
-def _renyi_mub_margin(d: int, va: float, vx: float) -> float:
-    """Signed margin of the min/max-entropy criterion for noisy MUBs, above 0
-    exactly where it detects steering, with ``DEFAULT_TOLS.boundary`` of slack.
-    ``va`` is the visibility on the measurement of the min-entropy (in the
-    denominator), ``vx`` the one of the max-entropy (numerator)."""
+def exact_eta_of_chi(d: int, vx: float) -> float:
+    """Joint-measurability boundary va of the noisy MUB pair given vx, the
+    condition of ``mub_jm_holds`` solved without slack: with y = 1 - vx,
+    min(1, ((d - 2) y + 2 sqrt(y (d - (d - 1) y)))/d), which is sqrt(1 - vx^2)
+    at d = 2, 1 at vx = 0 and 0 at vx = 1."""
     d = check_int(d, 2, "dimension")
-    va = check_visibility(va, "va")
-    vx = check_visibility(vx, "vx")
-    numer = (math.sqrt(vx + (1.0 - vx) / d) + (d - 1) * math.sqrt((1.0 - vx) / d)) ** 2
-    return 1.0 - DEFAULT_TOLS.boundary - numer / (1.0 + (d - 1) * va)
-
-
-def renyi_mub_holds(d: int, va: float, vx: float) -> bool:
-    """No-steering condition of the min/max-entropy criterion for noisy MUBs."""
-    return _renyi_mub_margin(d, va, vx) <= 0.0
+    y = 1.0 - check_visibility(vx, "vx")
+    return min(1.0, ((d - 2) * y + 2.0 * math.sqrt(y * (d - (d - 1) * y))) / d)
 
 
 def renyi_mub_threshold_symmetric(d: int, tol: float = 1e-9) -> float:
-    """Symmetric visibility threshold of the entropic criterion, by the root-finder."""
-    return bisect_threshold(lambda v: _renyi_mub_margin(d, v, v), tol).value
+    """Symmetric visibility threshold of the min/max-entropy criterion for noisy
+    MUBs, by the root-finder on its closed-form margin with
+    ``DEFAULT_TOLS.boundary`` of slack; the one entropic formula kept, for a
+    dimension (d = 400) whose bases the pipeline cannot yet build."""
+    d = check_int(d, 2, "dimension")
 
+    def margin(v: float) -> float:
+        numer = (math.sqrt(v + (1.0 - v) / d) + (d - 1) * math.sqrt((1.0 - v) / d)) ** 2
+        return 1.0 - DEFAULT_TOLS.boundary - numer / (1.0 + (d - 1) * v)
 
-def renyi_eta_of_chi(d: int, vx: float, tol: float = 1e-9) -> ThresholdSolution:
-    """Boundary va of the entropic criterion given vx: the first va it flags,
-    within ``tol`` above the largest one on which it stays silent."""
-    return bisect_threshold(lambda va: _renyi_mub_margin(d, va, vx), tol)
-
-
-def exact_eta_of_chi(d: int, vx: float, tol: float = 1e-9) -> ThresholdSolution:
-    """Joint-measurability boundary va of the noisy MUB pair given vx: the
-    first incompatible va, within ``tol`` above the largest compatible one."""
-    return bisect_threshold(lambda va: _mub_jm_margin(d, va, vx), tol)
-
-
-def eta_tightness_gap(d: int, grid_points: int, tol: float) -> float:
-    """Largest |eta_renyi(chi) - eta_exact(chi)| over ``grid_points`` evenly
-    spaced partner visibilities chi in [0, 1]."""
-    grid_points = check_int(grid_points, 1, "grid_points")
-    return max(
-        abs(renyi_eta_of_chi(d, chi, tol).value - exact_eta_of_chi(d, chi, tol).value)
-        for chi in np.linspace(0.0, 1.0, grid_points)
-    )
+    return bisect_threshold(margin, tol).value
 
 
 def qubit_exact_threshold(z, x) -> float:
@@ -195,12 +174,3 @@ def qubit_exact_threshold(z, x) -> float:
         if u.shape != (3,) or not abs(np.linalg.norm(u) - 1.0) <= DEFAULT_TOLS.projective:
             raise ValueError(f"{name} must be a unit 3-vector")
     return 2.0 / (np.linalg.norm(z + x) + np.linalg.norm(z - x))
-
-
-def qubit_renyi_threshold(theta: float) -> float:
-    """Detected visibility threshold 1/(sqrt(2) cos(theta)) of the
-    min/max-entropy criterion in the symmetric qubit geometry."""
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi / 4.0 + DEFAULT_TOLS.boundary:
-        raise ValueError(f"theta must lie in [0, pi/4], got {theta!r}")
-    return min(1.0, 1.0 / (math.sqrt(2.0) * math.cos(theta)))

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .entropy import JointDistribution, check_visibility
+from .entropy import JointDistribution, check_numeric, check_visibility
 
 # I, sigma_x, sigma_y, sigma_z, each flattened to a row: (b, r) @ _PAULI is b I + r.sigma
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], dtype=complex)
@@ -59,18 +59,6 @@ def check_int(value, least: int, name: str) -> int:
     if not valid:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)
-
-
-def check_numeric(value, name: str, noun: str, real: bool = False) -> np.ndarray:
-    """The numeric-input rule: ``value`` as a new complex array (float when
-    ``real``), or a ValueError naming ``name`` and the value unless every entry is
-    a number, a real one when ``real``.  The dtype is read before converting, so
-    strings, None and objects are never parsed; a ragged list gets numpy's error."""
-    a = np.asarray(value)
-    if a.dtype.kind not in ("biuf" if real else "biufc"):
-        kind = "real" if real else "numeric"
-        raise ValueError(f"{name} must be a {kind} {noun}, got {value!r}")
-    return a.astype(float if real else complex)
 
 
 def check_tolerance(tol: float) -> float:
@@ -258,7 +246,7 @@ def rotated_d3_bases(t: float) -> tuple[Povm, Povm]:
     Fourier columns are relabeled 0, 2, 1 so that they coincide there outcome
     by outcome.
     """
-    t = float(t)
+    t = float(check_numeric(t, "family parameter", "number", real=True))
     if not 0.0 <= t <= 0.5:
         raise ValueError(f"family parameter must lie in [0, 0.5], got {t!r}")
     phase = np.exp(2j * np.pi * t / 3.0)

@@ -1,7 +1,9 @@
 """End-to-end experiment drivers: noise-threshold scans over the full
 pipeline (Born tables on the maximally entangled state at visibility 1 and
 0 -> their mixture -> entropic criterion -> root of its violation) and the
-local-hidden-state falsification suite.
+local-hidden-state falsification suite.  ``mub_eta_scan`` traces the
+asymmetric-noise boundary eta(chi) of noisy MUBs through the same solve, with
+the table of one setting mixed at chi before it.
 
 Detected thresholds always come from the root-finder ``bisect_threshold`` on
 the steering violation of the actual pipeline and report the detecting side
@@ -23,11 +25,12 @@ import numpy as np
 
 from . import steering
 from .config import DEFAULT_TOLS
-from .entropy import JointDistribution, dual_order
+from .entropy import JointDistribution, check_numeric, dual_order
 from .jointmeas import (
     ThresholdRecord,
     ThresholdSolution,
     bisect_threshold,
+    exact_eta_of_chi,
     mub_jm_threshold_symmetric,
     qubit_exact_threshold,
 )
@@ -122,6 +125,24 @@ def _mub_tables(d: int) -> tuple:
     return _pipeline_tables(four, comp, four, comp)
 
 
+def mub_eta_scan(d: int, grid_points: int, tol: float = 1e-6) -> ScanResult:
+    """The asymmetric-noise boundary eta(chi) of noisy MUBs in dimension ``d``
+    at ``grid_points`` evenly spaced chi in [0, 1]: the Fourier basis, which
+    carries the max-entropy, has visibility chi, and the pipeline solves the
+    alpha = 1/2 threshold on the visibility of the other basis.  The X table is
+    mixed at chi once and passed as both ends of its own mixture.  The exact
+    column is ``exact_eta_of_chi``; all inputs are checked before any work."""
+    d, grid_points = check_int(d, 2, "dimension"), check_int(grid_points, 1, "grid_points")
+    tol = check_tolerance(tol)
+    (x1, z1), (x0, z0), bound = _mub_tables(d)
+    rows = []
+    for chi in np.linspace(0.0, 1.0, grid_points).tolist():
+        x = JointDistribution.mixture(x1, x0, chi)
+        solution = _pipeline_threshold(((x, z1), (x, z0), bound), 0.5, tol)
+        rows.append((chi, solution, exact_eta_of_chi(d, chi)))
+    return _scan("mub-eta-of-chi", "chi", rows, tol, d=d)
+
+
 def mub_pipeline_threshold(d: int, alpha: float, tol: float = 1e-6) -> float:
     """Detected symmetric visibility threshold for noisy MUBs, full pipeline."""
     return _pipeline_threshold(_mub_tables(d), alpha, tol).value
@@ -194,7 +215,7 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
     qubit boundary.  ``tol`` is checked before any work, so also for an empty grid.
     """
     tol = check_tolerance(tol)
-    thetas = [float(t) for t in theta_grid]
+    thetas = [float(check_numeric(t, "theta", "number", real=True)) for t in theta_grid]
     for t in thetas:
         if not 0.0 <= t < math.pi / 4.0:
             raise ValueError(f"theta must lie in [0, pi/4), got {t!r}")
@@ -380,7 +401,7 @@ def d3_family_scan(
     ``tol`` is checked before any work, so also for an empty grid.
     """
     tol = check_tolerance(tol)
-    ts = sorted(float(t) for t in t_grid)
+    ts = sorted(float(check_numeric(t, "family parameter", "number", real=True)) for t in t_grid)
     bases = [rotated_d3_bases(t) for t in ts]  # checks every t before a solve
     rows = []
     for t, (alice_z, alice_x) in zip(ts, bases):

@@ -28,6 +28,7 @@ import numpy as np
 
 from .entropy import (
     JointDistribution,
+    check_numeric,
     check_probabilities,
     conditional_renyi,
     dual_order,
@@ -140,7 +141,8 @@ class LhsModel:
     ``MEASUREMENT_LABELS`` and no other, is a read-only array of shape
     (..., n_lambda, n_outcomes), n_outcomes >= 1: the distribution of Alice's
     announced outcome for each hidden variable.  Weights and every response
-    row are validated and clamped like joint tables, by ``check_probabilities``.
+    row must be real numbers (``check_numeric``) and are validated and clamped
+    like joint tables, by ``check_probabilities``.
     """
 
     weights: np.ndarray
@@ -148,7 +150,7 @@ class LhsModel:
     responses: Mapping[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = check_numeric(self.weights, "weights", "array", real=True)
         if w.ndim == 0 or w.size == 0:
             raise ValueError("weights must be a nonempty distribution or stack of them")
         w = check_probabilities(w, "distribution", -1)
@@ -162,7 +164,7 @@ class LhsModel:
             raise ValueError(f"response map {odd[0]!r} is missing or unknown")
         responses = {}
         for label, resp in self.responses.items():
-            r = np.asarray(resp, dtype=float)
+            r = check_numeric(resp, f"response map {label!r}", "array", real=True)
             if r.shape[:-1] != w.shape or r.shape[-1] == 0:
                 raise ValueError(
                     f"response map {label!r} must have shape ({shape}, k), k >= 1, got {r.shape}"

@@ -436,6 +436,40 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             j.table[0, 0] = 1.0
 
+    @pytest.mark.parametrize(
+        "table, shown",
+        [
+            ([["0.5", "0"], ["0", "0.5"]], "[['0.5', '0'], ['0', '0.5']]"),
+            ([[0.5, 0j], [0, 0.5]], "[[0.5, 0j], [0, 0.5]]"),
+            ([[0.5, None], [0.0, 0.5]], "[[0.5, None], [0.0, 0.5]]"),
+            (np.eye(2, dtype=object) / 2, "array([[0.5, 0.0],"),
+        ],
+        ids=["strings", "complex", "none", "objects"],
+    )
+    def test_entries_that_are_no_real_number_rejected(self, table, shown):
+        # strings used to be parsed, a complex entry raised TypeError and None
+        # read as "negative or NaN entry nan"
+        with pytest.raises(ValueError, match=re.escape(f"joint table must be a real table, got {shown}")):
+            JointDistribution(table)
+
+    @pytest.mark.parametrize("probs", [["0.5", "0.5"], [0.5, 0.5 + 0j], [0.5, None]])
+    def test_distribution_entries_that_are_no_real_number_rejected(self, probs):
+        message = re.escape(f"distribution must be a real vector, got {probs!r}")
+        for call in (as_distribution, lambda p: renyi_entropy(p, 1), lambda p: tsallis_entropy(p, 2.0)):
+            with pytest.raises(ValueError, match=message):
+                call(probs)
+
+    def test_valid_input_gives_the_float_table_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        table = rng.dirichlet(np.ones(12)).reshape(3, 4)
+        for given in (table, table.tolist(), np.stack([table, table.T.reshape(3, 4)])):
+            expected = np.asarray(given, dtype=float)
+            assert JointDistribution(given).table.tobytes() == expected.tobytes()
+        counts = np.array([[1, 0], [0, 0]])  # integer and boolean tables are numbers
+        assert JointDistribution(counts).table.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        assert JointDistribution(counts.astype(bool)).table.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        assert as_distribution(table[0] / table[0].sum()).tobytes() == (table[0] / table[0].sum()).tobytes()
+
 
 class TestMixture:
     """``JointDistribution.mixture`` builds the checked constructor's tables

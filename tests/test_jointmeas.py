@@ -7,18 +7,59 @@ import pytest
 from qsteer.jointmeas import (
     ThresholdRecord,
     bisect_threshold,
-    eta_tightness_gap,
     exact_eta_of_chi,
     mub_jm_holds,
     mub_jm_threshold_symmetric,
     qubit_exact_threshold,
-    qubit_renyi_threshold,
-    renyi_eta_of_chi,
-    renyi_mub_holds,
     renyi_mub_threshold_symmetric,
 )
+from qsteer.qobj import depolarize, mub_pair
+from qsteer.scenarios import mub_eta_scan, qubit_angle_scan
+from qsteer.steering import born_statistics, evaluate, overlap_bound
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+
+# The min/max-entropy criterion for noisy MUBs and for the symmetric qubit
+# geometry in closed form: the analytic oracle of the pipeline, which computes
+# the same thresholds from Born tables.
+
+
+def renyi_mub_margin(d, va, vx):
+    """Above 0 exactly where the criterion detects steering, with 1e-12 of
+    slack; ``va`` on the min-entropy setting, ``vx`` on the max-entropy one."""
+    numer = (math.sqrt(vx + (1.0 - vx) / d) + (d - 1) * math.sqrt((1.0 - vx) / d)) ** 2
+    return 1.0 - 1e-12 - numer / (1.0 + (d - 1) * va)
+
+
+def renyi_mub_holds(d, va, vx):
+    """No-steering condition of the criterion."""
+    return renyi_mub_margin(d, va, vx) <= 0.0
+
+
+def renyi_eta_of_chi(d, vx, tol):
+    """Boundary va of the criterion given vx, by the package's root-finder."""
+    return bisect_threshold(lambda va: renyi_mub_margin(d, va, vx), tol)
+
+
+def qubit_renyi_threshold(theta):
+    """Detected visibility threshold 1/(sqrt(2) cos(theta)), theta in [0, pi/4]."""
+    return min(1.0, 1.0 / (math.sqrt(2.0) * math.cos(theta)))
+
+
+def jm_margin(d, va, vx):
+    """The condition of ``mub_jm_holds`` as a margin without slack."""
+    if d == 2:
+        return va * va + vx * vx - 1.0
+    return ((d - 1) * (va + vx) - math.sqrt(max(d - (d - 1) * (va - vx) ** 2, 0.0))) / (d - 2) - 1.0
+
+
+def pipeline_violation(d, va, vx):
+    """The criterion's violation on the Born tables of noisy MUBs, the
+    Fourier basis (max-entropy) at ``vx`` and the computational one at ``va``."""
+    comp, four = mub_pair(d)
+    jx, jz = born_statistics(depolarize(four, vx), depolarize(comp, va), four, comp)
+    return evaluate(jx, jz, overlap_bound(four, comp), 0.5).violation
 
 
 class TestBisect:
@@ -222,8 +263,9 @@ class TestMubJm:
     def test_visibility_that_is_no_number_rejected(self, value):
         with pytest.raises(ValueError, match=re.escape(f"va must lie in [0, 1], got {value!r}")):
             mub_jm_holds(3, value, 0.5)
-        with pytest.raises(ValueError, match=re.escape(f"vx must lie in [0, 1], got {value!r}")):
-            renyi_mub_holds(3, 0.5, value)
+        for call in (lambda: mub_jm_holds(3, 0.5, value), lambda: exact_eta_of_chi(3, value)):
+            with pytest.raises(ValueError, match=re.escape(f"vx must lie in [0, 1], got {value!r}")):
+                call()
 
 
 class TestSymmetricThresholds:
@@ -253,65 +295,106 @@ class TestSymmetricThresholds:
 
 
 class TestRenyiCondition:
+    """The oracle's condition at known points, and the pipeline's violation with it."""
+
     def test_violation_example_d2(self):
         # visibility 0.8 on both sides gives ratio 1.6/1.8 < 1
         assert not renyi_mub_holds(2, 0.8, 0.8)
+        assert pipeline_violation(2, 0.8, 0.8) > 0.0
 
     def test_equality_at_threshold(self):
         numer = (math.sqrt(SQRT2_INV + (1 - SQRT2_INV) / 2)
                  + math.sqrt((1 - SQRT2_INV) / 2)) ** 2
         assert abs(numer / (1 + SQRT2_INV) - 1.0) < 1e-12
         assert renyi_mub_holds(2, SQRT2_INV, SQRT2_INV)
+        assert abs(pipeline_violation(2, SQRT2_INV, SQRT2_INV)) < 1e-12
 
     def test_perfect_correlations_always_steer(self):
         for d in (2, 3, 7):
             assert not renyi_mub_holds(d, 1.0, 1.0)
+            assert pipeline_violation(d, 1.0, 1.0) > 0.0
 
 
 class TestEtaOfChi:
+    """The closed-form exact boundary, and the pipeline's curve from
+    ``mub_eta_scan`` against it and against the entropic oracle."""
+
+    @pytest.mark.parametrize("d", [*range(2, 11), 30, 50])
+    def test_closed_form_is_the_slack_free_root(self, d):
+        for chi in np.linspace(0.0, 1.0, 41)[:-1].tolist():
+            root = bisect_threshold(lambda va: jm_margin(d, va, chi), 1e-13).value
+            assert abs(exact_eta_of_chi(d, chi) - root) <= 1e-12, chi
+
+    def test_closed_form_ends(self):
+        for d in (2, 3, 10, 50, 400):
+            assert exact_eta_of_chi(d, 0.0) == 1.0
+            assert exact_eta_of_chi(d, 1.0) == 0.0
+
+    def test_closed_form_is_a_circle_at_d2(self):
+        for chi in np.linspace(0.0, 1.0, 201).tolist():
+            assert abs(exact_eta_of_chi(2, chi) - math.sqrt(1.0 - chi * chi)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 10, 50])
+    def test_joint_measurability_switches_on_the_closed_form(self, d):
+        # not at chi = 1, where the condition is quadratic in va and its 1e-12
+        # of slack admits va up to 1e-6
+        for chi in np.linspace(0.05, 0.95, 19).tolist():
+            eta = exact_eta_of_chi(d, chi)
+            assert mub_jm_holds(d, eta, chi) and mub_jm_holds(d, chi, eta)
+            assert not mub_jm_holds(d, eta + 1e-9, chi)
+
     def test_symmetric_point_fixed(self):
         for d in (2, 4):
             v = mub_jm_threshold_symmetric(d)
-            sol = renyi_eta_of_chi(d, v, tol=1e-9)
-            assert sol.value == pytest.approx(v, abs=1e-7)
+            assert exact_eta_of_chi(d, v) == pytest.approx(v, abs=1e-12)
+            assert renyi_eta_of_chi(d, v, tol=1e-9).value == pytest.approx(v, abs=1e-7)
 
     def test_matches_exact_curve(self):
-        for chi in (0.1, 0.5, 0.9):
-            r = renyi_eta_of_chi(4, chi, tol=1e-9)
-            e = exact_eta_of_chi(4, chi, tol=1e-9)
-            assert r.value == pytest.approx(e.value, abs=2e-8)
+        # the oracle's curve, and the pipeline's through it
+        scan = mub_eta_scan(4, 11, 1e-13)
+        for rec in scan.records:
+            oracle = renyi_eta_of_chi(4, rec.parameter, tol=1e-13).value
+            assert rec.exact == exact_eta_of_chi(4, rec.parameter)
+            assert abs(rec.detected - rec.exact) <= 1e-12
+            if rec.parameter <= 0.95:  # the oracle's slack moves a quadratic root near chi = 1
+                assert abs(oracle - rec.exact) <= 1e-10
 
     def test_full_noise_partner_saturates(self):
-        sol = renyi_eta_of_chi(3, 0.0, tol=1e-9)
-        assert sol.value == 1.0
-        assert sol.saturated
+        (rec, *_) = mub_eta_scan(3, 3, 1e-9).records
+        assert rec.parameter == 0.0 and rec.detected == 1.0 and rec.saturated
+        assert renyi_eta_of_chi(3, 0.0, tol=1e-9) == (1.0, True)
 
     def test_sharp_partner_gives_zero(self):
-        assert renyi_eta_of_chi(3, 1.0, tol=1e-9).value == pytest.approx(0.0, abs=1e-8)
+        *_, rec = mub_eta_scan(3, 3, 1e-9).records
+        assert rec.parameter == 1.0 and rec.exact == 0.0
+        assert rec.detected == pytest.approx(0.0, abs=1e-8)
 
     def test_reports_detecting_end(self):
-        # the returned va is the first one the criterion flags, never a silent one
-        for chi in (0.1, 0.5, 0.9):
-            sol = renyi_eta_of_chi(4, chi, tol=1e-9)
-            assert not renyi_mub_holds(4, sol.value, chi)
-            assert renyi_mub_holds(4, sol.value - 1e-9, chi)
+        # the returned va is the first one the pipeline flags, never a silent one
+        for rec in mub_eta_scan(4, 11, 1e-9).records[1:-1]:
+            assert pipeline_violation(4, rec.detected, rec.parameter) > 0.0
+            assert pipeline_violation(4, rec.detected - 1e-9, rec.parameter) <= 0.0
 
     def test_tightness_gap_matches_pointwise_curves(self):
-        chis = np.linspace(0.0, 1.0, 5)
-        pointwise = max(
-            abs(renyi_eta_of_chi(3, c, 1e-8).value - exact_eta_of_chi(3, c, 1e-8).value)
-            for c in chis
-        )
-        assert eta_tightness_gap(3, 5, 1e-8) == pointwise
-        assert pointwise <= 2e-6
+        # the scan's grid, columns and gaps are those of pointwise evaluations
+        chis = np.linspace(0.0, 1.0, 5).tolist()
+        scan = mub_eta_scan(3, 5, 1e-8)
+        assert [r.parameter for r in scan.records] == chis
+        assert [r.exact for r in scan.records] == [exact_eta_of_chi(3, c) for c in chis]
+        assert [r.gap for r in scan.records] == [r.detected - r.exact for r in scan.records]
+        assert max(abs(r.gap) for r in scan.records) <= 1e-8
         for n in (0, 2.5, math.nan):
             with pytest.raises(ValueError, match=f"grid_points must be an integer of at least 1, got {n!r}"):
-                eta_tightness_gap(3, n, 1e-8)
+                mub_eta_scan(3, n, 1e-8)
 
     def test_monotone_in_chi(self):
         chis = np.linspace(0.0, 1.0, 9)
-        for solver in (renyi_eta_of_chi, exact_eta_of_chi):
-            values = [solver(5, c, tol=1e-9).value for c in chis]
+        curves = [
+            [renyi_eta_of_chi(5, c, tol=1e-9).value for c in chis],
+            [exact_eta_of_chi(5, c) for c in chis],
+            [r.detected for r in mub_eta_scan(5, 9, 1e-9).records],
+        ]
+        for values in curves:
             assert all(a >= b - 1e-8 for a, b in zip(values, values[1:]))
 
 
@@ -348,8 +431,10 @@ class TestQubitThresholds:
     def test_renyi_threshold_range(self):
         assert qubit_renyi_threshold(0.0) == pytest.approx(SQRT2_INV, abs=1e-15)
         assert qubit_renyi_threshold(math.pi / 4) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            qubit_renyi_threshold(1.0)
+        (rec,) = qubit_angle_scan([0.0], 1e-13).records
+        assert rec.detected == pytest.approx(SQRT2_INV, abs=1e-12)
+        with pytest.raises(ValueError, match=re.escape("theta must lie in [0, pi/4), got 1.0")):
+            qubit_angle_scan([1.0])
 
 
 class TestThresholdRecord:

@@ -447,6 +447,12 @@ class TestRotatedD3:
         with pytest.raises(ValueError):
             rotated_d3_bases(-0.1)
 
+    @pytest.mark.parametrize("t", ["0.2", None, 0.2 + 0j, [0.2]])
+    def test_parameter_that_is_no_real_number_rejected(self, t):
+        # float() used to parse "0.2" and raise TypeError on the others
+        with pytest.raises(ValueError, match=re.escape(f"family parameter must be a real number, got {t!r}")):
+            rotated_d3_bases(t)
+
 
 class TestValidation:
     def test_density_matrix_invariants(self):
@@ -588,12 +594,13 @@ class TestValidation:
             ((None, (0.5, 0.0, 0.0)), "bias must be a real number, got None"),
             ((0.1 + 0j, (0.5, 0.0, 0.0)), "bias must be a real number, got (0.1+0j)"),
             ((np.array(0.1, dtype=object), (0.5, 0.0, 0.0)), "bias must be a real number, got array(0.1, dtype=object)"),
+            (([0.1], (0.5, 0.0, 0.0)), "bias must be a real number, got [0.1]"),
             ((0.1, ["0.5", "0", "0"]), "bloch must be a real vector, got ['0.5', '0', '0']"),
             ((0.0, None), "bloch must be a real vector, got None"),
             ((0.0, np.array([0.5 + 0.3j, 0, 0])), "bloch must be a real vector, got array([0.5+0.3j, 0. +0.j , 0. +0.j ])"),
             ((0.0, np.array([0.5, 0, 0], dtype=object)), "bloch must be a real vector, got array([0.5, 0, 0], dtype=object)"),
         ],
-        ids=["bias-string", "bias-none", "bias-complex", "bias-object", "bloch-strings", "bloch-none", "bloch-complex", "bloch-objects"],
+        ids=["bias-string", "bias-none", "bias-complex", "bias-object", "bias-list", "bloch-strings", "bloch-none", "bloch-complex", "bloch-objects"],
     )
     def test_numeric_rule_takes_only_real_qubit_parameters(self, args, message):
         # strings used to be parsed, None escaped as TypeError and a complex

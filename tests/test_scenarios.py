@@ -13,9 +13,9 @@ from qsteer.jointmeas import (
     ThresholdRecord,
     ThresholdSolution,
     bisect_threshold,
+    exact_eta_of_chi,
     mub_jm_holds,
     mub_jm_threshold_symmetric,
-    renyi_mub_holds,
     renyi_mub_threshold_symmetric,
 )
 from qsteer.qobj import Povm, depolarize, joint_distribution, mub_pair, qubit_povm, rotated_d3_bases
@@ -24,6 +24,7 @@ from qsteer.scenarios import (
     d3_family_scan,
     fig1_scan,
     lhs_falsification_suite,
+    mub_eta_scan,
     mub_pipeline_threshold,
     qubit_angle_scan,
     qubit_random_povm_check,
@@ -98,6 +99,7 @@ class TestFig1Scan:
             (qubit_angle_scan([0.3, 0.1], tol=1e-3), ()),
             (d3_family_scan([0.5, 0.0], tol=1e-3), ("refine_bob",)),
             (qubit_random_povm_check(2, 0, tol=1e-1), ("cases",)),
+            (mub_eta_scan(3, 3, tol=1e-3), ("d",)),
         ]
         for scan, extras in scans:
             assert list(scan.metadata) == [*common, *extras]
@@ -151,7 +153,9 @@ DIMENSION_CALLS = {
     "mub_pair": lambda d: mub_pair(d)[1].effects.tolist(),
     "mub_jm_holds": lambda d: mub_jm_holds(d, 0.7, 0.7),
     "mub_jm_threshold_symmetric": mub_jm_threshold_symmetric,
-    "renyi_mub_holds": lambda d: renyi_mub_holds(d, 0.7, 0.7),
+    "renyi_mub_threshold_symmetric": lambda d: renyi_mub_threshold_symmetric(d, tol=1e-3),
+    "exact_eta_of_chi": lambda d: exact_eta_of_chi(d, 0.7),
+    "mub_eta_scan": lambda d: mub_eta_scan(d, 3, tol=1e-3).records,
     "mub_pipeline_threshold": lambda d: mub_pipeline_threshold(d, 0.5, tol=1e-3),
     "fig1_scan": lambda d: fig1_scan([d], [0.5], tol=1e-3).records,
     "sample_lhs_model": lambda d: steering.sample_lhs_model(5, d, 2).hidden_states.matrix.tolist(),
@@ -479,19 +483,51 @@ class TestAlphaOptimality:
             assert direct.violation == pytest.approx(swapped.violation, abs=1e-12)
 
 
+class TestMubEtaScan:
+    """The eta(chi) curve of noisy MUBs through the pipeline; its closed-form
+    oracle and the exact column are checked in test_jointmeas.py."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 10])
+    def test_meets_the_exact_boundary(self, d):
+        scan = mub_eta_scan(d, 21, 1e-13)
+        assert scan.metadata["scenario"] == "mub-eta-of-chi" and scan.metadata["d"] == d
+        assert scan.metadata["parameter_name"] == "chi" and scan.metadata["alphas"] == [0.5]
+        assert max(abs(r.gap) for r in scan.records) <= 1e-12
+
+    def test_inputs_checked_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("tables were built before the inputs were checked")
+
+        monkeypatch.setattr(scenarios, "_mub_tables", no_work)
+        for args, message in [
+            ((1, 5, 1e-6), "dimension must be an integer of at least 2, got 1"),
+            ((3, 0, 1e-6), "grid_points must be an integer of at least 1, got 0"),
+            ((3, 5, 0.0), "tolerance must lie in (0, 1), got 0.0"),
+            ((3, 5, "x"), "tolerance must lie in (0, 1), got 'x'"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                mub_eta_scan(*args)
+
+
 class TestQubitAngleScan:
     def test_matches_both_formulas(self):
         thetas = np.linspace(0.0, 0.7, 6)
-        scan = qubit_angle_scan(thetas, tol=1e-6)
+        scan = qubit_angle_scan(thetas, tol=1e-13)
         for rec in scan.records:
             formula = 1.0 / (math.sqrt(2.0) * math.cos(rec.parameter))
-            assert rec.detected == pytest.approx(formula, abs=1e-5)
-            assert rec.detected == pytest.approx(rec.exact, abs=1e-5)
+            assert rec.detected == pytest.approx(formula, abs=1e-12)
+            assert rec.detected == pytest.approx(rec.exact, abs=1e-12)
             assert rec.gap >= -1e-9
 
     def test_theta_range_enforced(self):
         with pytest.raises(ValueError):
             qubit_angle_scan([math.pi / 4])
+
+    @pytest.mark.parametrize("theta", ["0.1", None, 0.1 + 0j, [0.1]])
+    def test_grid_entry_that_is_no_real_number_rejected(self, theta):
+        # float() used to parse "0.1" and raise TypeError on the others
+        with pytest.raises(ValueError, match=re.escape(f"theta must be a real number, got {theta!r}")):
+            qubit_angle_scan([0.2, theta])
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7])
     def test_pipeline_tables_match_the_closed_form(self, theta):
@@ -845,6 +881,13 @@ class TestD3FamilyScan:
         for grid in ([0.7], [0.1, 0.7]):
             with pytest.raises(ValueError, match=r"family parameter must lie in \[0, 0\.5\], got 0\.7"):
                 d3_family_scan(grid)
+
+    @pytest.mark.parametrize("t", ["0.1", None, 0.1 + 0j, [0.1]])
+    def test_grid_entry_that_is_no_real_number_rejected(self, t, monkeypatch):
+        # float() used to parse "0.1" and raise TypeError on the others
+        monkeypatch.setattr(scenarios, "_pipeline_threshold", lambda *args: pytest.fail("a solve ran"))
+        with pytest.raises(ValueError, match=re.escape(f"family parameter must be a real number, got {t!r}")):
+            d3_family_scan([0.2, t])
 
 
 class TestLhsFalsification:

@@ -313,6 +313,19 @@ class TestLhsModel:
             with pytest.raises(ValueError, match=r"response map 'x' must have shape \(4, 3, k\)"):
                 LhsModel(w, stack.hidden_states, {"x": bad, "z": resp["z"]})
 
+    @pytest.mark.parametrize("bad", ["0.5", None, 0.5 + 0j])
+    def test_weights_and_responses_that_are_no_real_number_rejected(self, bad):
+        # strings used to be parsed, a complex entry raised TypeError and None
+        # read as "negative or NaN entry nan"
+        model = sample_lhs_model(3, 2, 2)
+        w, resp = model.weights.tolist(), {k: v.tolist() for k, v in model.responses.items()}
+        with pytest.raises(ValueError, match=re.escape(f"weights must be a real array, got {[bad, 0.5]!r}")):
+            LhsModel([bad, 0.5], model.hidden_states, resp)
+        rows = [[bad, 0.5], resp["x"][1]]
+        with pytest.raises(ValueError, match=re.escape(f"response map 'x' must be a real array, got {rows!r}")):
+            LhsModel(w, model.hidden_states, {"x": rows, "z": resp["z"]})
+        assert LhsModel(w, model.hidden_states, resp).weights.tobytes() == model.weights.tobytes()
+
     @pytest.mark.parametrize(
         "seeds, message",
         [
