@@ -15,6 +15,11 @@ order one, max-factoring for large orders).  Every evaluator is
 column-vectorised: it reduces the matrix of conditionals p(x|y) at once,
 with no Python loop over y.  A stack of tables, shape (..., n_x, n_y),
 gives one value per table; a single table gives a float.
+
+Every input rule lives here too: ``check_numeric``, ``check_probabilities``
+and the scalar rules ``check_visibility``, ``check_int``, ``check_tolerance``
+and the orders' (``dual_order`` and those of the Renyi and Tsallis entropies),
+each the one real-number test ``_as_real``, its own range and its own message.
 """
 
 from __future__ import annotations
@@ -40,10 +45,10 @@ def check_probabilities(arr: np.ndarray, noun: str, axis) -> np.ndarray:
     a ValueError naming ``noun`` and the value on an entry below
     ``-prob_negativity`` or NaN, or on a sum over ``axis`` more than
     ``prob_sum`` from one; smaller negativity (Born-rule noise) is clamped to
-    zero.  Returns the clamped copy, read-only."""
+    zero in place, in the caller's own new array.  Returns ``arr``, read-only."""
     if not arr.min() >= -DEFAULT_TOLS.prob_negativity:  # also rejects NaN
         raise ValueError(f"{noun} has negative or NaN entry {arr.min():.3e}")
-    arr = np.maximum(arr, 0.0)
+    np.maximum(arr, 0.0, out=arr)
     totals = arr.sum(axis=axis)
     off = np.abs(totals - 1.0)
     if not off.max() <= DEFAULT_TOLS.prob_sum:
@@ -52,14 +57,29 @@ def check_probabilities(arr: np.ndarray, noun: str, axis) -> np.ndarray:
     return arr
 
 
+def _as_real(value) -> tuple:
+    """The one real-number test of every scalar rule: (True, the plain Python
+    number) for a Python int of any size or float, or a numpy scalar of dtype kind
+    b, i, u or f (an int64 kept exact); else (False, ``value``).  The dtype is read
+    before converting, so strings, None, complex numbers and arrays never pass."""
+    if type(value) is float or type(value) is int:
+        return True, value
+    if isinstance(value, np.generic):
+        kind = value.dtype.kind
+        if kind in "biuf":
+            return True, float(value) if kind == "f" else int(value)
+        return False, value
+    return isinstance(value, (int, float)), value  # a bool, or a subclass
+
+
 def check_numeric(value, name: str, noun: str, real: bool = False) -> np.ndarray:
     """The numeric-input rule: ``value`` as a new complex array (float when
     ``real``), or a ValueError naming ``name`` and the value unless every entry is
-    a number, a real one when ``real``, and, for the ``noun`` "number", unless it
-    is one number (0-d).  The dtype is read before converting, so strings, None
+    a number, a real one when ``real``, and, for the ``noun`` "number", unless
+    ``_as_real`` passes it.  The dtype is read before converting, so strings, None
     and objects are never parsed; a ragged list gets numpy's error."""
-    a = np.asarray(value)
-    if a.dtype.kind not in ("biuf" if real else "biufc") or (noun == "number" and a.ndim):
+    a = np.asarray(value) if noun != "number" or _as_real(value)[0] else None
+    if a is None or a.dtype.kind not in ("biuf" if real else "biufc"):
         kind = "real" if real else "numeric"
         raise ValueError(f"{name} must be a {kind} {noun}, got {value!r}")
     return a.astype(float if real else complex)
@@ -67,19 +87,30 @@ def check_numeric(value, name: str, noun: str, real: bool = False) -> np.ndarray
 
 def check_visibility(v, name: str) -> float:
     """The visibility rule: ``v`` as a float, or a ValueError naming ``name`` and
-    the value unless it is one number in [0, 1] (NaN is not); a value that is no
-    real number, such as "0.5", None, 1+0j, any numpy array or a numpy scalar of
-    strings or complex numbers, gets the same error."""
-    try:
-        # float() would parse a string and drop an imaginary part
-        if isinstance(v, np.ndarray) or getattr(v, "dtype", np.dtype(float)).kind not in "biuf":
-            raise TypeError
-        valid, v = 0.0 <= v <= 1.0, float(v)  # NaN is not valid
-    except TypeError:
-        valid = False
-    if not valid:
+    the value unless it is one real number in [0, 1] (NaN is not)."""
+    real, v = _as_real(v)
+    if not (real and 0.0 <= v <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-    return v
+    return float(v)
+
+
+def check_int(value, least: int, name: str) -> int:
+    """The integer rule for every dimension, count and seed: ``value`` as an int,
+    or a ValueError naming ``name`` and the value unless it is one real number,
+    an integer (3.0 included) of at least ``least``."""
+    real, v = _as_real(value)
+    if not (real and v >= least and (isinstance(v, int) or v.is_integer())):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {v!r}")
+    return int(v)
+
+
+def check_tolerance(tol) -> float:
+    """The tolerance rule for every threshold solve: ``tol`` as a float, or a
+    ValueError naming the value unless it is one real number in (0, 1) (NaN is not)."""
+    real, tol = _as_real(tol)
+    if not (real and 0.0 < tol < 1.0):
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
+    return float(tol)
 
 
 def as_distribution(probs) -> np.ndarray:
@@ -139,8 +170,9 @@ def _as_table(joint) -> np.ndarray:
 
 
 def dual_order(alpha: float) -> float:
-    """Dual Renyi order b with 1/a + 1/b = 2; defined for a >= 1/2."""
-    if not alpha >= 0.5:
+    """Dual Renyi order b with 1/a + 1/b = 2; defined for one real a >= 1/2."""
+    real, alpha = _as_real(alpha)
+    if not (real and alpha >= 0.5):
         raise NoDualOrderError(f"no dual order for alpha={alpha!r} < 1/2")
     if alpha == 0.5:
         return math.inf
@@ -149,11 +181,11 @@ def dual_order(alpha: float) -> float:
     return alpha / (2.0 * alpha - 1.0)
 
 
-def _check_order(alpha: float) -> float:
-    alpha = float(alpha)
-    if math.isnan(alpha) or alpha < 0.0:
+def _check_order(alpha) -> float:
+    real, alpha = _as_real(alpha)
+    if not (real and alpha >= 0.0):
         raise ValueError(f"Renyi order must be >= 0, got {alpha!r}")
-    return alpha
+    return float(alpha)
 
 
 def _value(x):
@@ -251,13 +283,13 @@ def renyi_entropy(probs, alpha: float) -> float:
     return conditional_renyi(as_distribution(probs)[:, None], alpha)
 
 
-def _check_tsallis_order(q: float) -> float:
-    q = float(q)
-    if not q > 0.0:
+def _check_tsallis_order(q) -> float:
+    real, q = _as_real(q)
+    if not (real and q > 0.0):
         raise ValueError(f"Tsallis order must be positive, got {q!r}")
     if q == 1.0:
         raise ValueError("Tsallis order q=1 is excluded; use a Shannon entropy")
-    return q
+    return float(q)
 
 
 def tsallis_entropy(probs, q: float) -> float:

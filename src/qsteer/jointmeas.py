@@ -19,8 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .entropy import check_numeric, check_visibility
-from .qobj import check_int, check_tolerance
+from .entropy import check_int, check_numeric, check_tolerance, check_visibility
 
 
 class ThresholdSolution(NamedTuple):
@@ -116,18 +115,10 @@ def bisect_threshold(margin: Callable, tol: float) -> ThresholdSolution:
 
 
 def mub_jm_holds(d: int, va: float, vx: float) -> bool:
-    """Joint measurability of two noisy mutually unbiased bases, with
-    ``DEFAULT_TOLS.boundary`` of slack.  For d >= 3 the known algebraic
-    condition; the d = 2 case is its equality-curve limit va^2 + vx^2 <= 1."""
-    d = check_int(d, 2, "dimension")
-    va = check_visibility(va, "va")
-    vx = check_visibility(vx, "vx")
-    if d == 2:
-        lhs = va * va + vx * vx
-    else:
-        radicand = max(d - (d - 1) * (va - vx) ** 2, 0.0)
-        lhs = ((d - 1) * (va + vx) - math.sqrt(radicand)) / (d - 2)
-    return lhs <= 1.0 + DEFAULT_TOLS.boundary
+    """Joint measurability of two noisy mutually unbiased bases: va at most the
+    boundary ``exact_eta_of_chi(d, vx)``, with ``DEFAULT_TOLS.boundary`` of slack."""
+    eta = exact_eta_of_chi(d, vx)
+    return check_visibility(va, "va") <= eta + DEFAULT_TOLS.boundary
 
 
 def mub_jm_threshold_symmetric(d: int) -> float:
@@ -142,10 +133,11 @@ def mub_jm_threshold_symmetric(d: int) -> float:
 
 
 def exact_eta_of_chi(d: int, vx: float) -> float:
-    """Joint-measurability boundary va of the noisy MUB pair given vx, the
-    condition of ``mub_jm_holds`` solved without slack: with y = 1 - vx,
-    min(1, ((d - 2) y + 2 sqrt(y (d - (d - 1) y)))/d), which is sqrt(1 - vx^2)
-    at d = 2, 1 at vx = 0 and 0 at vx = 1."""
+    """Joint-measurability boundary va of the noisy MUB pair given vx: the
+    known algebraic condition (d - 1)(va + vx) - sqrt(d - (d - 1)(va - vx)^2)
+    <= d - 2, whose d = 2 case is its limit va^2 + vx^2 <= 1, solved for va.
+    With y = 1 - vx it is min(1, ((d - 2) y + 2 sqrt(y (d - (d - 1) y)))/d),
+    which is sqrt(1 - vx^2) at d = 2, 1 at vx = 0 and 0 at vx = 1."""
     d = check_int(d, 2, "dimension")
     y = 1.0 - check_visibility(vx, "vx")
     return min(1.0, ((d - 2) * y + 2.0 * math.sqrt(y * (d - (d - 1) * y))) / d)

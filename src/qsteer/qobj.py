@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .entropy import JointDistribution, check_numeric, check_visibility
+from .entropy import JointDistribution, check_int, check_numeric, check_visibility
 
 # I, sigma_x, sigma_y, sigma_z, each flattened to a row: (b, r) @ _PAULI is b I + r.sigma
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], dtype=complex)
@@ -45,32 +45,6 @@ def _psd_within_tolerance(a: np.ndarray) -> bool:
 def is_psd(a: np.ndarray) -> bool:
     """True when ``a``, or every matrix of a ``(..., d, d)`` stack, is PSD."""
     return is_hermitian(a) and _psd_within_tolerance(a)
-
-
-def check_int(value, least: int, name: str) -> int:
-    """The integer rule for every dimension and count: ``value`` as an int,
-    or a ValueError naming ``name`` and the value unless it is an integer
-    (an integral float such as 3.0 included) of at least ``least``; a value
-    that is no real number, such as "3", None or 3+0j, gets the same error."""
-    try:
-        valid = value >= least and float(value).is_integer()
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return int(value)
-
-
-def check_tolerance(tol: float) -> float:
-    """The tolerance rule for every threshold solve: ``tol`` as a float, or a
-    ValueError naming the value unless it lies in (0, 1) (NaN and "x" do not)."""
-    try:
-        valid = 0.0 < tol < 1.0
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
-    return float(tol)
 
 
 class DensityMatrix:

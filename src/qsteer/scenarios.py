@@ -10,8 +10,8 @@ the steering violation of the actual pipeline and report the detecting side
 of the final bracket, so they can undershoot an exact boundary only by
 floating-point noise, never by bracket width.
 Every scan hands its solutions to ``_scan``, which alone writes the records
-and the metadata of a ``ScanResult``.  No driver checks the entropy order
-itself: ``dual_order`` rejects one below 1/2, or NaN, in the first solve.
+and the metadata of a ``ScanResult``.  No driver checks or converts the order:
+``dual_order`` rejects any but one real number >= 1/2 in the first solve.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import steering
 from .config import DEFAULT_TOLS
-from .entropy import JointDistribution, check_numeric, dual_order
+from .entropy import JointDistribution, check_int, check_numeric, check_tolerance, dual_order
 from .jointmeas import (
     ThresholdRecord,
     ThresholdSolution,
@@ -34,7 +34,7 @@ from .jointmeas import (
     mub_jm_threshold_symmetric,
     qubit_exact_threshold,
 )
-from .qobj import Povm, check_int, check_tolerance, mub_pair, qubit_povm, rotated_d3_bases
+from .qobj import Povm, mub_pair, qubit_povm, rotated_d3_bases
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def fig1_scan(
     reproduce the boundary itself; Shannon rows sit strictly above it.
     """
     dims = sorted(d_range)
-    alphas = sorted(float(a) for a in alphas)
+    alphas = sorted(alphas)
     if not dims or not alphas:
         raise ValueError("fig1_scan needs at least one dimension and one order")
     exacts = [mub_jm_threshold_symmetric(d) for d in dims]  # checks every d before a solve

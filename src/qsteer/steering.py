@@ -28,12 +28,13 @@ import numpy as np
 
 from .entropy import (
     JointDistribution,
+    check_int,
     check_numeric,
     check_probabilities,
     conditional_renyi,
     dual_order,
 )
-from .qobj import DensityMatrix, Povm, check_int, joint_distribution
+from .qobj import DensityMatrix, Povm, joint_distribution
 
 MEASUREMENT_LABELS = ("x", "z")
 
@@ -124,7 +125,7 @@ def evaluate(
         lhs=lhs,
         bound=bound,
         violation=bound - lhs,
-        alpha=float(alpha),
+        alpha=alpha,
         beta=dual_order(alpha),
     )
 

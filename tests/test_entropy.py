@@ -147,6 +147,15 @@ class TestRenyiEntropy:
         with pytest.raises(ValueError):
             renyi_entropy([0.5, 0.5], -0.1)
 
+    @pytest.mark.parametrize("order", ["2", 2 + 1j, None, np.array([2.0]), np.complex128(2 + 1j)])
+    def test_order_that_is_no_real_number_rejected(self, order):
+        # "2" used to be parsed as the order 2, the others escaped as TypeError
+        # or passed as 2 with only a ComplexWarning
+        with pytest.raises(ValueError, match=re.escape(f"Renyi order must be >= 0, got {order!r}")):
+            renyi_entropy([0.5, 0.5], order)
+        with pytest.raises(ValueError, match=re.escape(f"Tsallis order must be positive, got {order!r}")):
+            tsallis_entropy([0.7, 0.3], order)
+
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError):
             renyi_entropy([0.7, 0.7], 1.0)

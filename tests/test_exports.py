@@ -66,13 +66,17 @@ def test_no_module_imports_another_modules_private_names():
 
 
 # Message fragments of the input rules: check_int, check_visibility, check_tolerance,
-# check_probabilities, check_numeric.
+# check_probabilities, check_numeric, and the order rules of conditional_renyi,
+# conditional_tsallis and dual_order.
 RULE_FRAGMENTS = (
     "must be an integer of at least",
     "must lie in [0, 1], got",
     "must lie in (0, 1), got",
     "has negative or NaN entr",
     "must be a {kind} {noun}, got",
+    "Renyi order must be >= 0, got",
+    "Tsallis order must be positive, got",
+    "no dual order for alpha=",
 )
 
 
@@ -83,10 +87,10 @@ def test_each_input_rule_raises_from_one_place():
         text = path.read_text(encoding="utf-8")
         for node in ast.walk(ast.parse(text)):
             if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                    and getattr(node.exc.func, "id", None) == "ValueError"):
+                    and getattr(node.exc.func, "id", None) in ("ValueError", "NoDualOrderError")):
                 raises.append(f"{path.stem}: {ast.get_source_segment(text, node)}")
-    for fragment in RULE_FRAGMENTS:
-        assert len([r for r in raises if fragment in r]) == 1, fragment
+    for fragment in RULE_FRAGMENTS:  # every rule lives in entropy, beside the others
+        assert [r.split(":")[0] for r in raises if fragment in r] == ["entropy"], fragment
 
 
 def test_no_top_level_name_is_defined_in_two_modules():

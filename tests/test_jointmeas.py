@@ -77,9 +77,10 @@ class TestBisect:
         with pytest.raises(ValueError):
             bisect_threshold(lambda v: v >= 0.3, 0.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, "x", None])
+    @pytest.mark.parametrize("tol", [math.nan, "x", None, np.complex128(0.5 + 1j), np.array([0.5]), np.array([0.5, 0.6])])
     def test_tolerance_that_is_no_number_rejected(self, tol):
-        # "x" and None used to escape as TypeError from the comparison
+        # "x" and None used to escape as TypeError from the comparison, 0.5+1j
+        # passed as 0.5 with only a ComplexWarning
         with pytest.raises(ValueError, match=re.escape(f"tolerance must lie in (0, 1), got {tol!r}")):
             bisect_threshold(lambda v: v >= 0.3, tol)
 
@@ -336,12 +337,19 @@ class TestEtaOfChi:
 
     @pytest.mark.parametrize("d", [2, 3, 5, 10, 50])
     def test_joint_measurability_switches_on_the_closed_form(self, d):
-        # not at chi = 1, where the condition is quadratic in va and its 1e-12
-        # of slack admits va up to 1e-6
-        for chi in np.linspace(0.05, 0.95, 19).tolist():
+        # chi = 1 included: the slack sits on va, not on the algebraic
+        # condition, which is quadratic in va there and admitted va up to 1e-6
+        for chi in np.linspace(0.0, 1.0, 21).tolist():
             eta = exact_eta_of_chi(d, chi)
             assert mub_jm_holds(d, eta, chi) and mub_jm_holds(d, chi, eta)
-            assert not mub_jm_holds(d, eta + 1e-9, chi)
+            assert eta == 1.0 or not mub_jm_holds(d, eta + 1e-9, chi)  # no visibility above 1
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 10, 50, 400])
+    def test_joint_measurability_is_the_algebraic_condition(self, d):
+        # the closed-form boundary agrees with the condition itself on random pairs
+        rng = np.random.default_rng(d)
+        for va, vx in rng.uniform(0.0, 1.0, size=(2000, 2)).tolist():
+            assert mub_jm_holds(d, va, vx) == (jm_margin(d, va, vx) <= 1e-12), (va, vx)
 
     def test_symmetric_point_fixed(self):
         for d in (2, 4):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from qsteer import qobj, scenarios
-from qsteer.entropy import check_visibility
+from qsteer.entropy import check_int, check_visibility
 from qsteer.jointmeas import qubit_exact_threshold
 from qsteer.qobj import (
     DensityMatrix,
     Povm,
-    check_int,
     depolarize,
     fourier_matrix,
     is_hermitian,
@@ -541,14 +540,21 @@ class TestValidation:
         assert not is_hermitian(np.stack(not_hermitian))
         assert not is_psd(np.stack(not_hermitian))
 
-    @pytest.mark.parametrize("value", ["3", None, 3 + 0j])
+    @pytest.mark.parametrize("value", ["3", None, 3 + 0j, np.complex128(3 + 1j), np.array([3, 4])])
     def test_integer_rule_names_a_value_that_is_no_number(self, value):
-        # these used to escape as TypeError: '>=' not supported ...
+        # these used to escape as TypeError: '>=' not supported ..., or, for
+        # numpy values, pass as 3 with a ComplexWarning or raise numpy's error
         message = f"dimension must be an integer of at least 2, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             check_int(value, 2, "dimension")
         with pytest.raises(ValueError, match=re.escape(message)):
             mub_pair(value)
+
+    def test_integer_rule_keeps_every_integer_exact(self):
+        # a float() round trip would move 2**63 - 1 and overflow on 10**400
+        for value in (np.int64(2**63 - 1), np.uint64(2**64 - 1), 10**400, 3.0, np.float32(3.0), True):
+            assert check_int(value, 0, "seed") == int(value)
+            assert type(check_int(value, 0, "seed")) is int
 
     @pytest.mark.parametrize("value", ["0.5", None, 1 + 0j, "x"])
     def test_visibility_rule_names_a_value_that_is_no_number(self, value):

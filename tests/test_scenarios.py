@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsteer import acceptance, entropy, qobj, scenarios, steering
-from qsteer.entropy import JointDistribution, dual_order
+from qsteer.entropy import JointDistribution, NoDualOrderError, dual_order
 from qsteer.jointmeas import (
     ThresholdRecord,
     ThresholdSolution,
@@ -143,10 +143,14 @@ class TestFig1Scan:
             fig1_scan([2], [])
 
 
-@pytest.mark.parametrize("alpha", [0.4, math.nan])
+@pytest.mark.parametrize("alpha", [0.4, math.nan, "0.7", None, np.complex128(0.7 + 1j), np.array([0.7])])
 def test_pipeline_threshold_rejects_orders_without_a_dual(alpha):
-    with pytest.raises(ValueError):
-        mub_pipeline_threshold(3, alpha)
+    # "0.7" and None used to escape as TypeError, and fig1_scan parsed "0.7" and
+    # dropped the imaginary part of 0.7+1j with only a ComplexWarning
+    message = re.escape(f"no dual order for alpha={alpha!r} < 1/2")
+    for call in (dual_order, lambda a: mub_pipeline_threshold(3, a), lambda a: fig1_scan([3], [a], tol=1e-3)):
+        with pytest.raises(NoDualOrderError, match=message):
+            call(alpha)
 
 
 DIMENSION_CALLS = {
@@ -165,7 +169,8 @@ DIMENSION_CALLS = {
 @pytest.mark.parametrize("name", sorted(DIMENSION_CALLS))
 def test_dimension_must_be_an_integer_of_at_least_two(name):
     call = DIMENSION_CALLS[name]
-    for d in (2.7, 3.9, 2.5, 1, 1.0, 0, math.inf, math.nan):  # 2.7 used to run as d = 2
+    # 2.7 used to run as d = 2, 3+1j as d = 3 with only a ComplexWarning
+    for d in (2.7, 3.9, 2.5, 1, 1.0, 0, math.inf, math.nan, np.complex128(3 + 1j), np.array([3, 4])):
         with pytest.raises(ValueError, match="dimension must be an integer of at least 2"):
             call(d)
     expected = call(3)
@@ -219,7 +224,9 @@ def test_qubit_check_rejects_a_bad_tolerance_before_the_search(tol, monkeypatch)
 
 @pytest.mark.parametrize(
     "scan, tol",
-    [(qubit_angle_scan, -1), (qubit_angle_scan, 1.0), (d3_family_scan, math.nan), (d3_family_scan, 0.0)],
+    [(qubit_angle_scan, -1), (qubit_angle_scan, 1.0), (d3_family_scan, math.nan), (d3_family_scan, 0.0),
+     (qubit_angle_scan, np.complex128(0.5 + 1j)), (d3_family_scan, np.array([0.5])),
+     (d3_family_scan, np.array([0.5, 0.6]))],
 )
 def test_scans_reject_a_bad_tolerance_on_an_empty_grid(scan, tol):
     # no solve runs on an empty grid, so the scan itself checks the tolerance
