@@ -38,18 +38,8 @@ def emit_csv(result: ScanResult, path: str) -> None:
     lines = [f"{name},alpha,beta,detected_visibility,exact_visibility,gap"]
     for rec in result.records:
         beta = None if rec.alpha is None else dual_order(rec.alpha)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(rec.parameter),
-                    _fmt(rec.alpha),
-                    _fmt(beta),
-                    _fmt(rec.detected),
-                    _fmt(rec.exact),
-                    _fmt(rec.gap),
-                ]
-            )
-        )
+        fields = (rec.parameter, rec.alpha, beta, rec.detected, rec.exact, rec.gap)
+        lines.append(",".join(_fmt(f) for f in fields))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -232,7 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", type=_grid, default=np.linspace(0.0, 0.5, 11),
                    help="start:stop:count, default 0:0.5:11")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--refine-bob", action="store_true")
+    p.add_argument("--refine-bob", action="store_true",
+                   help="also search unitary turns of Bob's bases for a lower threshold (slow)")
     p.add_argument("--csv")
     p.add_argument("--svg")
 

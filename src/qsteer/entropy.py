@@ -19,12 +19,14 @@ gives one value per table; a single table gives a float.
 Every input rule lives here too: ``check_numeric``, ``check_probabilities``
 and the scalar rules ``check_visibility``, ``check_int``, ``check_tolerance``
 and the orders' (``dual_order`` and those of the Renyi and Tsallis entropies),
-each the one real-number test ``_as_real``, its own range and its own message.
+each the one real-number test ``_as_real`` (``_as_order`` for an order, which
+must also fit a float), its own range and its own message.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -70,6 +72,15 @@ def _as_real(value) -> tuple:
             return True, float(value) if kind == "f" else int(value)
         return False, value
     return isinstance(value, (int, float)), value  # a bool, or a subclass
+
+
+def _as_order(value) -> tuple:
+    """``_as_real`` for the order rules, which compute in floats: an int beyond
+    float range does not pass, so it meets the rule's message, not ``OverflowError``."""
+    if type(value) is float:  # the fast path of every solver margin
+        return True, value
+    real, v = _as_real(value)
+    return real and (type(v) is float or abs(v) <= sys.float_info.max), v
 
 
 def check_numeric(value, name: str, noun: str, real: bool = False) -> np.ndarray:
@@ -171,7 +182,7 @@ def _as_table(joint) -> np.ndarray:
 
 def dual_order(alpha: float) -> float:
     """Dual Renyi order b with 1/a + 1/b = 2; defined for one real a >= 1/2."""
-    real, alpha = _as_real(alpha)
+    real, alpha = _as_order(alpha)
     if not (real and alpha >= 0.5):
         raise NoDualOrderError(f"no dual order for alpha={alpha!r} < 1/2")
     if alpha == 0.5:
@@ -182,7 +193,7 @@ def dual_order(alpha: float) -> float:
 
 
 def _check_order(alpha) -> float:
-    real, alpha = _as_real(alpha)
+    real, alpha = _as_order(alpha)
     if not (real and alpha >= 0.0):
         raise ValueError(f"Renyi order must be >= 0, got {alpha!r}")
     return float(alpha)
@@ -284,7 +295,7 @@ def renyi_entropy(probs, alpha: float) -> float:
 
 
 def _check_tsallis_order(q) -> float:
-    real, q = _as_real(q)
+    real, q = _as_order(q)
     if not (real and q > 0.0):
         raise ValueError(f"Tsallis order must be positive, got {q!r}")
     if q == 1.0:

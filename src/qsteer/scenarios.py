@@ -10,8 +10,9 @@ the steering violation of the actual pipeline and report the detecting side
 of the final bracket, so they can undershoot an exact boundary only by
 floating-point noise, never by bracket width.
 Every scan hands its solutions to ``_scan``, which alone writes the records
-and the metadata of a ``ScanResult``.  No driver checks or converts the order:
-``dual_order`` rejects any but one real number >= 1/2 in the first solve.
+and the metadata of a ``ScanResult``.  No driver converts the order:
+``dual_order`` rejects any but one real number >= 1/2, in the first solve or,
+in ``fig1_scan``, before its orders are sorted.
 """
 
 from __future__ import annotations
@@ -158,14 +159,15 @@ def fig1_scan(
     joint-measurability boundary.  The min/max-entropy rows (alpha = 1/2)
     reproduce the boundary itself; Shannon rows sit strictly above it.
     """
-    dims = sorted(d_range)
+    dims = sorted(check_int(d, 2, "dimension") for d in d_range)
+    for a in alphas:  # every entry is checked before sorting, so before a solve
+        dual_order(a)
     alphas = sorted(alphas)
     if not dims or not alphas:
         raise ValueError("fig1_scan needs at least one dimension and one order")
-    exacts = [mub_jm_threshold_symmetric(d) for d in dims]  # checks every d before a solve
     rows = []
-    for d, exact in zip(dims, exacts):
-        tables = _mub_tables(d)
+    for d in dims:
+        tables, exact = _mub_tables(d), mub_jm_threshold_symmetric(d)
         rows += [(float(d), _pipeline_threshold(tables, a, tol), exact) for a in alphas]
     return _scan("mub-symmetric-noise", "d", rows, tol, alphas)
 
@@ -366,21 +368,14 @@ def _conjugate_povm(p: Povm) -> Povm:
     return Povm(p.effects.conj())
 
 
-def _givens_unitary(d: int, params: np.ndarray) -> np.ndarray:
-    """Product of complex Givens rotations over index pairs (i < j)."""
-    u = np.eye(d, dtype=complex)
-    k = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            theta, phi = params[k], params[k + 1]
-            k += 2
-            g = np.eye(d, dtype=complex)
-            g[i, i] = math.cos(theta)
-            g[j, j] = math.cos(theta)
-            g[i, j] = -math.sin(theta) * np.exp(-1j * phi)
-            g[j, i] = math.sin(theta) * np.exp(1j * phi)
-            u = u @ g
-    return u
+def _unitary(params: Sequence[float]) -> np.ndarray:
+    """exp(iH) by one ``eigh`` for the 3 x 3 Hermitian H with diagonal ``params[:3]``
+    and lower triangle ``params[3:6] + i params[6:]``; H = 0 gives exactly I."""
+    p = np.asarray(params, dtype=float)
+    h = np.diag(p[:3] + 0j)
+    h[(1, 2, 2), (0, 0, 1)] = p[3:6] + 1j * p[6:]
+    w, v = np.linalg.eigh(h)  # reads the lower triangle
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def d3_family_scan(
@@ -395,9 +390,10 @@ def d3_family_scan(
     correlations of the MUB endpoint).  At t = 0 the detected threshold is
     the MUB boundary; at t = 1/2 the bases coincide, the bound vanishes and
     nothing is ever detected.  Interior exact boundaries are not computable
-    here and stay unset.  ``refine_bob`` additionally searches small unitary
-    perturbations of Bob's bases for a lower detected threshold, from two
-    starts: Bob's ideal bases and one fixed small perturbation of them.
+    here and stay unset.  ``refine_bob`` additionally turns each of Bob's bases
+    by its own exp(iH), H a 3 x 3 Hermitian matrix, and runs the pattern search
+    from H = 0, Bob's ideal bases, once with the max-entropy on each setting; the
+    record keeps the lowest of the two searches and the unrefined solve.
     ``tol`` is checked before any work, so also for an empty grid.
     """
     tol = check_tolerance(tol)
@@ -411,17 +407,16 @@ def d3_family_scan(
         solution = _pipeline_threshold(tables, 0.5, tol)
 
         if refine_bob and not solution.saturated:
-            def objective(params: list[float], cutoff: float) -> float:
-                ux, uz = _givens_unitary(3, params[:6]), _givens_unitary(3, params[6:])
-                bx, bz = (Povm(u @ b.effects @ u.conj().T) for u, b in ((ux, bob_x), (uz, bob_z)))
-                tables = _pipeline_tables(alice_x, alice_z, bx, bz)
-                return _pipeline_threshold(tables, 0.5, tol * 0.25, cutoff).value
+            def search(order: int) -> float:  # the max-entropy on x if order is 1, on z if -1
+                def objective(params: list[float], cutoff: float) -> float:
+                    bx, bz = (Povm(u @ b.effects @ u.conj().T) for u, b in (
+                        (_unitary(params[:9]), bob_x), (_unitary(params[9:]), bob_z)))
+                    tables = _pipeline_tables(*(alice_x, alice_z)[::order], *(bx, bz)[::order])
+                    return _pipeline_threshold(tables, 0.5, tol * 0.25, cutoff).value
 
-            best = solution.value
-            for st in (np.zeros(12), 0.15 * np.arange(1, 13) / 12.0):
-                _, f = _coordinate_search(objective, st, step0=0.2, ftol=tol * 0.5)
-                best = min(best, f)
-            solution = solution._replace(value=best)
+                return _coordinate_search(objective, [0.0] * 18, step0=0.2, ftol=tol * 0.5)[1]
+
+            solution = solution._replace(value=min(solution.value, search(1), search(-1)))
 
         if t == 0.0:
             exact = mub_jm_threshold_symmetric(3)

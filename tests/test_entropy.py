@@ -332,6 +332,26 @@ class TestDualOrder:
             dual_order(0.49)
 
 
+ORDER_RULES = {
+    "renyi_entropy": (lambda a: renyi_entropy([0.5, 0.5], a), "Renyi order must be >= 0, got {!r}"),
+    "tsallis_entropy": (lambda a: tsallis_entropy([0.7, 0.3], a), "Tsallis order must be positive, got {!r}"),
+    "dual_order": (dual_order, "no dual order for alpha={!r} < 1/2"),
+    "mub_pipeline_threshold": (
+        lambda a: scenarios.mub_pipeline_threshold(3, a, 1e-3), "no dual order for alpha={!r} < 1/2"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_RULES))
+@pytest.mark.parametrize("order", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+def test_order_beyond_float_range_rejected(name, order):
+    # float() used to raise OverflowError past the rule
+    call, message = ORDER_RULES[name]
+    with pytest.raises(ValueError, match=re.escape(message.format(order))):
+        call(order)
+    assert call(10**300) == call(1e300)  # an int within float range still counts
+
+
 class TestTsallis:
     def test_deterministic_is_zero(self):
         assert tsallis_entropy([1.0, 0.0], 2.0) == 0.0

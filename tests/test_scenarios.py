@@ -142,6 +142,17 @@ class TestFig1Scan:
         with pytest.raises(ValueError, match="at least one dimension and one order"):
             fig1_scan([2], [])
 
+    @pytest.mark.parametrize("dims, alphas, message", [
+        ([3], [0.5, "0.7"], "no dual order for alpha='0.7' < 1/2"),
+        ([3], [0.5, None], "no dual order for alpha=None < 1/2"),
+        ([3, "4"], [0.5], "dimension must be an integer of at least 2, got '4'"),
+    ])
+    def test_rejects_entry_before_sorting(self, dims, alphas, message, monkeypatch):
+        # sorted() used to meet the entry first and raise TypeError
+        monkeypatch.setattr(scenarios, "_pipeline_threshold", lambda *args: pytest.fail("a solve ran"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fig1_scan(dims, alphas)
+
 
 @pytest.mark.parametrize("alpha", [0.4, math.nan, "0.7", None, np.complex128(0.7 + 1j), np.array([0.7])])
 def test_pipeline_threshold_rejects_orders_without_a_dual(alpha):
@@ -825,8 +836,8 @@ class TestPrunedSearch:
     def test_pipeline_search_path_unchanged(self):
         comp, four = mub_pair(3)
 
-        def objective(params, cutoff):  # Bob's Fourier basis turned by a Givens rotation
-            u = scenarios._givens_unitary(3, [params[0], params[1], 0.0, 0.0, 0.0, 0.0])
+        def objective(params, cutoff):  # Bob's Fourier basis turned by exp(iH), H_10 = p0 + i p1
+            u = scenarios._unitary([0.0, 0.0, 0.0, params[0], 0.0, 0.0, params[1], 0.0, 0.0])
             bob_x = Povm(u @ four.effects @ u.conj().T)
             tables = scenarios._pipeline_tables(four, comp, bob_x, comp)
             return scenarios._pipeline_threshold(tables, 0.5, 1e-4, cutoff).value
@@ -838,6 +849,21 @@ class TestPrunedSearch:
         )
         assert pruned == full
         assert pruned[1] < objective((0.3, 0.2), math.inf)  # the search moved
+
+
+class TestUnitary:
+    def test_zero_is_the_identity(self):
+        assert np.array_equal(scenarios._unitary([0.0] * 9), np.eye(3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_parameters_give_a_unitary(self, seed):
+        u = scenarios._unitary(np.random.default_rng(seed).normal(size=9).tolist())
+        assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 1e-14
+
+    def test_diagonal_is_a_phase(self):
+        p = [0.3, -1.2, 2.0]
+        u = scenarios._unitary(p + [0.0] * 6)
+        assert np.abs(u - np.diag(np.exp(1j * np.array(p)))).max() <= 1e-15
 
 
 class TestD3FamilyScan:
@@ -879,6 +905,12 @@ class TestD3FamilyScan:
         plain = d3_family_scan(grid, tol=1e-5)
         refined = d3_family_scan(grid, tol=1e-5, refine_bob=True)
         assert refined.records[0].detected <= plain.records[0].detected + 1e-5
+
+    def test_refinement_searches_both_order_assignments(self):
+        # unrefined 0.9949 at t = 0.3; the search reads 0.8350 with the
+        # max-entropy on x and 0.7961 with it on z, so this needs the second
+        (rec,) = d3_family_scan([0.3], 1e-4, refine_bob=True).records
+        assert rec.detected <= 0.80
 
     def test_grid_validation(self, monkeypatch):
         def no_solve(*args):
