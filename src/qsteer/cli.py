@@ -138,12 +138,16 @@ def emit_svg(result: ScanResult, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _alpha_list(text: str) -> list[float]:
-    """Comma-separated entropy orders ("inf" allowed); the library checks each."""
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad order list: {text!r}")
+def _float_list(noun: str):
+    """Parser of comma-separated floats ("inf" allowed) that names a bad list by
+    ``noun``; the library checks each value."""
+    def parse(text: str) -> list[float]:
+        try:
+            return [float(part) for part in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {noun} list: {text!r}")
+
+    return parse
 
 
 def _int_range(text: str) -> list[int]:
@@ -157,13 +161,6 @@ def _int_range(text: str) -> list[int]:
     if hi_i < lo_i:
         raise argparse.ArgumentTypeError(f"bad dimension range: {text!r}")
     return list(range(lo_i, hi_i + 1))
-
-
-def _probs(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad probability list: {text!r}")
 
 
 def _grid(text: str) -> np.ndarray:
@@ -188,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("entropy", help="evaluate a Renyi or Tsallis entropy")
-    p.add_argument("--probs", type=_probs, help="distribution, e.g. 0.9,0.1")
+    p.add_argument("--probs", type=_float_list("probability"), help="distribution, e.g. 0.9,0.1")
     p.add_argument("--joint", help="joint table rows ; separated, e.g. 0.4,0.1;0.1,0.4")
     p.add_argument("--alpha", type=float, default=1.0, help="Renyi order (inf allowed)")
     p.add_argument("--tsallis-q", type=float, help="evaluate the Tsallis q-entropy instead")
@@ -206,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-fig1", help="threshold vs dimension for several orders")
     p.add_argument("--d", type=_int_range, default=list(range(2, 11)), help="e.g. 2..10")
-    p.add_argument("--alphas", type=_alpha_list, default=[0.5, 0.7, 1.0, math.inf])
+    p.add_argument("--alphas", type=_float_list("order"), default=[0.5, 0.7, 1.0, math.inf])
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--csv", help="write records to this CSV path")
     p.add_argument("--svg", help="write a line chart to this SVG path")

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .config import DEFAULT_TOLS
 from .entropy import check_int, check_numeric, check_tolerance, check_visibility
 
@@ -158,11 +156,14 @@ def renyi_mub_threshold_symmetric(d: int, tol: float = 1e-9) -> float:
 
 
 def qubit_exact_threshold(z, x) -> float:
-    """Visibility threshold 2/(|z+x| + |z-x|) for equal-visibility unbiased
-    qubit measurements along unit Bloch vectors z and x."""
+    """Busch's visibility threshold min(1, 2/(|z+x| + |z-x|)) for equal-visibility
+    unbiased qubit measurements along real Bloch vectors z and x of length at most
+    1 (``DEFAULT_TOLS.projective`` of slack); the cap binds only for short ones."""
     z = check_numeric(z, "z", "vector", real=True)
     x = check_numeric(x, "x", "vector", real=True)
     for name, u in (("z", z), ("x", x)):
-        if u.shape != (3,) or not abs(np.linalg.norm(u) - 1.0) <= DEFAULT_TOLS.projective:
-            raise ValueError(f"{name} must be a unit 3-vector")
-    return 2.0 / (np.linalg.norm(z + x) + np.linalg.norm(z - x))
+        if u.shape != (3,) or not math.sqrt(u @ u) <= 1.0 + DEFAULT_TOLS.projective:
+            raise ValueError(f"{name} must be a real 3-vector of length at most 1")
+    plus, minus = z + x, z - x
+    s = math.sqrt(plus @ plus) + math.sqrt(minus @ minus)
+    return 2.0 / s if s > 2.0 else 1.0

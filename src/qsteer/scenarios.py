@@ -304,12 +304,13 @@ def qubit_random_povm_check(n_cases: int, seed: int, tol: float = 1e-6) -> ScanR
     assignment that ``_bob_qubit_pair`` finds on the closed-form threshold.
 
     Cases cycle through three kinds: unbiased symmetric and unbiased
-    asymmetric, whose exact boundary is Busch's 2/(|r_x + r_z| + |r_x - r_z|)
-    and which the detected threshold meets within ``tol``, and biased, whose
+    asymmetric, whose exact boundary is Busch's ``qubit_exact_threshold`` and
+    which the detected threshold meets within ``tol``, and biased, whose
     exact boundary is not computed here (reported without an exact column).
-    Each record is re-derived through the pipeline with Bob's chosen pair,
-    and each case names the setting that carries the max-entropy.  Fully
-    deterministic in ``seed``; ``tol`` is checked before any work."""
+    Each record is re-derived through the pipeline with Bob's chosen pair, at
+    alpha = 1/2 or, with the max-entropy on z, its dual alpha = inf (the record
+    reads 1/2), and each case names the setting that carries the max-entropy.
+    Fully deterministic in ``seed``; ``tol`` is checked before any work."""
     n_cases, seed = check_int(n_cases, 1, "n_cases"), check_int(seed, 0, "seed")
     tol = check_tolerance(tol)
     rng = np.random.default_rng(seed)
@@ -334,16 +335,12 @@ def qubit_random_povm_check(n_cases: int, seed: int, tol: float = 1e-6) -> ScanR
 
         setting, u_x, u_z = _bob_qubit_pair(bias_x, bias_z, bloch_x, bloch_z, tol)
 
-        # re-derive the winning threshold through the full Born-rule pipeline,
-        # the max-entropy setting first
-        order = 1 if setting == "x" else -1
-        alice = (qubit_povm(bias_x, bloch_x), qubit_povm(bias_z, bloch_z))[::order]
-        bob = (qubit_povm(0.0, u_x), qubit_povm(0.0, u_z))[::order]
-        solution = _pipeline_threshold(_pipeline_tables(*alice, *bob), 0.5, tol)
-
-        plus, minus = bloch_z + bloch_x, bloch_z - bloch_x
-        busch = 2.0 / (math.sqrt(plus @ plus) + math.sqrt(minus @ minus))
-        rows.append((float(idx), solution, None if kind == "biased" else min(1.0, busch)))
+        # re-derive through the Born-rule pipeline; the dual order alpha = inf puts the max-entropy on z
+        alice = qubit_povm(bias_x, bloch_x), qubit_povm(bias_z, bloch_z)
+        tables = _pipeline_tables(*alice, qubit_povm(0.0, u_x), qubit_povm(0.0, u_z))
+        solution = _pipeline_threshold(tables, 0.5 if setting == "x" else math.inf, tol)
+        exact = None if kind == "biased" else qubit_exact_threshold(bloch_z, bloch_x)
+        rows.append((float(idx), solution, exact))
         cases.append(
             {
                 "kind": kind,
@@ -392,31 +389,32 @@ def d3_family_scan(
     nothing is ever detected.  Interior exact boundaries are not computable
     here and stay unset.  ``refine_bob`` additionally turns each of Bob's bases
     by its own exp(iH), H a 3 x 3 Hermitian matrix, and runs the pattern search
-    from H = 0, Bob's ideal bases, once with the max-entropy on each setting; the
-    record keeps the lowest of the two searches and the unrefined solve.
+    from H = 0, Bob's ideal bases, at alpha = 1/2 (the max-entropy on x) and at its
+    dual alpha = inf (on z) on the same tables; the record keeps the lowest of the
+    two searches and the unrefined solve, and ``max_entropy_settings`` reads "z"
+    only where the alpha = inf search was lowest.
     ``tol`` is checked before any work, so also for an empty grid.
     """
     tol = check_tolerance(tol)
     ts = sorted(float(check_numeric(t, "family parameter", "number", real=True)) for t in t_grid)
     bases = [rotated_d3_bases(t) for t in ts]  # checks every t before a solve
-    rows = []
+    rows, settings = [], []
     for t, (alice_z, alice_x) in zip(ts, bases):
         bob_z, bob_x = _conjugate_povm(alice_z), _conjugate_povm(alice_x)
 
         tables = _pipeline_tables(alice_x, alice_z, bob_x, bob_z)
         solution = _pipeline_threshold(tables, 0.5, tol)
 
+        found = [solution.value]  # the unrefined solve, then one search per order
         if refine_bob and not solution.saturated:
-            def search(order: int) -> float:  # the max-entropy on x if order is 1, on z if -1
-                def objective(params: list[float], cutoff: float) -> float:
+            for alpha in (0.5, math.inf):  # the max-entropy on x, then on z
+                def objective(params: list[float], cutoff: float, alpha: float = alpha) -> float:
                     bx, bz = (Povm(u @ b.effects @ u.conj().T) for u, b in (
                         (_unitary(params[:9]), bob_x), (_unitary(params[9:]), bob_z)))
-                    tables = _pipeline_tables(*(alice_x, alice_z)[::order], *(bx, bz)[::order])
-                    return _pipeline_threshold(tables, 0.5, tol * 0.25, cutoff).value
-
-                return _coordinate_search(objective, [0.0] * 18, step0=0.2, ftol=tol * 0.5)[1]
-
-            solution = solution._replace(value=min(solution.value, search(1), search(-1)))
+                    tables = _pipeline_tables(alice_x, alice_z, bx, bz)
+                    return _pipeline_threshold(tables, alpha, tol * 0.25, cutoff).value
+                found.append(_coordinate_search(objective, [0.0] * 18, step0=0.2, ftol=tol * 0.5)[1])
+            solution = solution._replace(value=min(found))
 
         if t == 0.0:
             exact = mub_jm_threshold_symmetric(3)
@@ -425,7 +423,9 @@ def d3_family_scan(
         else:
             exact = None
         rows.append((t, solution, exact))
-    return _scan("d3-rotated-family", "t", rows, tol, refine_bob=bool(refine_bob))
+        settings.append("z" if found.index(solution.value) == 2 else "x")  # the first lowest
+    return _scan("d3-rotated-family", "t", rows, tol,
+                 refine_bob=bool(refine_bob), max_entropy_settings=settings)
 
 
 # ---------------------------------------------------------------------------

@@ -427,14 +427,28 @@ class TestQubitThresholds:
             assert qubit_renyi_threshold(theta) == pytest.approx(closed, abs=1e-12)
 
     def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            qubit_exact_threshold((0, 0, 0.9), (1, 0, 0))
+        # a vector shorter than 1 is an unsharp measurement and taken; a longer one is no measurement
+        cases = (((0, 0, 1.1), (1, 0, 0), "z"), ((0, 0, 1), (0.8, 0, 0.8), "x"), ((0, 1), (1, 0), "z"))
+        for z, x, name in cases:
+            with pytest.raises(ValueError, match=f"{name} must be a real 3-vector of length at most 1"):
+                qubit_exact_threshold(z, x)
+        assert qubit_exact_threshold((0, 0, 1 + 1e-12), (1, 0, 0)) == pytest.approx(SQRT2_INV, abs=1e-12)
 
     def test_nan_vector_rejected(self):
-        with pytest.raises(ValueError, match="z must be a unit 3-vector"):
+        with pytest.raises(ValueError, match="z must be a real 3-vector of length at most 1"):
             qubit_exact_threshold((math.nan, 0, 0), (1, 0, 0))
-        with pytest.raises(ValueError, match="x must be a unit 3-vector"):
+        with pytest.raises(ValueError, match="x must be a real 3-vector of length at most 1"):
             qubit_exact_threshold((0, 0, 1), (0, math.nan, 0))
+
+    def test_short_pair_equals_capped_formula(self):
+        # Busch's formula for unsharp vectors, capped at 1 where it exceeds it;
+        # a zero pair is jointly measurable at every visibility
+        z, x = np.array([0.0, 0.6, 0.7]), np.array([0.7, -0.2, 0.6])
+        busch = 2.0 / (math.sqrt((z + x) @ (z + x)) + math.sqrt((z - x) @ (z - x)))
+        assert busch < 1.0 and qubit_exact_threshold(z, x) == busch
+        assert qubit_exact_threshold(0.4 * z, 0.4 * x) == 1.0
+        assert qubit_exact_threshold((0, 0, 0), (0, 0, 0)) == 1.0
+        assert type(qubit_exact_threshold(z, x)) is float
 
     def test_renyi_threshold_range(self):
         assert qubit_renyi_threshold(0.0) == pytest.approx(SQRT2_INV, abs=1e-15)

@@ -97,7 +97,7 @@ class TestFig1Scan:
         scans = [
             (fig1_scan([3, 2], [1.0, 0.5], tol=1e-3), ()),
             (qubit_angle_scan([0.3, 0.1], tol=1e-3), ()),
-            (d3_family_scan([0.5, 0.0], tol=1e-3), ("refine_bob",)),
+            (d3_family_scan([0.5, 0.0], tol=1e-3), ("refine_bob", "max_entropy_settings")),
             (qubit_random_povm_check(2, 0, tol=1e-1), ("cases",)),
             (mub_eta_scan(3, 3, tol=1e-3), ("d",)),
         ]
@@ -477,6 +477,54 @@ class TestPipelineTables:
         alice_z, alice_x = rotated_d3_bases(0.2)
         bob_z, bob_x = scenarios._conjugate_povm(alice_z), scenarios._conjugate_povm(alice_x)
         self.assert_v0_tables_match(alice_x, alice_z, bob_x, bob_z)
+
+
+class TestDualOrderAssignment:
+    """Putting the max-entropy on z is the dual order alpha = inf on the tables
+    in (x, z) order: bit for bit the threshold of the reversed settings at
+    alpha = 1/2, because addition commutes and the bound is bit-symmetric."""
+
+    @staticmethod
+    def assert_dual_equals_reversed(alice_x, alice_z, bob_x, bob_z, tol, cutoff=math.inf):
+        forward = scenarios._pipeline_tables(alice_x, alice_z, bob_x, bob_z)
+        reversed_ = scenarios._pipeline_tables(alice_z, alice_x, bob_z, bob_x)
+        dual = scenarios._pipeline_threshold(forward, math.inf, tol, cutoff)
+        assert dual == scenarios._pipeline_threshold(reversed_, 0.5, tol, cutoff)
+        return dual
+
+    def test_random_qubit_cases(self):
+        # 30 cases of the random check, a third of them biased, with the Bob pair it finds
+        scan = qubit_random_povm_check(30, 4, 1e-6)
+        detected = 0
+        for case in scan.metadata["cases"]:
+            _, u_x, u_z = scenarios._bob_qubit_pair(
+                case["bias_x"], case["bias_z"], np.array(case["bloch_x"]), np.array(case["bloch_z"]), 1e-6
+            )
+            alice = [qubit_povm(case[f"bias_{s}"], case[f"bloch_{s}"]) for s in "xz"]
+            bob = [qubit_povm(0.0, u) for u in (u_x, u_z)]
+            for tol in (1e-4, 1e-6, 1e-13):
+                detected += not self.assert_dual_equals_reversed(*alice, *bob, tol).saturated
+        assert detected >= 60
+
+    def test_d3_grid(self):
+        for t in np.linspace(0.0, 0.5, 11):
+            alice_z, alice_x = rotated_d3_bases(t)
+            bob_z, bob_x = scenarios._conjugate_povm(alice_z), scenarios._conjugate_povm(alice_x)
+            for cutoff in (math.inf, 0.9):
+                self.assert_dual_equals_reversed(alice_x, alice_z, bob_x, bob_z, 1e-6, cutoff)
+
+    def test_qubit_check_solves_the_z_setting_at_the_dual_order(self, monkeypatch):
+        solve, alphas = scenarios._pipeline_threshold, []
+
+        def recorded(tables, alpha, tol):
+            alphas.append(alpha)
+            return solve(tables, alpha, tol)
+
+        monkeypatch.setattr(scenarios, "_pipeline_threshold", recorded)
+        scan = qubit_random_povm_check(6, 7, 1e-4)
+        settings = [c["max_entropy_setting"] for c in scan.metadata["cases"]]
+        assert alphas == [0.5 if s == "x" else math.inf for s in settings] and "z" in settings
+        assert all(r.alpha == 0.5 for r in scan.records)
 
 
 class TestAlphaOptimality:
@@ -905,6 +953,18 @@ class TestD3FamilyScan:
         plain = d3_family_scan(grid, tol=1e-5)
         refined = d3_family_scan(grid, tol=1e-5, refine_bob=True)
         assert refined.records[0].detected <= plain.records[0].detected + 1e-5
+
+    def test_refined_records_and_winning_settings_pinned(self):
+        # t = 0.2 is won by the alpha = 1/2 search (0.734956 against 0.742797 at
+        # alpha = inf), t = 0.3 by the alpha = inf search (0.784527 against 0.834986)
+        scan = d3_family_scan([0.2, 0.3], 1e-6, refine_bob=True)
+        assert [r.detected.hex() for r in scan.records] == ["0x1.784c33365fd58p-1", "0x1.91ad7f15378a2p-1"]
+        assert scan.metadata["max_entropy_settings"] == ["x", "z"]
+
+    def test_unrefined_and_saturated_points_read_x(self, scan):
+        assert scan.metadata["max_entropy_settings"] == ["x"] * 6
+        refined = d3_family_scan([0.5], 1e-4, refine_bob=True)
+        assert refined.records[0].saturated and refined.metadata["max_entropy_settings"] == ["x"]
 
     def test_refinement_searches_both_order_assignments(self):
         # unrefined 0.9949 at t = 0.3; the search reads 0.8350 with the
