@@ -246,28 +246,24 @@ def _cmd_entropy(args) -> int:
     if (args.probs is None) == (args.joint is None):
         print("provide exactly one of --probs or --joint", file=sys.stderr)
         return 2
-    try:
-        if args.probs is not None:
-            if args.tsallis_q is not None:
-                value = tsallis_entropy(args.probs, args.tsallis_q)
-                print(f"{value:.9g} nats (Tsallis q={args.tsallis_q:g})")
-            else:
-                value = renyi_entropy(args.probs, args.alpha)
-                print(f"{value:.9g} bits (Renyi alpha={args.alpha:g})")
+    if args.probs is not None:
+        if args.tsallis_q is not None:
+            value = tsallis_entropy(args.probs, args.tsallis_q)
+            print(f"{value:.9g} nats (Tsallis q={args.tsallis_q:g})")
         else:
-            rows = [[float(v) for v in row.split(",")] for row in args.joint.split(";")]
-            if len({len(row) for row in rows}) != 1:
-                raise ValueError("--joint rows must have equal length")
-            joint = JointDistribution(rows)
-            if args.tsallis_q is not None:
-                value = conditional_tsallis(joint, args.tsallis_q)
-                print(f"{value:.9g} nats (conditional Tsallis q={args.tsallis_q:g})")
-            else:
-                value = conditional_renyi(joint, args.alpha)
-                print(f"{value:.9g} bits (conditional Renyi alpha={args.alpha:g})")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            value = renyi_entropy(args.probs, args.alpha)
+            print(f"{value:.9g} bits (Renyi alpha={args.alpha:g})")
+    else:
+        rows = [[float(v) for v in row.split(",")] for row in args.joint.split(";")]
+        if len({len(row) for row in rows}) != 1:
+            raise ValueError("--joint rows must have equal length")
+        joint = JointDistribution(rows)
+        if args.tsallis_q is not None:
+            value = conditional_tsallis(joint, args.tsallis_q)
+            print(f"{value:.9g} nats (conditional Tsallis q={args.tsallis_q:g})")
+        else:
+            value = conditional_renyi(joint, args.alpha)
+            print(f"{value:.9g} bits (conditional Renyi alpha={args.alpha:g})")
     return 0
 
 

@@ -150,7 +150,7 @@ def mub_pipeline_threshold(d: int, alpha: float, tol: float = 1e-6) -> float:
 
 
 def fig1_scan(
-    d_range: Iterable[int], alphas: Sequence[float], tol: float = 1e-6
+    d_range: Iterable[int], alphas: Iterable[float], tol: float = 1e-6
 ) -> ScanResult:
     """Detected vs exact symmetric thresholds over dimensions and orders.
 
@@ -160,9 +160,10 @@ def fig1_scan(
     reproduce the boundary itself; Shannon rows sit strictly above it.
     """
     dims = sorted(check_int(d, 2, "dimension") for d in d_range)
+    alphas = list(alphas)  # read once, so an iterator is checked and solved alike
     for a in alphas:  # every entry is checked before sorting, so before a solve
         dual_order(a)
-    alphas = sorted(alphas)
+    alphas.sort()
     if not dims or not alphas:
         raise ValueError("fig1_scan needs at least one dimension and one order")
     rows = []
@@ -359,12 +360,6 @@ def qubit_random_povm_check(n_cases: int, seed: int, tol: float = 1e-6) -> ScanR
 # ---------------------------------------------------------------------------
 
 
-def _conjugate_povm(p: Povm) -> Povm:
-    """Entrywise conjugate measurement: the partner that sees perfect
-    correlations with ``p`` on the maximally entangled state."""
-    return Povm(p.effects.conj())
-
-
 def _unitary(params: Sequence[float]) -> np.ndarray:
     """exp(iH) by one ``eigh`` for the 3 x 3 Hermitian H with diagonal ``params[:3]``
     and lower triangle ``params[3:6] + i params[6:]``; H = 0 gives exactly I."""
@@ -383,12 +378,13 @@ def d3_family_scan(
     """Threshold scan over the d=3 rotated-basis family.
 
     Alice carries symmetric noise on the two rotated bases; Bob measures
-    their ideal conjugate partners (the choice that reproduces the perfect
-    correlations of the MUB endpoint).  At t = 0 the detected threshold is
-    the MUB boundary; at t = 1/2 the bases coincide, the bound vanishes and
-    nothing is ever detected.  Interior exact boundaries are not computable
-    here and stay unset.  ``refine_bob`` additionally turns each of Bob's bases
-    by its own exp(iH), H a 3 x 3 Hermitian matrix, and runs the pattern search
+    their entrywise conjugate bases, the ideal partners that see perfect
+    correlations on the maximally entangled state (as at the MUB endpoint).
+    At t = 0 the detected threshold is the MUB boundary; at t = 1/2 the bases
+    coincide, the bound vanishes and nothing is ever detected.  Interior exact
+    boundaries are not computable here and stay unset.  ``refine_bob``
+    additionally turns each of Bob's basis matrices B into exp(iH) B, H a 3 x 3
+    Hermitian matrix, so every Bob is again a basis, and runs the pattern search
     from H = 0, Bob's ideal bases, at alpha = 1/2 (the max-entropy on x) and at its
     dual alpha = inf (on z) on the same tables; the record keeps the lowest of the
     two searches and the unrefined solve, and ``max_entropy_settings`` reads "z"
@@ -400,7 +396,7 @@ def d3_family_scan(
     bases = [rotated_d3_bases(t) for t in ts]  # checks every t before a solve
     rows, settings = [], []
     for t, (alice_z, alice_x) in zip(ts, bases):
-        bob_z, bob_x = _conjugate_povm(alice_z), _conjugate_povm(alice_x)
+        bob_z, bob_x = (Povm.from_basis(a.basis.conj()) for a in (alice_z, alice_x))
 
         tables = _pipeline_tables(alice_x, alice_z, bob_x, bob_z)
         solution = _pipeline_threshold(tables, 0.5, tol)
@@ -409,8 +405,8 @@ def d3_family_scan(
         if refine_bob and not solution.saturated:
             for alpha in (0.5, math.inf):  # the max-entropy on x, then on z
                 def objective(params: list[float], cutoff: float, alpha: float = alpha) -> float:
-                    bx, bz = (Povm(u @ b.effects @ u.conj().T) for u, b in (
-                        (_unitary(params[:9]), bob_x), (_unitary(params[9:]), bob_z)))
+                    bx, bz = (Povm.from_basis(_unitary(p) @ b.basis)
+                              for p, b in ((params[:9], bob_x), (params[9:], bob_z)))
                     tables = _pipeline_tables(alice_x, alice_z, bx, bz)
                     return _pipeline_threshold(tables, alpha, tol * 0.25, cutoff).value
                 found.append(_coordinate_search(objective, [0.0] * 18, step0=0.2, ftol=tol * 0.5)[1])

@@ -118,6 +118,8 @@ def evaluate(
     measurements only (Alice's devices stay uncharacterized); a finite one of
     at least 0.  Stacks of tables give one certificate whose values are arrays.
     """
+    if type(bound) is not float:  # a Python float, as every solver margin passes, needs no rule
+        bound = float(check_numeric(bound, "bound", "number", real=True))
     if not 0.0 <= bound < np.inf:  # also rejects NaN
         raise ValueError(f"bound must be finite and nonnegative, got {bound!r}")
     lhs = steering_lhs(jx, jz, alpha)

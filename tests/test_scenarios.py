@@ -32,6 +32,12 @@ from qsteer.scenarios import (
 from qsteer.steering import born_statistics, evaluate, overlap_bound
 
 
+def d3_measurements(t):
+    """Alice's rotated bases at ``t`` and Bob's conjugate bases, in (x, z, x, z) order."""
+    alice_z, alice_x = rotated_d3_bases(t)
+    return alice_x, alice_z, *(Povm.from_basis(a.basis.conj()) for a in (alice_x, alice_z))
+
+
 def certify(alice_x, alice_z, bob_x, bob_z, alpha):
     """The criterion on the Born-rule statistics of the maximally entangled state."""
     jx, jz = born_statistics(alice_x, alice_z, bob_x, bob_z)
@@ -141,6 +147,12 @@ class TestFig1Scan:
             fig1_scan([], [0.5])
         with pytest.raises(ValueError, match="at least one dimension and one order"):
             fig1_scan([2], [])
+
+    def test_iterators_of_dimensions_and_orders(self):
+        # the order check used to exhaust an iterator, so no order was left to solve
+        scan = fig1_scan(iter([3, 2]), iter([1.0, 0.5]), tol=1e-3)
+        assert scan.records == fig1_scan([3, 2], [1.0, 0.5], tol=1e-3).records
+        assert scan.metadata["alphas"] == [0.5, 1.0]
 
     @pytest.mark.parametrize("dims, alphas, message", [
         ([3], [0.5, "0.7"], "no dual order for alpha='0.7' < 1/2"),
@@ -474,9 +486,7 @@ class TestPipelineTables:
         self.assert_v0_tables_match(alice_x, alice_z, bob_x, bob_z)
 
     def test_d3_family(self):
-        alice_z, alice_x = rotated_d3_bases(0.2)
-        bob_z, bob_x = scenarios._conjugate_povm(alice_z), scenarios._conjugate_povm(alice_x)
-        self.assert_v0_tables_match(alice_x, alice_z, bob_x, bob_z)
+        self.assert_v0_tables_match(*d3_measurements(0.2))
 
 
 class TestDualOrderAssignment:
@@ -508,10 +518,8 @@ class TestDualOrderAssignment:
 
     def test_d3_grid(self):
         for t in np.linspace(0.0, 0.5, 11):
-            alice_z, alice_x = rotated_d3_bases(t)
-            bob_z, bob_x = scenarios._conjugate_povm(alice_z), scenarios._conjugate_povm(alice_x)
             for cutoff in (math.inf, 0.9):
-                self.assert_dual_equals_reversed(alice_x, alice_z, bob_x, bob_z, 1e-6, cutoff)
+                self.assert_dual_equals_reversed(*d3_measurements(t), 1e-6, cutoff)
 
     def test_qubit_check_solves_the_z_setting_at_the_dual_order(self, monkeypatch):
         solve, alphas = scenarios._pipeline_threshold, []
@@ -886,7 +894,7 @@ class TestPrunedSearch:
 
         def objective(params, cutoff):  # Bob's Fourier basis turned by exp(iH), H_10 = p0 + i p1
             u = scenarios._unitary([0.0, 0.0, 0.0, params[0], 0.0, 0.0, params[1], 0.0, 0.0])
-            bob_x = Povm(u @ four.effects @ u.conj().T)
+            bob_x = Povm.from_basis(u @ four.basis)
             tables = scenarios._pipeline_tables(four, comp, bob_x, comp)
             return scenarios._pipeline_threshold(tables, 0.5, 1e-4, cutoff).value
 
@@ -941,12 +949,29 @@ class TestD3FamilyScan:
         # MUB pair, 9.5e-8 above its exact boundary (1 + sqrt 3)/4
         scan = d3_family_scan(np.linspace(0.0, 0.5, 11), 1e-6)
         assert [r.detected.hex() for r in scan.records] == [
-            "0x1.5db3da70dd7c9p-1", "0x1.9c4563fd89f00p-1", "0x1.c6b5ede6ab210p-1",
-            "0x1.e13f662b9919cp-1", "0x1.f0be372378d69p-1", "0x1.f92d61a6eaebbp-1",
-            "0x1.fd60c59566b83p-1", "0x1.ff36154465454p-1", "0x1.ffd9940b592f7p-1",
-            "0x1.fffda7ff1b3bbp-1", "0x1.0000000000000p+0",
+            "0x1.5db3da70dd7b2p-1", "0x1.9c4563fd89effp-1", "0x1.c6b5ede6ab213p-1",
+            "0x1.e13f662b991c8p-1", "0x1.f0be372378da0p-1", "0x1.f92d61a6eae40p-1",
+            "0x1.fd60c595665e7p-1", "0x1.ff36154464bb8p-1", "0x1.ffd9940b58f62p-1",
+            "0x1.fffda7ff1810cp-1", "0x1.0000000000000p+0",
         ]
         assert [r.saturated for r in scan.records] == [False] * 10 + [True]
+
+    def test_bob_measures_the_conjugate_bases_and_the_refine_turns_them(self, monkeypatch):
+        tables, seen = scenarios._pipeline_tables, []
+
+        def recorded(*povms):
+            seen.append(povms)
+            return tables(*povms)
+
+        monkeypatch.setattr(scenarios, "_pipeline_tables", recorded)
+        d3_family_scan([0.2], 1e-3, refine_bob=True)
+        for got, want in zip(seen[0], d3_measurements(0.2)):
+            assert np.array_equal(got.basis, want.basis)
+        assert len(seen) > 1 and all(p.basis is not None for povms in seen for p in povms)
+
+    def test_mub_endpoint_at_tight_tolerance(self):
+        (rec,) = d3_family_scan([0.0], 1e-13).records
+        assert abs(rec.detected - (1.0 + math.sqrt(3.0)) / 4.0) <= 1e-12
 
     def test_refinement_never_hurts(self):
         grid = [0.2]
@@ -958,7 +983,7 @@ class TestD3FamilyScan:
         # t = 0.2 is won by the alpha = 1/2 search (0.734956 against 0.742797 at
         # alpha = inf), t = 0.3 by the alpha = inf search (0.784527 against 0.834986)
         scan = d3_family_scan([0.2, 0.3], 1e-6, refine_bob=True)
-        assert [r.detected.hex() for r in scan.records] == ["0x1.784c33365fd58p-1", "0x1.91ad7f15378a2p-1"]
+        assert [r.detected.hex() for r in scan.records] == ["0x1.784c33365fd5cp-1", "0x1.91ad7f15378a3p-1"]
         assert scan.metadata["max_entropy_settings"] == ["x", "z"]
 
     def test_unrefined_and_saturated_points_read_x(self, scan):

@@ -185,6 +185,20 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=re.escape(f"bound must be finite and nonnegative, got {bound!r}")):
             evaluate(j, j, bound, 0.5)
 
+    @pytest.mark.parametrize("bound", ["1", None, 1 + 0j, [1.0], np.array([1.0, 2.0]), np.complex128(1)])
+    def test_bound_that_is_no_real_number_rejected(self, bound):
+        # these used to raise TypeError, numpy's ambiguous-truth error, or,
+        # for np.complex128, return a complex violation
+        j = JointDistribution(np.full((2, 2), 0.25))
+        with pytest.raises(ValueError, match=re.escape(f"bound must be a real number, got {bound!r}")):
+            evaluate(j, j, bound, 0.5)
+
+    @pytest.mark.parametrize("bound", [1, np.float64(1.0), np.int64(1)])
+    def test_real_bound_of_any_numeric_type_is_a_float(self, bound):
+        j = JointDistribution(np.full((2, 2), 0.25))
+        cert = evaluate(j, j, bound, 0.5)
+        assert type(cert.bound) is float and cert.violation == evaluate(j, j, 1.0, 0.5).violation
+
     def test_certificate_consistency_bit_for_bit(self):
         comp, four = mub_pair(3)
         cert = certify(depolarize(four, 0.71), depolarize(comp, 0.71), four, comp, 0.7)
