@@ -19,7 +19,7 @@ class Tolerances:
     prob_sum : float
         Deviation of a probability table's total from one.
     projective : float
-        Slack when checking that an effect is a rank-1 projector.
+        Slack on a Bloch vector's length in ``qubit_exact_threshold``.
     boundary : float
         Slack applied to analytic inequality boundaries so that exact
         equality points evaluate as satisfied.

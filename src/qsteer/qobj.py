@@ -107,8 +107,8 @@ class Povm:
     @classmethod
     def from_basis(cls, basis) -> "Povm":
         """Rank-1 projective POVM |b_k><b_k| from the columns of a unitary matrix,
-        kept as a read-only copy in ``basis``.  A d x n frame with n != d can make a
-        POVM that is not projective, so it is refused like any non-square or non-numeric input."""
+        kept as a read-only copy in ``basis``.  A basis is square, so any other
+        shape is refused, like non-numeric input; a frame's POVM is ``Povm(effects)``."""
         b = check_numeric(basis, "basis", "matrix")
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"basis must be a square matrix, got shape {b.shape}")
@@ -124,13 +124,6 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return self.effects.shape[0]
-
-    def is_rank1_projective(self) -> bool:
-        e, tol = self.effects, DEFAULT_TOLS.projective
-        if self.basis is not None:  # |b><b|^2 - |b><b| = (|b|^2 - 1)|b><b|
-            return bool(np.abs((self.basis * self.basis.conj()).real.sum(axis=0) - 1.0).max() <= tol)
-        traces = np.trace(e, axis1=1, axis2=2).real
-        return bool(np.abs(traces - 1.0).max() <= tol and np.abs(e @ e - e).max() <= tol)
 
     def __repr__(self) -> str:
         return f"Povm(dim={self.dim}, n_outcomes={self.n_outcomes})"

@@ -39,30 +39,28 @@ from .qobj import DensityMatrix, Povm, joint_distribution
 MEASUREMENT_LABELS = ("x", "z")
 
 
-class UnsupportedBoundError(ValueError):
-    """Overlap bound requested for measurements it is not defined for."""
-
-
 def overlap_bound(x: Povm, z: Povm) -> float:
-    """Uncertainty bound q = -log2 c^2, c = max |<x_i|z_j>| the largest
-    eigenvector overlap (Maassen and Uffink, PRL 60, 1103 (1988)).
+    """Uncertainty bound q = -log2 c^2 for any two POVMs of one dimension d,
+    c^2 = max_ab tr(F_a G_b) clamped to [1/d, 1]: for bases Maassen and
+    Uffink's largest overlap max |<x_i|z_j>|^2 (PRL 60, 1103 (1988)).
 
-    Defined for rank-1 projective measurements only; general POVMs are
-    rejected rather than guessed at.  A basis (``Povm.from_basis``) passes that
-    test on its unit columns, its effects |b><b| having rank 1; two bases X, Z
-    give c by the d x d product X^+ Z, any other pair by its effects.  Both
-    operand orders are taken, since the two products may round apart, so the
-    bound is exactly symmetric.
+    Krishna and Parthasarathy's Riesz-Thorin argument (Sankhya A 64, 842
+    (2002)) gives the relation for POVMs and every dual pair 1/a + 1/b = 2
+    with c^2 = max_ab ||sqrt(F_a) sqrt(G_b)||^2, never above tr(F_a G_b), so
+    this bound is sound for every pair.  It is theirs when every effect of
+    one of the two has rank at most 1 and c^2 >= 1/d, as each F_a G_b then
+    has rank at most 1 and its trace for largest eigenvalue.  Rank-1
+    projective pairs, once the only ones accepted, get the same value bit
+    for bit.  Two bases X, Z give c by the d x d product X^+ Z, any other
+    pair by its effects.  Both operand orders are taken, since the two
+    products may round apart, so the bound is exactly symmetric.
     """
-    for p in (x, z):
-        if not p.is_rank1_projective():
-            raise UnsupportedBoundError("overlap bound requires rank-1 projective measurements")
     if x.dim != z.dim:
         raise ValueError("measurements act on different dimensions")
     if x.basis is not None and z.basis is not None:
         c = max(np.abs(x.basis.conj().T @ z.basis).max(), np.abs(z.basis.conj().T @ x.basis).max())
         c2 = c * c
-    else:  # |<x_i|z_j>|^2 = tr[X_i Z_j] = sum_kl X_i[k,l] Z_j^T[k,l]: flattened effects
+    else:  # tr[F_a G_b] = sum_kl F_a[k,l] G_b^T[k,l]: flattened effects
         fx, fz = (p.effects.reshape(p.n_outcomes, -1) for p in (x, z))
         tx, tz = (np.swapaxes(p.effects, 1, 2).reshape(p.n_outcomes, -1) for p in (x, z))
         c2 = max((fx @ tz.T).real.max(), (fz @ tx.T).real.max())

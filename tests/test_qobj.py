@@ -6,6 +6,7 @@ import pytest
 from qsteer import qobj, scenarios
 from qsteer.entropy import check_int, check_visibility
 from qsteer.jointmeas import qubit_exact_threshold
+from qsteer.steering import overlap_bound
 from qsteer.qobj import (
     DensityMatrix,
     Povm,
@@ -57,6 +58,12 @@ class TestFourier:
             assert fourier_matrix(d).tobytes() == reference.tobytes(), d
 
 
+def assert_rank1_projective(effects):
+    """E_a E_a = E_a and tr E_a = 1, each within 1e-12."""
+    assert np.abs(effects @ effects - effects).max() <= 1e-12
+    assert np.abs(np.trace(effects, axis1=1, axis2=2) - 1.0).max() <= 1e-12
+
+
 class TestMubPair:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_cross_overlaps(self, d):
@@ -70,7 +77,7 @@ class TestMubPair:
         comp, four = mub_pair(4)
         for p in (comp, four):
             assert p.n_outcomes == 4
-            assert p.is_rank1_projective()
+            assert_rank1_projective(p.effects)
 
 
 def random_unitary(rng, d):
@@ -157,20 +164,22 @@ class TestFromBasis:
         # the frame that from_basis refuses makes a valid three-outcome POVM
         trine = Povm([np.outer(c, c) for c in TRINE.T])
         assert trine.n_outcomes == 3 and trine.dim == 2
-        assert trine.basis is None and not trine.is_rank1_projective()
+        assert trine.basis is None
+        with pytest.raises(AssertionError):  # E_a E_a = (2/3) E_a and tr E_a = 2/3
+            assert_rank1_projective(trine.effects)
 
-    def test_rank1_test_reads_the_column_norms(self):
+    def test_stretched_column_gets_one_bound_from_basis_and_effects(self):
         # at d = 50 one Fourier column stretched to |b|^2 = 1 + 4.5e-9 keeps the
-        # effects' sum within 9e-11 of I, so the POVM is valid, yet its effect
-        # misses the rank-1 projective test (1e-9) on either path
+        # effects' sum within 9e-11 of I, so the POVM is valid; for rank-1 effects
+        # of any norm both paths take |<x|z>|^2, here the stretched (1 + 4.5e-9)/d
         d = 50
         stretched = fourier_matrix(d)
         stretched[:, 0] *= np.sqrt(1.0 + 4.5e-9)
         p = Povm.from_basis(stretched)
-        assert not p.is_rank1_projective() and not Povm(p.effects).is_rank1_projective()
-        for b in (fourier_matrix(d), random_unitary(np.random.default_rng(5), d)):
-            p = Povm.from_basis(b)
-            assert p.is_rank1_projective() and Povm(p.effects).is_rank1_projective()
+        comp = Povm.from_basis(np.eye(d, dtype=complex))
+        bound = overlap_bound(p, comp)
+        assert abs(bound - overlap_bound(Povm(p.effects), comp)) <= 1e-14
+        assert bound == pytest.approx(-np.log2((1.0 + 4.5e-9) / d), abs=1e-12)
 
 
 class TestDepolarize:
@@ -295,7 +304,7 @@ class TestQubitPovm:
     def test_projective_sigma_z(self):
         p = qubit_povm(0.0, (0, 0, 1))
         assert np.abs(p.effects[0] - np.diag([1.0, 0.0])).max() < 1e-15
-        assert p.is_rank1_projective()
+        assert_rank1_projective(p.effects)
 
     def test_subnormalized_bloch(self):
         p = qubit_povm(0.0, (0, 0, 0.3))

@@ -6,9 +6,9 @@ import pytest
 
 from qsteer.entropy import JointDistribution, NoDualOrderError
 from qsteer.qobj import DensityMatrix, Povm, depolarize, mub_pair, qubit_povm, rotated_d3_bases
+from qsteer.scenarios import LHS_ALPHAS, LHS_N_LAMBDAS
 from qsteer.steering import (
     LhsModel,
-    UnsupportedBoundError,
     born_statistics,
     evaluate,
     lhs_statistics,
@@ -42,6 +42,37 @@ def parent_sample_lhs_model(rng_seed, d, n_lambda):
         states.append(rho)
     responses = {label: rng.dirichlet(np.ones(d), size=n_lambda) for label in ("x", "z")}
     return weights, np.array(states), responses
+
+
+def random_povm(rng, d, n):
+    """n effects from random Gram matrices A_k = M_k^+ M_k, M_k of random rank,
+    made to sum to I by S^(-1/2) A_k S^(-1/2) with S = sum_k A_k."""
+    ranks = rng.integers(1, d + 1, size=n)
+    while ranks.sum() < d:  # S must be invertible
+        ranks = rng.integers(1, d + 1, size=n)
+    grams = []
+    for r in ranks:
+        m = rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))
+        grams.append(m.conj().T @ m)
+    w, v = np.linalg.eigh(sum(grams))
+    root = (v / np.sqrt(w)) @ v.conj().T
+    return Povm([root @ g @ root for g in grams])
+
+
+def psd_sqrt(effects):
+    w, v = np.linalg.eigh(effects)
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+
+
+def kp_bound(x, z):
+    """Krishna and Parthasarathy's POVM bound -log2 max_ab ||sqrt(F_a) sqrt(G_b)||^2,
+    the norm the largest singular value from an SVD."""
+    products = psd_sqrt(x.effects)[:, None] @ psd_sqrt(z.effects)[None]
+    return -math.log2((np.linalg.svd(products, compute_uv=False)[..., 0] ** 2).max())
+
+
+# the qubit trine: effects (2/3)|t_k><t_k|, t_k at angles 2 pi k/3 in the x-z plane
+TRINE = Povm([2.0 / 3.0 * np.outer(t, t) for t in np.array([[math.cos(a), math.sin(a)] for a in 2 * np.pi * np.arange(3) / 3])])
 
 
 def certify(alice_x, alice_z, bob_x, bob_z, alpha):
@@ -80,11 +111,11 @@ class TestOverlapBound:
             bound = overlap_bound(Povm.from_basis(u), Povm.from_basis(v))
             assert bound == pytest.approx(-np.log2(c2), abs=1e-12)
 
-    def test_non_projective_rejected(self):
+    def test_noisy_basis_reads_one_bit(self):
+        # tr[(0.7 P + 0.15 I) Q] = 0.35 + 0.15 for unbiased projectors P and Q
         comp, four = mub_pair(2)
         noisy = depolarize(comp, 0.7)
-        with pytest.raises(UnsupportedBoundError):
-            overlap_bound(noisy, four)
+        assert overlap_bound(noisy, four) == overlap_bound(four, noisy) == pytest.approx(1.0, abs=1e-12)
 
     def test_different_dimensions_rejected(self):
         with pytest.raises(ValueError, match="measurements act on different dimensions"):
@@ -104,14 +135,43 @@ class TestOverlapBound:
             for a, b in ((x, bare_z), (bare_x, z)):
                 assert overlap_bound(a, b) == overlap_bound(b, a) == reference
 
-    def test_trine_rejected(self):
-        # the 2 x 3 trine frame, which from_basis refuses, is a valid POVM but not projective
-        trine = np.sqrt(2.0 / 3.0) * np.array(
-            [[math.cos(2 * math.pi * k / 3) for k in range(3)], [math.sin(2 * math.pi * k / 3) for k in range(3)]]
-        )
+    def test_trine_with_a_basis_reads_the_trine_overlap(self):
+        # the trine effects (2/3)|t_k><t_k| meet |0><0| at most in (2/3) cos^2 0
         comp, _ = mub_pair(2)
-        with pytest.raises(UnsupportedBoundError):
-            overlap_bound(Povm([np.outer(c, c) for c in trine.T]), comp)
+        assert overlap_bound(TRINE, comp) == pytest.approx(-math.log2(2.0 / 3.0), abs=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_never_above_the_povm_bound_and_equal_to_it_against_a_basis(self, d):
+        rng = np.random.default_rng(31 + d)
+        for _ in range(40):
+            x, z = (random_povm(rng, d, n) for n in rng.integers(2, 5, size=2))
+            assert overlap_bound(x, z) <= kp_bound(x, z) + 1e-12
+            basis = Povm.from_basis(random_unitary(rng, d))
+            for a, b in ((x, basis), (basis, z)):  # rank-1 effects: equal, up to the cap at log2 d
+                assert overlap_bound(a, b) == pytest.approx(min(kp_bound(a, b), math.log2(d)), abs=1e-12)
+
+    def test_two_noisy_bases_fall_below_the_povm_bound(self):
+        # both effects have rank 2, so tr[F_a G_b] = 1/2 exceeds ||sqrt(F_a) sqrt(G_b)||^2
+        noisy = [depolarize(p, 0.7) for p in mub_pair(2)]
+        assert overlap_bound(*noisy) == pytest.approx(1.0, abs=1e-12)
+        assert kp_bound(*noisy) == pytest.approx(1.1046, abs=1e-4)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lhs_models_never_violate_it_for_povm_bobs(self, d):
+        # every hidden state obeys the POVM relation, so no LHS table may violate the bound
+        rng = np.random.default_rng(d)
+        comp, four = mub_pair(d)
+        pairs = [(depolarize(four, 0.8), comp), (depolarize(four, 0.7), depolarize(comp, 0.9))]
+        pairs += [(random_povm(rng, d, n), random_povm(rng, d, m)) for n, m in ((2, 3), (3, 4), (4, 2))]
+        if d == 2:
+            pairs.append((TRINE, comp))
+        for n_lambda in LHS_N_LAMBDAS:
+            models = sample_lhs_model(range(10 * n_lambda, 10 * n_lambda + 10), d, n_lambda)
+            for bx, bz in pairs:
+                bound = overlap_bound(bx, bz)
+                jx, jz = lhs_statistics(models, bx, bz)
+                for alpha in LHS_ALPHAS:
+                    assert (bound - steering_lhs(jx, jz, alpha)).max() <= 1e-9
 
 
 class TestSteeringLhs:
