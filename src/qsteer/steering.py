@@ -49,12 +49,11 @@ def overlap_bound(x: Povm, z: Povm) -> float:
     with c^2 = max_ab ||sqrt(F_a) sqrt(G_b)||^2, never above tr(F_a G_b), so
     this bound is sound for every pair.  It is theirs when every effect of
     one of the two has rank at most 1 and c^2 >= 1/d, as each F_a G_b then
-    has rank at most 1 and its trace for largest eigenvalue.  Rank-1
-    projective pairs, once the only ones accepted, get the same value bit
-    for bit.  Two bases X, Z give c by the d x d product X^+ Z, any other
-    pair by its effects.  Both operand orders are taken, since the two
-    products may round apart, so the bound is exactly symmetric.
-    """
+    has rank at most 1, its trace its largest eigenvalue.  Rank-1 projective
+    pairs, once the only ones accepted, get the same value bit for bit.  Two
+    bases X, Z give c by the d x d product X^+ Z, any other pair by its
+    effects, each in both operand orders (they may round apart), so the
+    bound is exactly symmetric."""
     if x.dim != z.dim:
         raise ValueError("measurements act on different dimensions")
     if x.basis is not None and z.basis is not None:
@@ -85,12 +84,15 @@ class SteeringCertificate:
         return self.violation > 0.0
 
 
-def steering_lhs(jx: JointDistribution, jz: JointDistribution, alpha: float):
+def steering_lhs(jx, jz, alpha: float):
     """Left-hand side H_a(X_B|X_A) + H_b(Z_B|Z_A) with b the dual order.
 
     Both tables carry Bob's outcome on the first axis and Alice's on the
-    second (the conditioning side); two stacks of one shape give one value per pair.
+    second (the conditioning side); two stacks of one shape give one value per
+    pair.  A plain table is checked as a ``JointDistribution`` first.
     """
+    jx = jx if isinstance(jx, JointDistribution) else JointDistribution(jx)
+    jz = jz if isinstance(jz, JointDistribution) else JointDistribution(jz)
     if jx.table.shape[:-2] != jz.table.shape[:-2]:
         raise ValueError(f"cannot pair x and z stacks of shapes {jx.table.shape[:-2]} and {jz.table.shape[:-2]}")
     beta = dual_order(alpha)

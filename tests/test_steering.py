@@ -191,6 +191,26 @@ class TestSteeringLhs:
         j = JointDistribution(table)
         assert steering_lhs(j, j, 0.5) == pytest.approx(LHS_V08_ORACLE, abs=1e-13)
 
+    @pytest.mark.parametrize("plain", [np.array, np.ndarray.tolist])
+    def test_plain_tables_read_as_their_joint_distributions(self, plain):
+        table = np.array([[0.4, 0.1], [0.1, 0.4]])
+        j, t = JointDistribution(table), plain(table)
+        assert steering_lhs(t, t, 0.5) == steering_lhs(j, j, 0.5)
+        assert evaluate(t, t, 1.0, 0.5) == evaluate(j, j, 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [([[0.5, 0.6], [0.1, 0.1]], "joint table sums to"), ([0.5, 0.5], "nonempty 2-d table"),
+         ([[0.9, -0.1], [0.1, 0.1]], "joint table has negative or NaN entry")],
+    )
+    def test_malformed_plain_table_gets_the_joint_distribution_rule(self, table, message):
+        good = JointDistribution(np.full((2, 2), 0.25))
+        for jx, jz in ((table, good), (good, table)):
+            with pytest.raises(ValueError, match=message):
+                steering_lhs(jx, jz, 0.5)
+            with pytest.raises(ValueError, match=message):
+                evaluate(jx, jz, 1.0, 0.5)
+
     def test_alpha_below_half_rejected(self):
         j = JointDistribution(np.full((2, 2), 0.25))
         with pytest.raises(NoDualOrderError):
