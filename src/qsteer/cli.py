@@ -33,13 +33,13 @@ def _fmt(value: float | None) -> str:
 
 
 def emit_csv(result: ScanResult, path: str) -> None:
-    """Write a scan as UTF-8 CSV: 9 significant digits, LF line endings."""
+    """Write a scan as UTF-8 CSV, LF endings: 9 significant digits, the gap to 12 decimals, never -0."""
     name = result.metadata.get("parameter_name", "parameter")
     lines = [f"{name},alpha,beta,detected_visibility,exact_visibility,gap"]
     for rec in result.records:
         beta = None if rec.alpha is None else dual_order(rec.alpha)
-        fields = (rec.parameter, rec.alpha, beta, rec.detected, rec.exact, rec.gap)
-        lines.append(",".join(_fmt(f) for f in fields))
+        gap = "" if rec.gap is None else f"{round(rec.gap, 12) + 0.0:.12f}"
+        lines.append(",".join([*map(_fmt, (rec.parameter, rec.alpha, beta, rec.detected, rec.exact)), gap]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

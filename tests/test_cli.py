@@ -10,7 +10,7 @@ import pytest
 
 from qsteer import acceptance, scenarios
 from qsteer.cli import emit_csv, emit_svg, run
-from qsteer.jointmeas import ThresholdRecord
+from qsteer.jointmeas import ThresholdRecord, mub_jm_threshold_symmetric
 from qsteer.scenarios import LhsFalsificationReport, ScanResult, fig1_scan
 
 
@@ -265,6 +265,22 @@ class TestCsv:
                 rec.detected, rel=1e-9
             )
             assert float(row["gap"]) == pytest.approx(rec.gap, rel=1e-9, abs=1e-12)
+
+    def test_gap_is_absolute_so_rounding_of_detected_cannot_move_it(self, tmp_path):
+        # the d = 3 MUB endpoint: two solves 2.5e-15 apart once printed gaps
+        # 9.47743889e-08 and 9.47743914e-08
+        exact = mub_jm_threshold_symmetric(3)
+        rows = []
+        for detected in (0.6830127966666082, 0.6830127966666082 + 2.5e-15):
+            scan = ScanResult((ThresholdRecord(parameter=0.0, detected=detected, exact=exact, alpha=0.5),), {})
+            emit_csv(scan, str(tmp_path / "d3.csv"))
+            rows.append((tmp_path / "d3.csv").read_text().split("\n")[1])
+        assert rows[0] == rows[1] and rows[0].endswith(",0.000000094774")
+
+    def test_gap_below_the_resolution_is_zero_without_sign(self, tmp_path):
+        rec = ThresholdRecord(parameter=2.0, detected=0.5 - 1e-14, exact=0.5, alpha=0.5)
+        emit_csv(ScanResult((rec,), {}), str(tmp_path / "zero.csv"))
+        assert (tmp_path / "zero.csv").read_text().split("\n")[1].endswith(",0.5,0.000000000000")
 
     def test_empty_scan_gives_header_only(self, tmp_path):
         empty = ScanResult((), {"parameter_name": "d"})
