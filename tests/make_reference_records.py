@@ -27,7 +27,8 @@ REFERENCE_FILE = ROOT / "tests" / "reference_records.json"
 COMMAND = "python3 tests/make_reference_records.py"
 RECORD_FIELDS = ["parameter", "detected (hex)", "exact", "saturated"]
 
-sys.path.insert(0, str(ROOT / "src"))
+if __name__ == "__main__":  # run as a script: import the checkout's own src
+    sys.path.insert(0, str(ROOT / "src"))
 
 from qsteer import scenarios  # noqa: E402
 
@@ -62,7 +63,8 @@ def build() -> dict:
     scans["qubit_angle_scan(linspace(0, 0.76, 8))"] = _scan(
         scenarios.qubit_angle_scan(np.linspace(0, 0.76, 8)))
     for s in range(1, 9):
-        scans[f"qubit_random_povm_check(30, {s}, 1e-6)"] = _scan(scenarios.qubit_random_povm_check(30, s, 1e-6))
+        scans[f"qubit_random_povm_check(30, {s}, 1e-6)"] = _scan(
+            scenarios.qubit_random_povm_check(30, s, 1e-6))
     scans["d3_family_scan(linspace(0, 0.5, 11))"] = _scan(scenarios.d3_family_scan(np.linspace(0, 0.5, 11)))
     lhs = {f"lhs_falsification_suite({seed}, {n})": _lhs(scenarios.lhs_falsification_suite(seed, n))
            for seed, n in ((42, 400), (7, 50))}
@@ -122,7 +124,8 @@ def main(argv=None) -> int:
         return 0 if diff(json.loads(REFERENCE_FILE.read_text()), data) else 1
     REFERENCE_FILE.write_text(json.dumps(data, indent=1) + "\n")
     n = sum(len(s["records"]) for s in data["scans"].values())
-    print(f"wrote {n} records of {len(data['scans'])} scans and {len(data['lhs_suites'])} LHS suites to {REFERENCE_FILE}")
+    print(f"wrote {n} records of {len(data['scans'])} scans and {len(data['lhs_suites'])} LHS suites"
+          f" to {REFERENCE_FILE}")
     return 0
 
 

@@ -6,7 +6,6 @@ import pytest
 from qsteer import qobj, scenarios
 from qsteer.entropy import check_int, check_visibility
 from qsteer.jointmeas import qubit_exact_threshold
-from qsteer.steering import overlap_bound
 from qsteer.qobj import (
     DensityMatrix,
     Povm,
@@ -19,6 +18,7 @@ from qsteer.qobj import (
     qubit_povm,
     rotated_d3_bases,
 )
+from qsteer.steering import overlap_bound
 
 
 def random_povm(rng, d, n_effects):

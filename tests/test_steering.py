@@ -71,8 +71,9 @@ def kp_bound(x, z):
     return -math.log2((np.linalg.svd(products, compute_uv=False)[..., 0] ** 2).max())
 
 
-# the qubit trine: effects (2/3)|t_k><t_k|, t_k at angles 2 pi k/3 in the x-z plane
-TRINE = Povm([2.0 / 3.0 * np.outer(t, t) for t in np.array([[math.cos(a), math.sin(a)] for a in 2 * np.pi * np.arange(3) / 3])])
+# the qubit trine: effects (2/3)|t_k><t_k|, t_k = (cos 2 pi k/3, sin 2 pi k/3)
+_ANGLES = 2 * np.pi * np.arange(3) / 3
+TRINE = Povm([2.0 / 3.0 * np.outer(t, t) for t in np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=1)])
 
 
 def certify(alice_x, alice_z, bob_x, bob_z, alpha):
