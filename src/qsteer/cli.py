@@ -220,7 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="start:stop:count, default 0:0.5:11")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--refine-bob", action="store_true",
-                   help="also search unitary turns of Bob's bases for a lower threshold (slow)")
+                   help="also search unitary turns of Bob's bases for a lower threshold (slow); "
+                        "at t >= 0.25 it stalls at H = 0 once tol >= about 3e-4")
     p.add_argument("--csv")
     p.add_argument("--svg")
 

@@ -388,7 +388,9 @@ def d3_family_scan(
     from H = 0, Bob's ideal bases, at alpha = 1/2 (the max-entropy on x) and at its
     dual alpha = inf (on z) on the same tables; the record keeps the lowest of the
     two searches and the unrefined solve, and ``max_entropy_settings`` reads "z"
-    only where the alpha = inf search was lowest.
+    only where the alpha = inf search was lowest.  At t >= 0.25 and tol >= about
+    3e-4 no single step from H = 0 lowers the threshold by the tol/2 a step needs,
+    so the search stalls there and the record is the unrefined solve.
     ``tol`` is checked before any work, so also for an empty grid.
     """
     tol = check_tolerance(tol)
@@ -475,10 +477,11 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     ``LHS_ALPHAS`` and two projective measurement pairs for Bob.  The models
     of one dimension and hidden-variable count are sampled as one stack by
     one ``sample_lhs_model`` call and contracted by one ``lhs_statistics``
-    call per Bob pair; their tables fill one (count, n_b, n_a) stack in model
-    order, with one ``steering_lhs`` call per order.  Statistics from any
-    such model satisfy the inequality, so the maximum observed violation must
-    stay at floating-point scale; anything larger falsifies the
+    call per Bob pair, into one (setting, model, Bob pair, n_b, n_a) stack a
+    dimension in model order, checked once; one ``steering_lhs`` call per
+    order takes it against the vector of the pairs' bounds.  Statistics from
+    any such model satisfy the inequality, so the maximum observed violation
+    must stay at floating-point scale; anything larger falsifies the
     implementation.  ``worst_case`` is the first maximum over (d, model, Bob
     pair, order).  Fully deterministic in ``seed``.
     """
@@ -494,18 +497,15 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     for d, count in shares:
         pairs = _bob_pairs(d)
         model_seeds = master.integers(0, 2**63 - 1, size=count)
-        # model i sits in stack i % cycle, of LHS_N_LAMBDAS[i % cycle] states each;
-        # ``order`` puts the stacks' concatenated tables back in model order
-        groups = range(min(count, cycle))
-        stacks = [steering.sample_lhs_model(model_seeds[g::cycle], d, LHS_N_LAMBDAS[g]) for g in groups]
-        order = np.argsort(np.concatenate([np.arange(g, count, cycle) for g in groups]))
-        violations = np.empty((count, len(pairs), len(LHS_ALPHAS)))  # worst_case's order
-        for k, (_, bx, bz) in enumerate(pairs):
-            bound = steering.overlap_bound(bx, bz)
-            stats = [steering.lhs_statistics(stack, bx, bz) for stack in stacks]
-            jx, jz = (JointDistribution(np.concatenate([s[j].table for s in stats])[order]) for j in (0, 1))
-            for a, alpha in enumerate(LHS_ALPHAS):
-                violations[:, k, a] = bound - steering.steering_lhs(jx, jz, alpha)
+        bounds = np.array([steering.overlap_bound(bx, bz) for _, bx, bz in pairs])
+        # model i sits in stack i % cycle; violations[i, k, a] for Bob pair k and order a
+        tables = np.empty((2, count, len(pairs), d, d))  # (setting, model, Bob pair, n_b, n_a)
+        for g in range(min(count, cycle)):
+            stack = steering.sample_lhs_model(model_seeds[g::cycle], d, LHS_N_LAMBDAS[g])
+            for k, (_, bx, bz) in enumerate(pairs):
+                tables[:, g::cycle, k] = steering.lhs_statistics(stack, bx, bz)
+        jx, jz = (JointDistribution(t) for t in tables)
+        violations = np.stack([bounds - steering.steering_lhs(jx, jz, alpha) for alpha in LHS_ALPHAS], -1)
         n_evals += violations.size
         index, k, a = np.unravel_index(np.argmax(violations), violations.shape)  # first maximum
         if violations[index, k, a] > max_violation:

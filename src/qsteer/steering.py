@@ -15,7 +15,7 @@ and a model's hidden states arrive as validated read-only stacks and are
 contracted as they are.  An ``LhsModel`` may itself be a stack of models with
 a common hidden-variable count: ``sample_lhs_model`` draws one from a sequence
 of seeds, one ``default_rng`` stream per seed, and ``lhs_statistics`` turns
-it into one stack of tables; ``steering_lhs`` takes stacks of tables.
+it into one stack of plain tables, which ``steering_lhs`` checks on entry.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def overlap_bound(x: Povm, z: Povm) -> float:
         tx, tz = (np.swapaxes(p.effects, 1, 2).reshape(p.n_outcomes, -1) for p in (x, z))
         c2 = max((fx @ tz.T).real.max(), (fz @ tx.T).real.max())
     c2 = min(max(float(c2), 1.0 / x.dim), 1.0)
-    return float(-np.log2(c2))
+    return float(0.0 - np.log2(c2))  # 0.0, not -0.0, when c^2 clamps to 1
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def evaluate(
 
     ``bound`` is ``overlap_bound(bob_x, bob_z)``: it depends on Bob's
     measurements only (Alice's devices stay uncharacterized); a finite one of
-    at least 0.  Stacks of tables give one certificate whose values are arrays.
+    at least 0.  Plain tables are checked on entry; stacks give array values.
     """
     if type(bound) is not float:  # a Python float, as every solver margin passes, needs no rule
         bound = float(check_numeric(bound, "bound", "number", real=True))
@@ -234,22 +234,20 @@ def sample_lhs_model(rng_seed, d: int, n_lambda: int) -> LhsModel:
     )
 
 
-def lhs_statistics(
-    model: LhsModel, bob_x: Povm, bob_z: Povm
-) -> tuple[JointDistribution, JointDistribution]:
-    """Observable tables p(b, a) = sum_l p(l) resp(a|l) tr[F_b sigma_l], of
-    shape (..., n_b, n_a) for a model stack of leading shape ``...``.
+def lhs_statistics(model: LhsModel, bob_x: Povm, bob_z: Povm) -> tuple[np.ndarray, np.ndarray]:
+    """Observable tables p(b, a) = sum_l p(l) resp(a|l) tr[F_b sigma_l], plain
+    arrays of shape (..., n_b, n_a) for a model stack of leading shape ``...``.
 
     The trace is one product over the flattened (i, j) index, summed in one
     order whatever the stack, so a stack's tables are bit for bit those of
-    each of its models alone."""
+    each of its models alone.  Whichever consumer takes them checks them."""
     if bob_x.dim != model.dim or bob_z.dim != model.dim:
         raise ValueError("Bob's measurements do not match the model dimension")
     sigmas = model.hidden_states.matrix
     sigma_t = np.swapaxes(sigmas, -1, -2).reshape(sigmas.shape[:-2] + (-1,))
-    joints = []
+    tables = []
     for label, bob in zip(MEASUREMENT_LABELS, (bob_x, bob_z)):
         # tr[F_b sigma_l] = sum_ij F_b[i, j] sigma_l[j, i]
         born = np.einsum("bk,...lk->...bl", bob.effects.reshape(bob.n_outcomes, -1), sigma_t).real
-        joints.append(JointDistribution((born * model.weights[..., None, :]) @ model.responses[label]))
-    return joints[0], joints[1]
+        tables.append((born * model.weights[..., None, :]) @ model.responses[label])
+    return tables[0], tables[1]

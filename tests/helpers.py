@@ -1,0 +1,16 @@
+"""Helpers shared by more than one test module, each defined once here."""
+
+import numpy as np
+
+from qsteer.steering import born_statistics, evaluate, overlap_bound
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def certify(alice_x, alice_z, bob_x, bob_z, alpha):
+    """The criterion on the Born-rule statistics of the maximally entangled state."""
+    jx, jz = born_statistics(alice_x, alice_z, bob_x, bob_z)
+    return evaluate(jx, jz, overlap_bound(bob_x, bob_z), alpha)

@@ -20,6 +20,8 @@ from qsteer.qobj import (
 )
 from qsteer.steering import overlap_bound
 
+from helpers import random_unitary
+
 
 def random_povm(rng, d, n_effects):
     """Random POVM via symmetrized Gram normalization."""
@@ -78,11 +80,6 @@ class TestMubPair:
         for p in (comp, four):
             assert p.n_outcomes == 4
             assert_rank1_projective(p.effects)
-
-
-def random_unitary(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestEffectStack:

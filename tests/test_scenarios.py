@@ -31,17 +31,13 @@ from qsteer.scenarios import (
 )
 from qsteer.steering import born_statistics, evaluate, overlap_bound
 
+from helpers import certify
+
 
 def d3_measurements(t):
     """Alice's rotated bases at ``t`` and Bob's conjugate bases, in (x, z, x, z) order."""
     alice_z, alice_x = rotated_d3_bases(t)
     return alice_x, alice_z, *(Povm.from_basis(a.basis.conj()) for a in (alice_x, alice_z))
-
-
-def certify(alice_x, alice_z, bob_x, bob_z, alpha):
-    """The criterion on the Born-rule statistics of the maximally entangled state."""
-    jx, jz = born_statistics(alice_x, alice_z, bob_x, bob_z)
-    return evaluate(jx, jz, overlap_bound(bob_x, bob_z), alpha)
 
 
 class TestPipelineFormulaEquivalence:
@@ -1073,18 +1069,26 @@ class TestLhsFalsification:
         assert abs(report.max_violation - max_violation) <= 1e-12
 
     def test_one_sample_and_statistics_call_per_hidden_variable_count(self, monkeypatch):
+        # each dimension's tables form one stack: two checked tables, one steering_lhs call an order
         calls = Counter()
-        for name in ("sample_lhs_model", "lhs_statistics"):
+        for name in ("sample_lhs_model", "lhs_statistics", "steering_lhs"):
             def counted(*args, _name=name, _fn=getattr(steering, name)):
                 calls[_name] += 1
                 return _fn(*args)
 
             monkeypatch.setattr(steering, name, counted)
+        init = JointDistribution.__init__
+
+        def counted_init(self, table):
+            calls["JointDistribution"] += 1
+            init(self, table)
+
+        monkeypatch.setattr(JointDistribution, "__init__", counted_init)
         lhs_falsification_suite(seed=5, n_models=40)  # 20 models a dimension, 4 counts, 2 Bob pairs
-        assert calls == {"sample_lhs_model": 8, "lhs_statistics": 16}
+        assert calls == {"sample_lhs_model": 8, "lhs_statistics": 16, "steering_lhs": 10, "JointDistribution": 4}
         calls.clear()
         lhs_falsification_suite(seed=5, n_models=3)  # 2 models in d = 2, 1 in d = 3
-        assert calls == {"sample_lhs_model": 3, "lhs_statistics": 6}
+        assert calls == {"sample_lhs_model": 3, "lhs_statistics": 6, "steering_lhs": 10, "JointDistribution": 4}
 
     def test_dims_lists_only_dimensions_with_models(self):
         assert lhs_falsification_suite(seed=1, n_models=1).dims == (2,)

@@ -17,13 +17,10 @@ from qsteer.steering import (
     steering_lhs,
 )
 
+from helpers import certify, random_unitary
+
 LHS_V08_ORACLE = 0.83007499855768763709  # log2(1.6) - log2(0.9), 50-digit evaluation
 BOUND_60DEG = 0.41503749927884381855  # -log2 cos^2(pi/6)
-
-
-def random_unitary(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def parent_sample_lhs_model(rng_seed, d, n_lambda):
@@ -76,12 +73,6 @@ _ANGLES = 2 * np.pi * np.arange(3) / 3
 TRINE = Povm([2.0 / 3.0 * np.outer(t, t) for t in np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=1)])
 
 
-def certify(alice_x, alice_z, bob_x, bob_z, alpha):
-    """The criterion on the Born-rule statistics of the maximally entangled state."""
-    jx, jz = born_statistics(alice_x, alice_z, bob_x, bob_z)
-    return evaluate(jx, jz, overlap_bound(bob_x, bob_z), alpha)
-
-
 class TestOverlapBound:
     @pytest.mark.parametrize("d", [2, 3, 5, 50])
     def test_mub_pair_reaches_log_d(self, d):
@@ -89,8 +80,10 @@ class TestOverlapBound:
         assert overlap_bound(comp, four) == pytest.approx(np.log2(d), abs=1e-12)
 
     def test_identical_bases_give_zero(self):
+        # c^2 clamps to 1 for both pairs, and the bound reads +0.0, never -0.0
         comp, _ = mub_pair(3)
-        assert overlap_bound(comp, comp) == 0.0
+        for x, z in ((comp, comp), rotated_d3_bases(0.5)):
+            assert repr(overlap_bound(x, z)) == "0.0"
 
     def test_bloch_angle_60deg(self):
         a = qubit_povm(0.0, (0, 0, 1))
@@ -388,11 +381,12 @@ class TestLhsModel:
             stack = sample_lhs_model(seeds, d, n_lambda)
             for bx, bz in pairs:
                 jx, jz = lhs_statistics(stack, bx, bz)
-                assert jx.table.shape == jz.table.shape == (40, d, d)
+                assert type(jx) is type(jz) is np.ndarray
+                assert jx.shape == jz.shape == (40, d, d)
                 for i, seed in enumerate(seeds):
                     one_x, one_z = lhs_statistics(sample_lhs_model(seed, d, n_lambda), bx, bz)
-                    assert np.array_equal(jx.table[i], one_x.table)
-                    assert np.array_equal(jz.table[i], one_z.table)
+                    assert np.array_equal(jx[i], one_x)
+                    assert np.array_equal(jz[i], one_z)
 
     def test_stack_axes_must_agree(self):
         stack = sample_lhs_model([3, 4, 5, 6], 2, 3)
@@ -445,8 +439,8 @@ class TestLhsModel:
         comp, four = mub_pair(2)
         jx, jz = lhs_statistics(model, four, comp)
         for j in (jx, jz):
-            outer = np.outer(j.table.sum(axis=1), j.table.sum(axis=0))
-            assert np.abs(j.table - outer).max() < 1e-12
+            outer = np.outer(j.sum(axis=1), j.sum(axis=0))
+            assert np.abs(j - outer).max() < 1e-12
 
     def test_lambda_blind_responses_decouple_alice(self):
         model = sample_lhs_model(9, 2, 3)
@@ -458,8 +452,8 @@ class TestLhsModel:
         )
         comp, four = mub_pair(2)
         jx, _ = lhs_statistics(blind, four, comp)
-        outer = np.outer(jx.table.sum(axis=1), jx.table.sum(axis=0))
-        assert np.abs(jx.table - outer).max() < 1e-12
+        outer = np.outer(jx.sum(axis=1), jx.sum(axis=0))
+        assert np.abs(jx - outer).max() < 1e-12
 
     def test_malformed_responses_rejected(self):
         model = sample_lhs_model(9, 2, 3)
