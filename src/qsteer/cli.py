@@ -150,6 +150,14 @@ def _float_list(noun: str):
     return parse
 
 
+def _joint_table(text: str) -> list[list[float]]:
+    """Rows separated by ";", each comma-separated floats; the library checks the table."""
+    try:
+        return [[float(v) for v in row.split(",")] for row in text.split(";")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad joint table: {text!r}")
+
+
 def _int_range(text: str) -> list[int]:
     """A dimension range lo..hi, or one dimension; the library checks each."""
     lo, sep, hi = text.partition("..")
@@ -186,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="evaluate a Renyi or Tsallis entropy")
     p.add_argument("--probs", type=_float_list("probability"), help="distribution, e.g. 0.9,0.1")
-    p.add_argument("--joint", help="joint table rows ; separated, e.g. 0.4,0.1;0.1,0.4")
+    p.add_argument("--joint", type=_joint_table, help="joint table rows ; separated, e.g. 0.4,0.1;0.1,0.4")
     p.add_argument("--alpha", type=float, default=1.0, help="Renyi order (inf allowed)")
     p.add_argument("--tsallis-q", type=float, help="evaluate the Tsallis q-entropy instead")
 
@@ -255,10 +263,9 @@ def _cmd_entropy(args) -> int:
             value = renyi_entropy(args.probs, args.alpha)
             print(f"{value:.9g} bits (Renyi alpha={args.alpha:g})")
     else:
-        rows = [[float(v) for v in row.split(",")] for row in args.joint.split(";")]
-        if len({len(row) for row in rows}) != 1:
+        if len({len(row) for row in args.joint}) != 1:
             raise ValueError("--joint rows must have equal length")
-        joint = JointDistribution(rows)
+        joint = JointDistribution(args.joint)
         if args.tsallis_q is not None:
             value = conditional_tsallis(joint, args.tsallis_q)
             print(f"{value:.9g} nats (conditional Tsallis q={args.tsallis_q:g})")

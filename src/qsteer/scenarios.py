@@ -275,7 +275,11 @@ def _bob_qubit_pair(bias_x: float, bias_z: float, bloch_x, bloch_z, tol: float) 
     Unbiased, the threshold 1/sqrt(c_x^2 + c_z^2) is least along the top
     eigenvector of a a^T + b b^T, at Busch's 2/(|r_x + r_z| + |r_x - r_z|).  The
     search moves t from there, once with the max-entropy on x and once on z, and
-    keeps z only if lower by more than its tol/2, so rounding cannot flip a tie."""
+    keeps z only if lower by more than its tol/2, so rounding cannot flip a tie.
+    Only the max-entropy setting's bias enters the threshold.  Where it is 0 the
+    threshold is that symmetric 1/sqrt(c_x^2 + c_z^2), or 1, least at the start,
+    so no step could lower it by the tol/2 a move needs: that order takes the
+    start with no search, and with both biases 0 the two tie and x is kept."""
     e1 = _unit(bloch_x)
     p = float(np.dot(bloch_z, e1))
     e2 = _unit(bloch_z - p * e1)
@@ -291,6 +295,8 @@ def _bob_qubit_pair(bias_x: float, bias_z: float, bloch_x, bloch_z, tol: float) 
             c, s = math.cos(t[0]), math.sin(t[0])
             return _qubit_threshold(bias, *(length * c, q * c - p * s)[::order])
 
+        if not bias:  # the search would end where it starts
+            return threshold(start, math.inf), start[0]
         (t,), f = _coordinate_search(threshold, start, ftol=ftol)
         return f, t
 
@@ -308,7 +314,10 @@ def qubit_random_povm_check(n_cases: int, seed: int, tol: float = 1e-6) -> ScanR
     asymmetric, whose exact boundary is Busch's ``qubit_exact_threshold`` and
     which the detected threshold meets within ``tol``, and biased, whose
     exact boundary is not computed here (reported without an exact column).
-    Each record is re-derived through the pipeline with Bob's chosen pair, at
+    An unbiased case runs no search: its threshold is least at Busch's
+    eigenvector start for either assignment, so Bob measures there with the
+    max-entropy on x; a biased case searches once per assignment.  Each
+    record is re-derived through the pipeline with Bob's chosen pair, at
     alpha = 1/2 or, with the max-entropy on z, its dual alpha = inf (the record
     reads 1/2), and each case names the setting that carries the max-entropy.
     Fully deterministic in ``seed``; ``tol`` is checked before any work."""

@@ -192,15 +192,22 @@ def _flat_dirichlet(e: np.ndarray) -> np.ndarray:
     return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
 
 
-def _draws(seed: int, d: int, n_lambda: int) -> tuple:
-    """One model's standard exponentials and Gaussians, in the order of its
-    own stream: the weights, then state by state 2d mixing exponentials and
+def _draws(seeds, d: int, n_lambda: int) -> tuple:
+    """The models' standard exponentials and Gaussians, written straight into
+    their stacks, each model read from its own ``default_rng(seed)`` stream in
+    this order: the weights, then state by state 2d mixing exponentials and
     (2d, 2, d) Gaussians, then the response rows for x and for z."""
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_exponential(n_lambda)
-    states = [(rng.standard_exponential(2 * d), rng.normal(size=(2 * d, 2, d))) for _ in range(n_lambda)]
-    mix, gauss = zip(*states)
-    return weights, mix, gauss, rng.standard_exponential((len(MEASUREMENT_LABELS), n_lambda, d))
+    m, k = len(seeds), len(MEASUREMENT_LABELS)
+    weights, mix = np.empty((m, n_lambda)), np.empty((m, n_lambda, 2 * d))
+    gauss, responses = np.empty((m, n_lambda, 2 * d, 2, d)), np.empty((m, k, n_lambda, d))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        weights[i] = rng.standard_exponential(n_lambda)
+        for state in range(n_lambda):
+            mix[i, state] = rng.standard_exponential(2 * d)
+            gauss[i, state] = rng.normal(size=(2 * d, 2, d))
+        responses[i] = rng.standard_exponential((k, n_lambda, d))
+    return weights, mix, gauss, responses
 
 
 def sample_lhs_model(rng_seed, d: int, n_lambda: int) -> LhsModel:
@@ -219,7 +226,7 @@ def sample_lhs_model(rng_seed, d: int, n_lambda: int) -> LhsModel:
     if len(shape) > 1 or shape == (0,):
         raise ValueError(f"seeds must be one integer or a nonempty 1-d sequence, got shape {shape}")
     seeds = [check_int(s, 0, "seed") for s in (rng_seed if shape else [rng_seed])]
-    weights, mix, gauss, responses = (np.array(a) for a in zip(*(_draws(s, d, n_lambda) for s in seeds)))
+    weights, mix, gauss, responses = _draws(seeds, d, n_lambda)
     weights, mix, responses = (_flat_dirichlet(e) for e in (weights, mix, responses))
     psi = gauss[..., 0, :] + 1j * gauss[..., 1, :]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)

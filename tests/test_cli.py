@@ -69,6 +69,14 @@ class TestRunExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: --joint rows must have equal length"]
 
+    @pytest.mark.parametrize("joint", ["0.5,x", ";"])
+    def test_bad_joint_field_names_the_table(self, capsys, joint):
+        # the float parse error named neither the option nor the input
+        assert run(["entropy", "--joint", joint]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad joint table: {joint!r}" in captured.err
+
     @pytest.mark.parametrize("probs", ["0.5,,0.5", "0.5,0.5,"])
     def test_empty_probability_field_exits_2(self, capsys, probs):
         assert run(["entropy", "--probs", probs]) == 2

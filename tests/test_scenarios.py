@@ -683,6 +683,37 @@ class TestQubitRandomPovmCheck:
             setting, u_x, u_z = scenarios._bob_qubit_pair(args[0], -args[0], *args[1:], 1e-6)
             assert setting in ("x", "z") and abs(np.dot(u_x, u_z)) < 1e-12
 
+    def test_unbiased_settings_run_no_search(self, monkeypatch):
+        # with the max-entropy setting's bias 0 the search would end at its
+        # start, so only the biased case searches, once per assignment
+        calls = []
+        search = scenarios._coordinate_search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "_coordinate_search", counted)
+        qubit_random_povm_check(3, 7, 1e-6)
+        assert len(calls) == 2
+        calls.clear()
+        qubit_random_povm_check(1, 7, 1e-4)
+        assert calls == []
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+    def test_same_pair_as_searching_both_assignments(self, tol):
+        rng = np.random.default_rng(33)
+        for k in range(210):
+            dir_z, dir_x = scenarios._unit(rng.normal(size=3)), scenarios._unit(rng.normal(size=3))
+            len_z, len_x = (1.0, 1.0) if k % 6 == 0 else rng.uniform(0.55, 1.0, size=2)
+            bias = rng.uniform(-1.0, 1.0) * 0.9 * (1.0 - rng.uniform(0.55, 0.95))
+            biases = ((0.0, 0.0), (0.0, bias), (bias, 0.0))[k % 3]
+            args = (*biases, len_x * dir_x, len_z * dir_z, tol)
+            setting, u_x, u_z = scenarios._bob_qubit_pair(*args)
+            parent_setting, parent_x, parent_z = parent_bob_qubit_pair(*args)
+            assert setting == parent_setting, (k, args)
+            assert np.array_equal(u_x, parent_x) and np.array_equal(u_z, parent_z), (k, args)
+
     @pytest.mark.parametrize("seed", range(1, 9))
     def test_unbiased_records_meet_busch_boundary(self, seed):
         # Busch, PRD 33, 2253 (1986): 2/(|r_x + r_z| + |r_x - r_z|), capped at 1
@@ -799,6 +830,32 @@ class TestQubitClosedForm:
         assert scenarios._qubit_threshold(bias, c_max, c_min) == 1.0
         # Bob along x and z at t = 0, so the Bloch vectors give c_max and c_min
         assert self.check(bias, (c_max, 0.0, 0.0), 0.3, (0.0, 0.0, c_min), 0.0) == 2
+
+
+def parent_bob_qubit_pair(bias_x, bias_z, bloch_x, bloch_z, tol):
+    """``scenarios._bob_qubit_pair`` as it was before an unbiased max-entropy
+    setting took its start unsearched: both assignments run the pattern search
+    from Busch's eigenvector start."""
+    e1 = scenarios._unit(bloch_x)
+    p = float(np.dot(bloch_z, e1))
+    e2 = scenarios._unit(bloch_z - p * e1)
+    q = float(np.dot(bloch_z, e2))
+    length = float(np.linalg.norm(bloch_x))
+    start = [0.5 * math.atan2(-2.0 * p * q, float(np.dot(bloch_x, bloch_x)) + q * q - p * p)]
+    ftol = tol * 0.5
+
+    def search(bias, order):
+        def threshold(t, cutoff):
+            c, s = math.cos(t[0]), math.sin(t[0])
+            return scenarios._qubit_threshold(bias, *(length * c, q * c - p * s)[::order])
+
+        (t,), f = scenarios._coordinate_search(threshold, start, ftol=ftol)
+        return f, t
+
+    (f_x, t_x), (f_z, t_z) = search(bias_x, 1), search(bias_z, -1)
+    setting, t = ("z", t_z) if f_z < f_x - ftol else ("x", t_x)
+    c, s = math.cos(t), math.sin(t)
+    return setting, scenarios._mirror_y(c * e1 + s * e2), scenarios._mirror_y(c * e2 - s * e1)
 
 
 def in_plane_pair(bloch_x, bloch_z):
