@@ -1,6 +1,6 @@
 """Acceptance suite: the package's exit criteria, runnable from tests or the
 CLI self-test.  Each criterion returns a result record with a one-line
-detail string; tolerances are pinned here and nowhere else."""
+detail string; its tolerances are pinned here (criterion 7 reads ``LhsFalsificationReport.sound``)."""
 
 from __future__ import annotations
 
@@ -158,12 +158,11 @@ def criterion_6_d3_family() -> CriterionResult:
 def criterion_7_lhs_falsification() -> CriterionResult:
     t0 = time.perf_counter()
     report = scenarios.lhs_falsification_suite(seed=42, n_models=10_000)
-    passed = report.max_violation <= 1e-9
     return _result(
         7,
         "LHS falsification",
         t0,
-        passed,
+        report.sound,
         f"max violation {report.max_violation:.3e} over {report.n_evaluations} "
         "evaluations (tol 1e-9)",
     )

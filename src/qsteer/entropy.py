@@ -11,16 +11,17 @@ The conditioning variable is always the *second* axis of a joint table.
 An unconditional entropy is the conditional one of a one-column table.
 Orders 0, 1/2, 1 and infinity dispatch to closed forms; everything else
 goes through a numerically careful generic evaluator (expm1/log1p near
-order one, max-factoring for large orders).  Every evaluator is
-column-vectorised: it reduces the matrix of conditionals p(x|y) at once,
-with no Python loop over y.  A stack of tables, shape (..., n_x, n_y),
-gives one value per table; a single table gives a float.
+order one, max-factoring for large orders and for tiny ones).  Every
+evaluator is column-vectorised: it reduces the matrix of conditionals p(x|y)
+at once, with no Python loop over y.  A stack of tables, shape
+(..., n_x, n_y), gives one value per table; a single table gives a float.
 
 Every input rule lives here too: ``check_numeric``, ``check_probabilities``
 and the scalar rules ``check_visibility``, ``check_int``, ``check_tolerance``
 and the orders' (``dual_order`` and those of the Renyi and Tsallis entropies),
 each the one real-number test ``_as_real`` (``_as_order`` for an order, which
-must also fit a float), its own range and its own message.
+must also fit a float), its own range and its own message.  So do the
+numerical tolerances, plain constants that the other modules' rules read too.
 """
 
 from __future__ import annotations
@@ -30,12 +31,24 @@ import sys
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
-
 # Orders within this window of 1 are routed to the Shannon closed form.
 ALPHA_ONE_WINDOW = 1e-9
 
+# Hermiticity, unit trace, effect positivity and POVM completeness.
+STRUCTURAL = 1e-10
+# Negativity of a probability clamped to zero, the scale of Born-rule rounding noise.
+PROB_NEGATIVITY = 1e-12
+# Deviation of a probability table's total from one.
+PROB_SUM = 1e-10
+# Slack on a Bloch vector's length in ``qubit_exact_threshold``.
+PROJECTIVE = 1e-9
+# Slack on analytic inequality boundaries, so that exact equality points hold.
+BOUNDARY = 1e-12
+# Rounding that may leave a detected threshold below its exact boundary, or LHS statistics above q.
+SUFFICIENCY = 1e-9
+
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)  # the largest x whose expm1(x) is finite
 
 
 class NoDualOrderError(ValueError):
@@ -45,15 +58,15 @@ class NoDualOrderError(ValueError):
 def check_probabilities(arr: np.ndarray, noun: str, axis) -> np.ndarray:
     """The probability rule, for a nonempty float array of the caller's shape:
     a ValueError naming ``noun`` and the value on an entry below
-    ``-prob_negativity`` or NaN, or on a sum over ``axis`` more than
-    ``prob_sum`` from one; smaller negativity (Born-rule noise) is clamped to
+    ``-PROB_NEGATIVITY`` or NaN, or on a sum over ``axis`` more than
+    ``PROB_SUM`` from one; smaller negativity (Born-rule noise) is clamped to
     zero in place, in the caller's own new array.  Returns ``arr``, read-only."""
-    if not arr.min() >= -DEFAULT_TOLS.prob_negativity:  # also rejects NaN
+    if not arr.min() >= -PROB_NEGATIVITY:  # also rejects NaN
         raise ValueError(f"{noun} has negative or NaN entry {arr.min():.3e}")
     np.maximum(arr, 0.0, out=arr)
     totals = arr.sum(axis=axis)
     off = np.abs(totals - 1.0)
-    if not off.max() <= DEFAULT_TOLS.prob_sum:
+    if not off.max() <= PROB_SUM:
         raise ValueError(f"{noun} sums to {float(totals.flat[off.argmax()])!r}, not 1")
     arr.setflags(write=False)
     return arr
@@ -245,9 +258,15 @@ def _conditional_renyi_generic(table: np.ndarray, alpha: float):
     w, c = _conditionals(table)
     if alpha < 2.0:
         # Track sums relative to 1 so that alpha near 1 stays well conditioned.
-        log_norm = np.log1p(_power_excess(c, alpha - 1.0)) / alpha
-        excess = _weighted_sum(w, np.expm1(log_norm))
-        return _value(alpha / (1.0 - alpha) * np.log1p(excess) / _LN2)
+        log_sum = np.log1p(_power_excess(c, alpha - 1.0))  # alpha times the log-norm
+        shift = 0.0
+        if (1.0 - alpha) * math.log(c.shape[-2]) >= 700.0 * alpha:  # log-norm <= (1/a - 1) ln n_x
+            # A tiny order: factor out each table's largest log-norm where expm1 would overflow.
+            top = log_sum.max(axis=-1, keepdims=True)
+            shift = np.where(top / alpha > _LOG_MAX, top, 0.0)
+            log_sum, shift = log_sum - shift, shift[..., 0]
+        excess = _weighted_sum(w, np.expm1(log_sum / alpha))
+        return _value((alpha / (1.0 - alpha) * np.log1p(excess) + shift / (1.0 - alpha)) / _LN2)
     m = c.max(axis=-2)
     s = ((c / np.where(m > 0.0, m, 1.0)[..., None, :]) ** alpha).sum(axis=-2)
     return _value(alpha / (1.0 - alpha) * np.log2(_weighted_sum(w, m * s ** (1.0 / alpha))))

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .config import DEFAULT_TOLS
-from .entropy import check_int, check_numeric, check_tolerance, check_visibility
+from .entropy import (BOUNDARY, PROJECTIVE, SUFFICIENCY, check_int, check_numeric, check_tolerance,
+                      check_visibility)
 
 
 class ThresholdSolution(NamedTuple):
@@ -29,11 +29,11 @@ class ThresholdSolution(NamedTuple):
 
 @dataclass(frozen=True)
 class ThresholdRecord:
-    """One scan row: parameter, detected and exact visibility thresholds.
+    """One scan row: a finite real parameter, detected and exact visibility thresholds.
 
     ``exact`` is None when the true boundary is not computable; the derived
     ``gap`` = detected - exact then stays None.  A detected threshold may
-    never undershoot a known exact boundary by more than the sufficiency slack.
+    never undershoot a known exact boundary by more than ``SUFFICIENCY``.
     """
 
     parameter: float
@@ -44,13 +44,15 @@ class ThresholdRecord:
     saturated: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(check_numeric(self.parameter, "parameter", "number", real=True)):
+            raise ValueError(f"parameter must be a finite real number, got {self.parameter!r}")
         if not 0.0 <= self.detected <= 1.0:
             raise ValueError(f"detected threshold {self.detected!r} outside [0, 1]")
         if self.exact is not None:
             if not 0.0 <= self.exact <= 1.0:
                 raise ValueError(f"exact threshold {self.exact!r} outside [0, 1]")
             gap = self.detected - self.exact
-            if gap < -DEFAULT_TOLS.sufficiency:
+            if gap < -SUFFICIENCY:
                 raise ValueError(
                     f"detected threshold undershoots the exact boundary by {-gap:.3e}"
                 )
@@ -114,9 +116,9 @@ def bisect_threshold(margin: Callable, tol: float) -> ThresholdSolution:
 
 def mub_jm_holds(d: int, va: float, vx: float) -> bool:
     """Joint measurability of two noisy mutually unbiased bases: va at most the
-    boundary ``exact_eta_of_chi(d, vx)``, with ``DEFAULT_TOLS.boundary`` of slack."""
+    boundary ``exact_eta_of_chi(d, vx)``, with ``BOUNDARY`` of slack."""
     eta = exact_eta_of_chi(d, vx)
-    return check_visibility(va, "va") <= eta + DEFAULT_TOLS.boundary
+    return check_visibility(va, "va") <= eta + BOUNDARY
 
 
 def mub_jm_threshold_symmetric(d: int) -> float:
@@ -144,13 +146,13 @@ def exact_eta_of_chi(d: int, vx: float) -> float:
 def renyi_mub_threshold_symmetric(d: int, tol: float = 1e-9) -> float:
     """Symmetric visibility threshold of the min/max-entropy criterion for noisy
     MUBs, by the root-finder on its closed-form margin with
-    ``DEFAULT_TOLS.boundary`` of slack; the one entropic formula kept, for a
+    ``BOUNDARY`` of slack; the one entropic formula kept, for a
     dimension (d = 400) whose bases the pipeline cannot yet build."""
     d = check_int(d, 2, "dimension")
 
     def margin(v: float) -> float:
         numer = (math.sqrt(v + (1.0 - v) / d) + (d - 1) * math.sqrt((1.0 - v) / d)) ** 2
-        return 1.0 - DEFAULT_TOLS.boundary - numer / (1.0 + (d - 1) * v)
+        return 1.0 - BOUNDARY - numer / (1.0 + (d - 1) * v)
 
     return bisect_threshold(margin, tol).value
 
@@ -158,11 +160,11 @@ def renyi_mub_threshold_symmetric(d: int, tol: float = 1e-9) -> float:
 def qubit_exact_threshold(z, x) -> float:
     """Busch's visibility threshold min(1, 2/(|z+x| + |z-x|)) for equal-visibility
     unbiased qubit measurements along real Bloch vectors z and x of length at most
-    1 (``DEFAULT_TOLS.projective`` of slack); the cap binds only for short ones."""
+    1 (``PROJECTIVE`` of slack); the cap binds only for short ones."""
     z = check_numeric(z, "z", "vector", real=True)
     x = check_numeric(x, "x", "vector", real=True)
     for name, u in (("z", z), ("x", x)):
-        if u.shape != (3,) or not math.sqrt(u @ u) <= 1.0 + DEFAULT_TOLS.projective:
+        if u.shape != (3,) or not math.sqrt(u @ u) <= 1.0 + PROJECTIVE:
             raise ValueError(f"{name} must be a real 3-vector of length at most 1")
     plus, minus = z + x, z - x
     s = math.sqrt(plus @ plus) + math.sqrt(minus @ minus)

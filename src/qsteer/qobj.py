@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
-from .entropy import JointDistribution, check_int, check_numeric, check_visibility
+from .entropy import (PROB_NEGATIVITY, STRUCTURAL, JointDistribution, check_int, check_numeric,
+                      check_visibility)
 
 # I, sigma_x, sigma_y, sigma_z, each flattened to a row: (b, r) @ _PAULI is b I + r.sigma
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], dtype=complex)
@@ -28,15 +28,15 @@ _SIGNS.setflags(write=False)
 
 def is_hermitian(a: np.ndarray) -> bool:
     """True when ``a``, or every matrix of a ``(..., d, d)`` stack, is Hermitian."""
-    return bool(np.abs(a - np.swapaxes(a, -1, -2).conj()).max() <= DEFAULT_TOLS.structural)
+    return bool(np.abs(a - np.swapaxes(a, -1, -2).conj()).max() <= STRUCTURAL)
 
 
 def _psd_within_tolerance(a: np.ndarray) -> bool:
     """The PSD rule for a Hermitian ``a`` or ``(..., d, d)`` stack: every
-    a + structural I has a Cholesky factor, so no eigenvalue lies below
-    ``-structural``."""
+    a + STRUCTURAL I has a Cholesky factor, so no eigenvalue lies below
+    ``-STRUCTURAL``."""
     try:
-        np.linalg.cholesky(a + DEFAULT_TOLS.structural * np.eye(a.shape[-1]))
+        np.linalg.cholesky(a + STRUCTURAL * np.eye(a.shape[-1]))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -61,7 +61,7 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
         traces = np.trace(m, axis1=-2, axis2=-1).real
         off = np.abs(traces - 1.0)
-        if not off.max() <= DEFAULT_TOLS.structural:
+        if not off.max() <= STRUCTURAL:
             tr = float(traces.flat[off.argmax()])
             raise ValueError(f"density matrix has trace {tr!r}, not 1")
         if not _psd_within_tolerance(m):
@@ -98,7 +98,7 @@ class Povm:
             raise ValueError("POVM effects must be square matrices of equal size")
         if not is_psd(stack):
             raise ValueError("POVM effect is not positive semidefinite")
-        if np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max() > DEFAULT_TOLS.structural:
+        if np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max() > STRUCTURAL:
             raise ValueError("POVM effects do not sum to the identity")
         stack.setflags(write=False)
         self.effects = stack
@@ -141,7 +141,7 @@ def qubit_povm(bias: float, bloch) -> Povm:
     if r.shape != (3,):
         raise ValueError("bloch must be a real 3-vector")
     size = abs(bias) + math.sqrt(r @ r)
-    if not size <= 1.0 + DEFAULT_TOLS.prob_negativity:
+    if not size <= 1.0 + PROB_NEGATIVITY:
         raise ValueError(f"invalid qubit POVM: |bias| + |bloch| = {size:.6f} exceeds 1")
     shift = (np.array([bias, *r]) @ _PAULI).reshape(2, 2)
     return Povm((np.eye(2) + _SIGNS * shift) / 2.0)

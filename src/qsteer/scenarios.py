@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import steering
-from .config import DEFAULT_TOLS
-from .entropy import JointDistribution, check_int, check_numeric, check_tolerance, dual_order
+from .entropy import (SUFFICIENCY, JointDistribution, check_int, check_numeric, check_tolerance,
+                      dual_order)
 from .jointmeas import (
     ThresholdRecord,
     ThresholdSolution,
@@ -454,7 +454,7 @@ class LhsFalsificationReport:
 
     @property
     def sound(self) -> bool:
-        return self.max_violation <= DEFAULT_TOLS.sufficiency
+        return self.max_violation <= SUFFICIENCY
 
 
 def _bob_pairs(d: int) -> list[tuple[str, Povm, Povm]]:

@@ -76,8 +76,6 @@ class SteeringCertificate:
     lhs: float
     bound: float
     violation: float
-    alpha: float
-    beta: float
 
     @property
     def detected(self) -> bool:
@@ -123,13 +121,7 @@ def evaluate(
     if not 0.0 <= bound < np.inf:  # also rejects NaN
         raise ValueError(f"bound must be finite and nonnegative, got {bound!r}")
     lhs = steering_lhs(jx, jz, alpha)
-    return SteeringCertificate(
-        lhs=lhs,
-        bound=bound,
-        violation=bound - lhs,
-        alpha=alpha,
-        beta=dual_order(alpha),
-    )
+    return SteeringCertificate(lhs=lhs, bound=bound, violation=bound - lhs)
 
 
 @dataclass(frozen=True)
@@ -174,10 +166,6 @@ class LhsModel:
                 )
             responses[label] = check_probabilities(r, f"response map {label!r}", -1)
         object.__setattr__(self, "responses", MappingProxyType(responses))
-
-    @property
-    def n_lambda(self) -> int:
-        return self.weights.shape[-1]
 
     @property
     def dim(self) -> int:

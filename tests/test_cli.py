@@ -137,6 +137,13 @@ class TestRunExitCodes:
         assert run(["entropy", "--joint", "0.5,0.5", "--alpha", "inf"]) == 0
         assert capsys.readouterr().out == "0 bits (conditional Renyi alpha=inf)\n"  # not "-0"
 
+    def test_entropy_of_a_small_order_is_finite(self, capsys):
+        # below alpha = ln(n)/710 the generic evaluator's expm1 overflowed: "inf bits"
+        assert run(["entropy", "--probs", "0.5,0.5", "--alpha", "0.0005"]) == 0
+        assert capsys.readouterr().out == "1 bits (Renyi alpha=0.0005)\n"
+        assert run(["entropy", "--joint", "0.4,0.1;0.1,0.4", "--alpha", "1e-5"]) == 0
+        assert capsys.readouterr().out == "0.999996781 bits (conditional Renyi alpha=1e-05)\n"
+
     @pytest.mark.parametrize(
         "inputs", [[], ["--probs", "0.5,0.5", "--joint", "0.5,0;0,0.5"]], ids=["neither", "both"]
     )

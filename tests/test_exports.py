@@ -100,6 +100,11 @@ def test_no_top_level_name_is_defined_in_two_modules():
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 owners[node.name].append(path.stem)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):  # constants too
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for n in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                        owners[n.id].append(path.stem)
     assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
 
 

@@ -476,6 +476,12 @@ class TestThresholdRecord:
         rec = ThresholdRecord(parameter=0.2, detected=0.9)
         assert rec.exact is None and rec.gap is None
 
+    @pytest.mark.parametrize("parameter", [math.nan, math.inf, -math.inf, "3"])
+    def test_parameter_must_be_one_finite_real_number(self, parameter):
+        # a NaN parameter passed ScanResult's sort check, which compares NaN by identity
+        with pytest.raises(ValueError, match="parameter must be a"):
+            ThresholdRecord(parameter=parameter, detected=0.5)
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             ThresholdRecord(parameter=0.0, detected=1.2)

@@ -277,7 +277,6 @@ class TestEvaluate:
         comp, four = mub_pair(3)
         cert = certify(depolarize(four, 0.71), depolarize(comp, 0.71), four, comp, 0.7)
         assert cert.violation == cert.bound - cert.lhs
-        assert cert.beta == pytest.approx(0.7 / (2 * 0.7 - 1), abs=1e-15)
 
     def test_monotone_in_visibility(self):
         comp, four = mub_pair(3)
@@ -356,7 +355,7 @@ class TestLhsModel:
             stack = sample_lhs_model(seeds, d, n_lambda)
             assert stack.weights.shape == (12, n_lambda)
             assert stack.hidden_states.matrix.shape == (12, n_lambda, d, d)
-            assert (stack.n_lambda, stack.dim) == (n_lambda, d)
+            assert stack.dim == d
             for i, seed in enumerate(seeds):
                 model = sample_lhs_model(seed, d, n_lambda)
                 weights, states, responses = parent_sample_lhs_model(seed, d, n_lambda)
@@ -431,7 +430,7 @@ class TestLhsModel:
     def test_invariants_hold_for_samples(self):
         for seed in range(20):
             model = sample_lhs_model(seed, 2, 3)  # constructor validates
-            assert model.n_lambda == 3
+            assert model.weights.shape[-1] == 3
             assert model.dim == 2
 
     def test_single_lambda_gives_product_statistics(self):
@@ -499,7 +498,7 @@ class TestLhsModel:
             with pytest.raises(ValueError, match=r"DensityMatrix of shape \(2, d, d\)"):
                 LhsModel(model.weights, states, model.responses)
         lone = LhsModel(np.ones(1), DensityMatrix([np.eye(2) / 2]), {"x": [[1.0]], "z": [[1.0]]})
-        assert (lone.n_lambda, lone.dim) == (1, 2)
+        assert (lone.weights.shape[-1], lone.dim) == (1, 2)
 
     def test_statistics_never_violate_bound(self):
         comp, four = mub_pair(2)
