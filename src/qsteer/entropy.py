@@ -262,10 +262,15 @@ def _conditional_renyi_generic(table: np.ndarray, alpha: float):
         shift = 0.0
         if (1.0 - alpha) * math.log(c.shape[-2]) >= 700.0 * alpha:  # log-norm <= (1/a - 1) ln n_x
             # A tiny order: factor out each table's largest log-norm where expm1 would overflow.
+            # At a subnormal order a quotient may overflow, to the infinity that is its limit.
             top = log_sum.max(axis=-1, keepdims=True)
-            shift = np.where(top / alpha > _LOG_MAX, top, 0.0)
-            log_sum, shift = log_sum - shift, shift[..., 0]
-        excess = _weighted_sum(w, np.expm1(log_sum / alpha))
+            with np.errstate(over="ignore"):
+                shift = np.where(top / alpha > _LOG_MAX, top, 0.0)
+                norms = (log_sum - shift) / alpha
+            shift = shift[..., 0]
+        else:
+            norms = log_sum / alpha
+        excess = _weighted_sum(w, np.expm1(norms))
         return _value((alpha / (1.0 - alpha) * np.log1p(excess) + shift / (1.0 - alpha)) / _LN2)
     m = c.max(axis=-2)
     s = ((c / np.where(m > 0.0, m, 1.0)[..., None, :]) ** alpha).sum(axis=-2)

@@ -462,7 +462,7 @@ def _bob_pairs(d: int) -> list[tuple[str, Povm, Povm]]:
     pairs = [("mub", four, comp)]
     if d == 2:
         tilted = qubit_povm(0.0, (math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3)))
-        pairs.append(("tilted-60deg", tilted, Povm.from_basis(np.eye(2, dtype=complex))))
+        pairs.append(("tilted-60deg", tilted, comp))
     elif d == 3:
         rz, rx = rotated_d3_bases(0.2)
         pairs.append(("rotated-t0.2", rx, rz))
@@ -484,10 +484,11 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     ``LHS_N_LAMBDAS[i % 4]`` hidden states and its own seed, drawn from
     ``seed``.  Every model is tested against every entropy order of
     ``LHS_ALPHAS`` and two projective measurement pairs for Bob.  The models
-    of one dimension and hidden-variable count are sampled as one stack by
-    one ``sample_lhs_model`` call and contracted by one ``lhs_statistics``
-    call per Bob pair, into one (setting, model, Bob pair, n_b, n_a) stack a
-    dimension in model order, checked once; one ``steering_lhs`` call per
+    of one dimension are sampled as one stack, padded to its largest count, by
+    one ``sample_lhs_model`` call; each model's tables are bit for bit those
+    of the model alone.  One ``lhs_statistics`` call per Bob pair contracts
+    the stack, and the tables form one (model, Bob pair, n_b, n_a) stack a
+    dimension and setting, checked once; one ``steering_lhs`` call per
     order takes it against the vector of the pairs' bounds.  Statistics from
     any such model satisfy the inequality, so the maximum observed violation
     must stay at floating-point scale; anything larger falsifies the
@@ -502,18 +503,15 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     per_dim = [n_models // len(LHS_DIMS)] * len(LHS_DIMS)
     per_dim[0] += n_models - sum(per_dim)
     shares = [(d, count) for d, count in zip(LHS_DIMS, per_dim) if count]
-    cycle = len(LHS_N_LAMBDAS)
     for d, count in shares:
         pairs = _bob_pairs(d)
         model_seeds = master.integers(0, 2**63 - 1, size=count)
+        n_lambdas = np.resize(LHS_N_LAMBDAS, count)
         bounds = np.array([steering.overlap_bound(bx, bz) for _, bx, bz in pairs])
-        # model i sits in stack i % cycle; violations[i, k, a] for Bob pair k and order a
-        tables = np.empty((2, count, len(pairs), d, d))  # (setting, model, Bob pair, n_b, n_a)
-        for g in range(min(count, cycle)):
-            stack = steering.sample_lhs_model(model_seeds[g::cycle], d, LHS_N_LAMBDAS[g])
-            for k, (_, bx, bz) in enumerate(pairs):
-                tables[:, g::cycle, k] = steering.lhs_statistics(stack, bx, bz)
-        jx, jz = (JointDistribution(t) for t in tables)
+        stack = steering.sample_lhs_model(model_seeds, d, n_lambdas)
+        tables = [steering.lhs_statistics(stack, bx, bz) for _, bx, bz in pairs]
+        # one (model, Bob pair, n_b, n_a) stack a setting; violations[i, k, a] for Bob pair k and order a
+        jx, jz = (JointDistribution(np.stack(t, 1)) for t in zip(*tables))
         violations = np.stack([bounds - steering.steering_lhs(jx, jz, alpha) for alpha in LHS_ALPHAS], -1)
         n_evals += violations.size
         index, k, a = np.unravel_index(np.argmax(violations), violations.shape)  # first maximum
@@ -523,7 +521,7 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
                 "d": d,
                 "model_index": int(index),
                 "model_seed": int(model_seeds[index]),
-                "n_lambda": LHS_N_LAMBDAS[index % cycle],
+                "n_lambda": int(n_lambdas[index]),
                 "alpha": LHS_ALPHAS[a],
                 "bob_pair": pairs[k][0],
             }

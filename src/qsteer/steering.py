@@ -12,10 +12,14 @@ of a local-hidden-state model (``lhs_statistics``).  A positive violation
 (bound minus left-hand side) certifies steering; statistics produced by any
 local-hidden-state model can never violate it.  Bob's effects (``Povm.effects``)
 and a model's hidden states arrive as validated read-only stacks and are
-contracted as they are.  An ``LhsModel`` may itself be a stack of models with
-a common hidden-variable count: ``sample_lhs_model`` draws one from a sequence
-of seeds, one ``default_rng`` stream per seed, and ``lhs_statistics`` turns
-it into one stack of plain tables, which ``steering_lhs`` checks on entry.
+contracted as they are.  An ``LhsModel`` may itself be a stack of models:
+``sample_lhs_model`` draws one from a sequence of seeds, one ``default_rng``
+stream per seed read in four calls (weights, mixing exponentials, Gaussians,
+responses), with one hidden-variable count for all or one per seed.  Models
+of fewer hidden states are padded to the largest count with states of weight
+exactly 0, so every row is bit for bit its model alone.  ``lhs_statistics``
+turns a stack into one stack of plain tables, which ``steering_lhs`` checks
+on entry.
 """
 
 from __future__ import annotations
@@ -180,46 +184,64 @@ def _flat_dirichlet(e: np.ndarray) -> np.ndarray:
     return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
 
 
-def _draws(seeds, d: int, n_lambda: int) -> tuple:
-    """The models' standard exponentials and Gaussians, written straight into
-    their stacks, each model read from its own ``default_rng(seed)`` stream in
-    this order: the weights, then state by state 2d mixing exponentials and
-    (2d, 2, d) Gaussians, then the response rows for x and for z."""
-    m, k = len(seeds), len(MEASUREMENT_LABELS)
-    weights, mix = np.empty((m, n_lambda)), np.empty((m, n_lambda, 2 * d))
-    gauss, responses = np.empty((m, n_lambda, 2 * d, 2, d)), np.empty((m, k, n_lambda, d))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        weights[i] = rng.standard_exponential(n_lambda)
-        for state in range(n_lambda):
-            mix[i, state] = rng.standard_exponential(2 * d)
-            gauss[i, state] = rng.normal(size=(2 * d, 2, d))
-        responses[i] = rng.standard_exponential((k, n_lambda, d))
+def _draws(seeds, d: int, counts: np.ndarray) -> tuple:
+    """The models' standard exponentials and Gaussians, each model read from
+    its own ``default_rng(seed)`` stream in four calls: n weights, (n, 2d)
+    mixing exponentials, (n, 2d, 2, d) Gaussians, then (2, n, d) response
+    rows for x and z, n the model's count.  Weights and responses go into
+    (m, N) and (m, 2, N, d) stacks, N the largest count, padded with 0 and
+    1; the mixing exponentials and Gaussians of the drawn states only, model
+    after model."""
+    m, k, n = len(seeds), len(MEASUREMENT_LABELS), counts.max()
+    weights, responses = np.zeros((m, n)), np.ones((m, k, n, d))
+    mix, gauss = np.empty((counts.sum(), 2 * d)), np.empty((counts.sum(), 2 * d, 2, d))
+    end = 0
+    for i, (seed, c) in enumerate(zip(seeds, counts)):
+        rng, start, end = np.random.default_rng(seed), end, end + c
+        weights[i, :c] = rng.standard_exponential(c)
+        mix[start:end] = rng.standard_exponential((c, 2 * d))
+        gauss[start:end] = rng.normal(size=(c, 2 * d, 2, d))
+        responses[i, :, :c] = rng.standard_exponential((k, c, d))
     return weights, mix, gauss, responses
 
 
-def sample_lhs_model(rng_seed, d: int, n_lambda: int) -> LhsModel:
+def sample_lhs_model(rng_seed, d: int, n_lambda) -> LhsModel:
     """Draw a random local-hidden-state model, deterministic in the seed; or,
     for a 1-d sequence of seeds, the stack of those models, leading shape (m,).
 
-    Each seed has its own ``default_rng(seed)`` stream, read as ``_draws``
-    says, so a model of a stack is bit for bit the model of its seed alone.
-    Each hidden state mixes 2d Haar-like pure states (normalized complex
-    Gaussians) with Dirichlet weights; the raw draws of all models are
-    stacked first, then the states of every model are summed and validated
-    at once.  A single seed is the stack of one, indexed before validation.
+    ``n_lambda`` is the hidden-variable count of every model, or a 1-d
+    sequence of one count per seed.  A stack of several counts is padded to
+    the largest: a padded hidden state has weight exactly 0, is I/d and gets
+    uniform responses, so it adds exactly 0 to every table.  Each seed has its
+    own ``default_rng(seed)`` stream, read as ``_draws`` says, so the drawn
+    entries of a model of a stack, and its ``lhs_statistics`` tables, are bit
+    for bit those of its seed and count alone.  Each hidden state mixes 2d
+    Haar-like pure states (normalized complex Gaussians) with Dirichlet
+    weights; the states are built for the drawn entries only, placed in the
+    padded stack and validated with it at once.  A single seed is the stack
+    of one, indexed before validation.
     """
-    d, n_lambda = check_int(d, 2, "dimension"), check_int(n_lambda, 1, "n_lambda")
-    shape = np.shape(rng_seed)
+    d = check_int(d, 2, "dimension")
+    shape, counts = np.shape(rng_seed), np.shape(n_lambda)
     if len(shape) > 1 or shape == (0,):
         raise ValueError(f"seeds must be one integer or a nonempty 1-d sequence, got shape {shape}")
     seeds = [check_int(s, 0, "seed") for s in (rng_seed if shape else [rng_seed])]
-    weights, mix, gauss, responses = _draws(seeds, d, n_lambda)
+    if not counts:
+        counts = np.full(len(seeds), check_int(n_lambda, 1, "n_lambda"))
+    elif counts == shape:  # one count per seed, each distinct count checked once
+        rule = {c: check_int(c, 1, "n_lambda") for c in set(n_lambda)}
+        counts = np.array([rule[c] for c in n_lambda])
+    else:
+        raise ValueError(f"n_lambda must be one count or one per seed, got shape {counts} for {len(seeds)} seeds")
+    weights, mix, gauss, responses = _draws(seeds, d, counts)
     weights, mix, responses = (_flat_dirichlet(e) for e in (weights, mix, responses))
     psi = gauss[..., 0, :] + 1j * gauss[..., 1, :]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    # sigma_l = sum_k mix_lk |psi_lk><psi_lk| for every model and l at once
-    states = np.swapaxes(psi * mix[..., None], -1, -2) @ psi.conj()
+    states = np.empty(weights.shape + (d, d), dtype=complex)
+    states[...] = np.eye(d) / d
+    drawn = np.arange(weights.shape[-1]) < counts[:, None]
+    # sigma_l = sum_k mix_lk |psi_lk><psi_lk| for every drawn state at once
+    states[drawn] = np.swapaxes(psi * mix[..., None], -1, -2) @ psi.conj()
     if not shape:  # one seed: index the stack of one
         weights, states, responses = weights[0], states[0], responses[0]
     return LhsModel(
@@ -234,7 +256,8 @@ def lhs_statistics(model: LhsModel, bob_x: Povm, bob_z: Povm) -> tuple[np.ndarra
     arrays of shape (..., n_b, n_a) for a model stack of leading shape ``...``.
 
     The trace is one product over the flattened (i, j) index, summed in one
-    order whatever the stack, so a stack's tables are bit for bit those of
+    order whatever the stack, and a padded hidden state of weight 0 adds
+    exactly 0, so a stack's tables, ragged or not, are bit for bit those of
     each of its models alone.  Whichever consumer takes them checks them."""
     if bob_x.dim != model.dim or bob_z.dim != model.dim:
         raise ValueError("Bob's measurements do not match the model dimension")

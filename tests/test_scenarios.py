@@ -1126,7 +1126,8 @@ class TestLhsFalsification:
         assert abs(report.max_violation - max_violation) <= 1e-12
 
     def test_one_sample_and_statistics_call_per_hidden_variable_count(self, monkeypatch):
-        # each dimension's tables form one stack: two checked tables, one steering_lhs call an order
+        # each dimension's models form one ragged stack, and its tables two checked
+        # stacks: one steering_lhs call an order
         calls = Counter()
         for name in ("sample_lhs_model", "lhs_statistics", "steering_lhs"):
             def counted(*args, _name=name, _fn=getattr(steering, name)):
@@ -1142,10 +1143,10 @@ class TestLhsFalsification:
 
         monkeypatch.setattr(JointDistribution, "__init__", counted_init)
         lhs_falsification_suite(seed=5, n_models=40)  # 20 models a dimension, 4 counts, 2 Bob pairs
-        assert calls == {"sample_lhs_model": 8, "lhs_statistics": 16, "steering_lhs": 10, "JointDistribution": 4}
+        assert calls == {"sample_lhs_model": 2, "lhs_statistics": 4, "steering_lhs": 10, "JointDistribution": 4}
         calls.clear()
         lhs_falsification_suite(seed=5, n_models=3)  # 2 models in d = 2, 1 in d = 3
-        assert calls == {"sample_lhs_model": 3, "lhs_statistics": 6, "steering_lhs": 10, "JointDistribution": 4}
+        assert calls == {"sample_lhs_model": 2, "lhs_statistics": 4, "steering_lhs": 10, "JointDistribution": 4}
 
     def test_dims_lists_only_dimensions_with_models(self):
         assert lhs_falsification_suite(seed=1, n_models=1).dims == (2,)

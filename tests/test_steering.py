@@ -23,17 +23,20 @@ LHS_V08_ORACLE = 0.83007499855768763709  # log2(1.6) - log2(0.9), 50-digit evalu
 BOUND_60DEG = 0.41503749927884381855  # -log2 cos^2(pi/6)
 
 
-def parent_sample_lhs_model(rng_seed, d, n_lambda):
-    """The sampler as it was before hidden states were stacked: one
-    ``dirichlet`` and 2d pairs of ``normal(size=d)`` draws per state, summed
+def per_model_sample_lhs_model(rng_seed, d, n_lambda):
+    """One model in the sampler's draw order, from numpy's own samplers:
+    ``dirichlet`` weights, n Dirichlet mixes of size 2d, one ``normal`` run of
+    (n, 2d, 2, d) Gaussians, then the x and z responses; each state summed
     one outer product at a time.  Returns weights, states and responses."""
     rng = np.random.default_rng(rng_seed)
     weights = rng.dirichlet(np.ones(n_lambda))
+    mixes = rng.dirichlet(np.ones(2 * d), size=n_lambda)
+    gaussians = rng.normal(size=(n_lambda, 2 * d, 2, d))
     states = []
-    for _ in range(n_lambda):
+    for mix, pairs in zip(mixes, gaussians):
         rho = np.zeros((d, d), dtype=complex)
-        for w in rng.dirichlet(np.ones(2 * d)):
-            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for w, (re, im) in zip(mix, pairs):
+            psi = re + 1j * im
             psi /= np.linalg.norm(psi)
             rho += w * np.outer(psi, psi.conj())
         states.append(rho)
@@ -347,9 +350,9 @@ class TestLhsModel:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_same_draws_as_the_per_state_sampler(self, d):
-        # one normal(size=(2d, 2, d)) call per state reads the stream exactly
-        # as 2d pairs of normal(size=d) calls did; each seed of a stack keeps
-        # its own stream, so the stack holds its models bit for bit
+        # four calls a seed read the stream as numpy's dirichlet and normal
+        # samplers do; each seed of a stack keeps its own stream, so the
+        # stack holds its models bit for bit
         seeds = [seed * 1009 + d for seed in range(12)]
         for n_lambda in (1, 2, 3, 4, 8):
             stack = sample_lhs_model(seeds, d, n_lambda)
@@ -358,7 +361,7 @@ class TestLhsModel:
             assert stack.dim == d
             for i, seed in enumerate(seeds):
                 model = sample_lhs_model(seed, d, n_lambda)
-                weights, states, responses = parent_sample_lhs_model(seed, d, n_lambda)
+                weights, states, responses = per_model_sample_lhs_model(seed, d, n_lambda)
                 assert np.array_equal(model.weights, weights)
                 assert np.array_equal(stack.weights[i], weights)
                 for label in responses:
@@ -386,6 +389,40 @@ class TestLhsModel:
                     one_x, one_z = lhs_statistics(sample_lhs_model(seed, d, n_lambda), bx, bz)
                     assert np.array_equal(jx[i], one_x)
                     assert np.array_equal(jz[i], one_z)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_ragged_stack_rows_are_each_models_own(self, d):
+        # one count per seed: each row is padded to 8 hidden states of weight 0,
+        # I/d and uniform responses, and its drawn entries and tables are the
+        # model's own, drawn alone with its count
+        counts = [1, 2, 3, 4, 8] * 3
+        seeds = [seed * 1013 + d for seed in range(len(counts))]
+        stack = sample_lhs_model(seeds, d, counts)
+        assert stack.weights.shape == (15, 8)
+        comp, four = mub_pair(d)
+        tables = lhs_statistics(stack, four, comp)
+        for i, (seed, n) in enumerate(zip(seeds, counts)):
+            assert (stack.weights[i, n:] == 0.0).all()
+            assert (stack.hidden_states.matrix[i, n:] == np.eye(d) / d).all()
+            model = sample_lhs_model(seed, d, n)
+            assert np.array_equal(stack.weights[i, :n], model.weights)
+            assert np.array_equal(stack.hidden_states.matrix[i, :n], model.hidden_states.matrix)
+            for label in model.responses:
+                assert np.array_equal(stack.responses[label][i, :n], model.responses[label])
+                assert (stack.responses[label][i, n:] == 1.0 / d).all()
+            for table, own in zip(tables, lhs_statistics(model, four, comp)):
+                assert np.array_equal(table[i], own)
+
+    def test_one_count_per_seed(self):
+        assert sample_lhs_model([3, 4], 2, np.array([2, 2])).weights.tobytes() == (
+            sample_lhs_model([3, 4], 2, 2).weights.tobytes()
+        )
+        for seeds, counts in (([3, 4], [2]), ([3, 4], [2, 2, 2]), (3, [2]), ([3, 4], [[1, 2]])):
+            with pytest.raises(ValueError, match="n_lambda must be one count or one per seed"):
+                sample_lhs_model(seeds, 2, counts)
+        for bad in (0, 2.5, math.nan):
+            with pytest.raises(ValueError, match=f"n_lambda must be an integer of at least 1, got {bad!r}"):
+                sample_lhs_model([3, 4], 2, [2, bad])
 
     def test_stack_axes_must_agree(self):
         stack = sample_lhs_model([3, 4, 5, 6], 2, 3)
