@@ -49,7 +49,7 @@ def is_psd(a: np.ndarray) -> bool:
 
 class DensityMatrix:
     """Quantum state of one system, or a ``(..., d, d)`` stack such as an LHS
-    model's hidden states, checked at once: Hermitian, unit trace, PSD."""
+    model's hidden states, checked at once (Hermitian, unit trace, PSD) or trusted as made (``_valid``)."""
 
     __slots__ = ("matrix",)
 
@@ -69,6 +69,14 @@ class DensityMatrix:
         m.setflags(write=False)
         self.matrix = m
 
+    @classmethod
+    def _valid(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """``matrix``, valid by how it was made, stored read-only unchecked."""
+        state = object.__new__(cls)
+        state.matrix = matrix
+        matrix.setflags(write=False)
+        return state
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
@@ -79,7 +87,8 @@ class DensityMatrix:
 
 class Povm:
     """Finite measurement: PSD effects summing to the identity, kept as the
-    validated stack itself, one read-only ``effects`` array of shape (n, d, d).
+    validated stack itself, one read-only ``effects`` array of shape (n, d, d),
+    or stored unchecked by ``_valid`` where its caller says why it is valid.
     ``from_basis`` also keeps its d x d matrix, read-only, as ``basis`` (else
     None), so that two bases contract by one d x d product; their effects are
     still validated here through ``is_psd``: a basis passes exactly when they do."""
@@ -105,6 +114,17 @@ class Povm:
         self.basis = None
 
     @classmethod
+    def _valid(cls, effects: np.ndarray | None, basis: np.ndarray | None = None) -> "Povm":
+        """``effects`` (if None, ``basis``'s projectors), valid as made, stored read-only unchecked."""
+        povm = object.__new__(cls)
+        povm.effects = basis.T[:, :, None] * basis.T[:, None, :].conj() if effects is None else effects
+        povm.effects.setflags(write=False)
+        if basis is not None:
+            basis.setflags(write=False)
+        povm.basis = basis
+        return povm
+
+    @classmethod
     def from_basis(cls, basis) -> "Povm":
         """Rank-1 projective POVM |b_k><b_k| from the columns of a unitary matrix,
         kept as a read-only copy in ``basis``.  A basis is square, so any other
@@ -112,9 +132,8 @@ class Povm:
         b = check_numeric(basis, "basis", "matrix")
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"basis must be a square matrix, got shape {b.shape}")
-        b.setflags(write=False)
-        povm = cls(b.T[:, :, None] * b.T[:, None, :].conj())
-        povm.basis = b
+        povm = cls._valid(None, b)
+        cls(povm.effects)  # the projectors, validated
         return povm
 
     @property
@@ -163,11 +182,11 @@ def mub_pair(d: int) -> tuple[Povm, Povm]:
 
 
 def depolarize(p: Povm, v: float) -> Povm:
-    """Mix each effect with white noise: E -> v E + (1 - v) tr(E) I/d."""
+    """Mix each effect with white noise, E -> v E + (1 - v) tr(E) I/d: two POVMs' mix, stored unchecked."""
     v = check_visibility(v, "visibility")
     # contiguous rows sum in the order np.trace takes on a single effect
     tr = np.ascontiguousarray(np.diagonal(p.effects, axis1=1, axis2=2)).sum(axis=1).real
-    return Povm(v * p.effects + ((1.0 - v) * tr)[:, None, None] * np.eye(p.dim) / p.dim)
+    return Povm._valid(v * p.effects + ((1.0 - v) * tr)[:, None, None] * np.eye(p.dim) / p.dim)
 
 
 def joint_distribution(alice: Povm, bob: Povm) -> JointDistribution:

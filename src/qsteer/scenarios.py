@@ -393,9 +393,10 @@ def d3_family_scan(
     coincide, the bound vanishes and nothing is ever detected.  Interior exact
     boundaries are not computable here and stay unset.  ``refine_bob``
     additionally turns each of Bob's basis matrices B into exp(iH) B, H a 3 x 3
-    Hermitian matrix, so every Bob is again a basis, and runs the pattern search
-    from H = 0, Bob's ideal bases, at alpha = 1/2 (the max-entropy on x) and at its
-    dual alpha = inf (on z) on the same tables; the record keeps the lowest of the
+    Hermitian matrix, so every Bob is again a basis (stored unchecked), and runs
+    the pattern search from H = 0, Bob's ideal bases, at alpha = 1/2 (the
+    max-entropy on x) and at its dual alpha = inf (on z) on the same tables; a
+    step moves one side's H, so one basis is rebuilt a step; the record keeps the lowest of the
     two searches and the unrefined solve, and ``max_entropy_settings`` reads "z"
     only where the alpha = inf search was lowest.  At t >= 0.25 and tol >= about
     3e-4 no single step from H = 0 lowers the threshold by the tol/2 a step needs,
@@ -415,11 +416,16 @@ def d3_family_scan(
         found = [solution.value]  # the unrefined solve, then one search per order
         if refine_bob and not solution.saturated:
             for alpha in (0.5, math.inf):  # the max-entropy on x, then on z
-                def objective(params: list[float], cutoff: float, alpha: float = alpha) -> float:
-                    bx, bz = (Povm.from_basis(_unitary(p) @ b.basis)
-                              for p, b in ((params[:9], bob_x), (params[9:], bob_z)))
-                    tables = _pipeline_tables(alice_x, alice_z, bx, bz)
-                    return _pipeline_threshold(tables, alpha, tol * 0.25, cutoff).value
+                point = [([], None), ([], None)]  # each side's parameters and Bob where the search stands
+                def objective(params: list[float], cutoff: float, alpha: float = alpha, point=point) -> float:
+                    sides = params[:9], params[9:]
+                    bobs = [kept if p == q else Povm._valid(None, _unitary(p) @ b.basis)
+                            for p, (q, kept), b in zip(sides, point, (bob_x, bob_z))]
+                    tables = _pipeline_tables(alice_x, alice_z, *bobs)
+                    value = _pipeline_threshold(tables, alpha, tol * 0.25, cutoff).value
+                    if value < cutoff:  # the search moves here
+                        point[:] = zip(sides, bobs)
+                    return value
                 found.append(_coordinate_search(objective, [0.0] * 18, step0=0.2, ftol=tol * 0.5)[1])
             solution = solution._replace(value=min(found))
 

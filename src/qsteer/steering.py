@@ -17,9 +17,9 @@ contracted as they are.  An ``LhsModel`` may itself be a stack of models:
 stream per seed read in four calls (weights, mixing exponentials, Gaussians,
 responses), with one hidden-variable count for all or one per seed.  Models
 of fewer hidden states are padded to the largest count with states of weight
-exactly 0, so every row is bit for bit its model alone.  ``lhs_statistics``
-turns a stack into one stack of plain tables, which ``steering_lhs`` checks
-on entry.
+exactly 0, so every row is bit for bit its model alone; a sampled stack,
+valid by how it is drawn, is stored unchecked.  ``lhs_statistics`` turns a
+stack into one stack of plain tables, which ``steering_lhs`` checks on entry.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class LhsModel:
     (..., n_lambda, n_outcomes), n_outcomes >= 1: the distribution of Alice's
     announced outcome for each hidden variable.  Weights and every response
     row must be real numbers (``check_numeric``) and are validated and clamped
-    like joint tables, by ``check_probabilities``.
+    like joint tables, by ``check_probabilities`` (``_valid`` trusts a model as made).
     """
 
     weights: np.ndarray
@@ -171,6 +171,15 @@ class LhsModel:
             responses[label] = check_probabilities(r, f"response map {label!r}", -1)
         object.__setattr__(self, "responses", MappingProxyType(responses))
 
+    @classmethod
+    def _valid(cls, weights: np.ndarray, hidden_states: DensityMatrix, responses: dict) -> "LhsModel":
+        """The model of these arrays, valid by how they were made, stored read-only unchecked."""
+        model = object.__new__(cls)
+        for a in (weights, *responses.values()):
+            a.setflags(write=False)
+        vars(model).update(weights=weights, hidden_states=hidden_states, responses=MappingProxyType(responses))
+        return model
+
     @property
     def dim(self) -> int:
         return self.hidden_states.dim
@@ -189,11 +198,11 @@ def _draws(seeds, d: int, counts: np.ndarray) -> tuple:
     its own ``default_rng(seed)`` stream in four calls: n weights, (n, 2d)
     mixing exponentials, (n, 2d, 2, d) Gaussians, then (2, n, d) response
     rows for x and z, n the model's count.  Weights and responses go into
-    (m, N) and (m, 2, N, d) stacks, N the largest count, padded with 0 and
+    (m, N) and (2, m, N, d) stacks, N the largest count, padded with 0 and
     1; the mixing exponentials and Gaussians of the drawn states only, model
     after model."""
     m, k, n = len(seeds), len(MEASUREMENT_LABELS), counts.max()
-    weights, responses = np.zeros((m, n)), np.ones((m, k, n, d))
+    weights, responses = np.zeros((m, n)), np.ones((k, m, n, d))
     mix, gauss = np.empty((counts.sum(), 2 * d)), np.empty((counts.sum(), 2 * d, 2, d))
     end = 0
     for i, (seed, c) in enumerate(zip(seeds, counts)):
@@ -201,7 +210,7 @@ def _draws(seeds, d: int, counts: np.ndarray) -> tuple:
         weights[i, :c] = rng.standard_exponential(c)
         mix[start:end] = rng.standard_exponential((c, 2 * d))
         gauss[start:end] = rng.normal(size=(c, 2 * d, 2, d))
-        responses[i, :, :c] = rng.standard_exponential((k, c, d))
+        responses[:, i, :c] = rng.standard_exponential((k, c, d))
     return weights, mix, gauss, responses
 
 
@@ -216,10 +225,9 @@ def sample_lhs_model(rng_seed, d: int, n_lambda) -> LhsModel:
     own ``default_rng(seed)`` stream, read as ``_draws`` says, so the drawn
     entries of a model of a stack, and its ``lhs_statistics`` tables, are bit
     for bit those of its seed and count alone.  Each hidden state mixes 2d
-    Haar-like pure states (normalized complex Gaussians) with Dirichlet
-    weights; the states are built for the drawn entries only, placed in the
-    padded stack and validated with it at once.  A single seed is the stack
-    of one, indexed before validation.
+    Haar-like pure states (normalized complex Gaussians) with Dirichlet weights,
+    built for the drawn entries only; Dirichlet rows and these states, padded
+    with I/d, are valid by construction: stored unchecked.  One seed is a stack of one, indexed.
     """
     d = check_int(d, 2, "dimension")
     shape, counts = np.shape(rng_seed), np.shape(n_lambda)
@@ -243,12 +251,8 @@ def sample_lhs_model(rng_seed, d: int, n_lambda) -> LhsModel:
     # sigma_l = sum_k mix_lk |psi_lk><psi_lk| for every drawn state at once
     states[drawn] = np.swapaxes(psi * mix[..., None], -1, -2) @ psi.conj()
     if not shape:  # one seed: index the stack of one
-        weights, states, responses = weights[0], states[0], responses[0]
-    return LhsModel(
-        weights=weights,
-        hidden_states=DensityMatrix(states),
-        responses=dict(zip(MEASUREMENT_LABELS, np.moveaxis(responses, -3, 0))),
-    )
+        weights, states, responses = weights[0], states[0], responses[:, 0]
+    return LhsModel._valid(weights, DensityMatrix._valid(states), dict(zip(MEASUREMENT_LABELS, responses)))
 
 
 def lhs_statistics(model: LhsModel, bob_x: Povm, bob_z: Povm) -> tuple[np.ndarray, np.ndarray]:

@@ -204,11 +204,27 @@ class TestDepolarize:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_preserves_completeness_on_random_povms(self, d):
+        # depolarize stores its mix unchecked: Povm's own checks must pass it bit for bit
         rng = np.random.default_rng(100 + d)
-        for _ in range(100):
-            p = random_povm(rng, d, rng.integers(2, 6))
-            for v in (0.0, 0.3, 0.8):
-                depolarize(p, v)  # Povm validation is the assertion
+        povms = [random_povm(rng, d, rng.integers(2, 6)) for _ in range(100)] + list(mub_pair(d))
+        if d == 2:  # biased qubit POVMs, up to the edge |b| + |r| = 1
+            for size in (0.5, 0.9, 1.0):
+                for bias in rng.uniform(-1.0, 1.0, size=20) * size:
+                    u = rng.normal(size=3)
+                    povms.append(qubit_povm(bias, (size - abs(bias)) * u / np.linalg.norm(u)))
+        for p in povms:
+            for v in (0.0, 0.3, 0.8, 1.0):
+                out = depolarize(p, v)
+                assert Povm(out.effects).effects.tobytes() == out.effects.tobytes()
+                assert out.basis is None and not out.effects.flags.writeable
+
+    def test_bad_input_rejected_before_a_trusted_construction(self, monkeypatch):
+        comp, _ = mub_pair(2)
+        monkeypatch.setattr(Povm, "_valid", classmethod(lambda *args: pytest.fail("stored unchecked")))
+        with pytest.raises(ValueError, match=re.escape("visibility must lie in [0, 1], got 1.5")):
+            depolarize(comp, 1.5)
+        with pytest.raises(ValueError, match=re.escape("family parameter must lie in [0, 0.5], got 0.6")):
+            rotated_d3_bases(0.6)
 
 
 class TestMaxEntangledState:

@@ -1022,6 +1022,58 @@ class TestD3FamilyScan:
             assert np.array_equal(got.basis, want.basis)
         assert len(seen) > 1 and all(p.basis is not None for povms in seen for p in povms)
 
+    def test_refine_turns_one_basis_a_step(self, monkeypatch):
+        # the search moves one of 18 parameters a step, so each objective call
+        # turns only the side whose 9 moved; both sides at each search's start
+        counts, searching = Counter(), []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += bool(searching)
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(scenarios, "_unitary", counting("_unitary", scenarios._unitary))
+        monkeypatch.setattr(Povm, "_valid", classmethod(counting("_valid", Povm._valid.__func__)))
+        search = scenarios._coordinate_search
+
+        def counted_search(objective, *args, **kwargs):
+            counts["searches"] += 1
+            searching.append(True)
+            try:
+                return search(counting("calls", objective), *args, **kwargs)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(scenarios, "_coordinate_search", counted_search)
+        d3_family_scan([0.2], 1e-3, refine_bob=True)
+        assert counts["searches"] == 2 and counts["calls"] > 100
+        assert counts["_unitary"] == counts["_valid"] <= counts["calls"] + counts["searches"]
+
+    @pytest.mark.parametrize("t", [0.1, 0.2, 0.3])
+    def test_turned_bases_pass_the_public_validators(self, t, monkeypatch):
+        # the refine stores exp(iH) B unchecked, a unitary times a validated basis;
+        # Povm and from_basis must pass each one bit for bit, the refine's own and random H alike
+        rng = np.random.default_rng(round(10 * t))
+        bobs = d3_measurements(t)[2:]
+        turned = [Povm._valid(None, scenarios._unitary(rng.normal(size=9).tolist()) @ bob.basis)
+                  for bob in bobs for _ in range(50)]
+        tables = scenarios._pipeline_tables
+
+        def recorded(*povms):
+            turned.extend(povms[2:])
+            return tables(*povms)
+
+        monkeypatch.setattr(scenarios, "_pipeline_tables", recorded)
+        d3_family_scan([t], 1e-3, refine_bob=True)
+        assert len(turned) > 200
+        for bob in turned:
+            basis = Povm.from_basis(bob.basis)
+            assert Povm(bob.effects).effects.tobytes() == bob.effects.tobytes()
+            assert basis.effects.tobytes() == bob.effects.tobytes()
+            assert basis.basis.tobytes() == bob.basis.tobytes()
+            assert not (bob.effects.flags.writeable or bob.basis.flags.writeable)
+
     def test_mub_endpoint_at_tight_tolerance(self):
         (rec,) = d3_family_scan([0.0], 1e-13).records
         assert abs(rec.detected - (1.0 + math.sqrt(3.0)) / 4.0) <= 1e-12
@@ -1127,7 +1179,8 @@ class TestLhsFalsification:
 
     def test_one_sample_and_statistics_call_per_hidden_variable_count(self, monkeypatch):
         # each dimension's models form one ragged stack, and its tables two checked
-        # stacks: one steering_lhs call an order
+        # stacks: one steering_lhs call an order; the sampled stacks are stored
+        # unchecked, and only the 7 Bob measurements (3 in d = 2, 4 in d = 3) are validated
         calls = Counter()
         for name in ("sample_lhs_model", "lhs_statistics", "steering_lhs"):
             def counted(*args, _name=name, _fn=getattr(steering, name)):
@@ -1135,18 +1188,18 @@ class TestLhsFalsification:
                 return _fn(*args)
 
             monkeypatch.setattr(steering, name, counted)
-        init = JointDistribution.__init__
+        for cls in (JointDistribution, qobj.DensityMatrix, Povm):
+            def counted_init(self, arg, _name=cls.__name__, _init=cls.__init__):
+                calls[_name] += 1
+                _init(self, arg)
 
-        def counted_init(self, table):
-            calls["JointDistribution"] += 1
-            init(self, table)
-
-        monkeypatch.setattr(JointDistribution, "__init__", counted_init)
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        want = {"sample_lhs_model": 2, "lhs_statistics": 4, "steering_lhs": 10, "JointDistribution": 4, "Povm": 7}
         lhs_falsification_suite(seed=5, n_models=40)  # 20 models a dimension, 4 counts, 2 Bob pairs
-        assert calls == {"sample_lhs_model": 2, "lhs_statistics": 4, "steering_lhs": 10, "JointDistribution": 4}
+        assert calls == want and calls["DensityMatrix"] == 0
         calls.clear()
         lhs_falsification_suite(seed=5, n_models=3)  # 2 models in d = 2, 1 in d = 3
-        assert calls == {"sample_lhs_model": 2, "lhs_statistics": 4, "steering_lhs": 10, "JointDistribution": 4}
+        assert calls == want and calls["DensityMatrix"] == 0
 
     def test_dims_lists_only_dimensions_with_models(self):
         assert lhs_falsification_suite(seed=1, n_models=1).dims == (2,)

@@ -4,10 +4,12 @@ import re
 import numpy as np
 import pytest
 
+from qsteer import steering
 from qsteer.entropy import JointDistribution, NoDualOrderError
 from qsteer.qobj import DensityMatrix, Povm, depolarize, mub_pair, qubit_povm, rotated_d3_bases
 from qsteer.scenarios import LHS_ALPHAS, LHS_N_LAMBDAS
 from qsteer.steering import (
+    MEASUREMENT_LABELS,
     LhsModel,
     born_statistics,
     evaluate,
@@ -466,9 +468,46 @@ class TestLhsModel:
 
     def test_invariants_hold_for_samples(self):
         for seed in range(20):
-            model = sample_lhs_model(seed, 2, 3)  # constructor validates
+            model = sample_lhs_model(seed, 2, 3)  # stored unchecked: the public validators run here
+            LhsModel(model.weights, DensityMatrix(model.hidden_states.matrix), dict(model.responses))
             assert model.weights.shape[-1] == 3
             assert model.dim == 2
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_sampled_stacks_pass_the_public_validators(self, d):
+        # sample_lhs_model stores its stack unchecked; DensityMatrix and LhsModel
+        # must pass it and keep it bit for bit, ragged, uniform and single alike
+        rng = np.random.default_rng(d)
+        counts = [1, 2, 3, 4, 8]
+        cases = [(rng.integers(0, 2**63 - 1, size=15).tolist(), counts * 3)]
+        cases += [(rng.integers(0, 2**63 - 1, size=6).tolist(), n) for n in counts]
+        cases += [(int(rng.integers(0, 2**63 - 1)), n) for n in counts]
+        for seeds, n_lambda in cases:
+            stack = sample_lhs_model(seeds, d, n_lambda)
+            states = DensityMatrix(stack.hidden_states.matrix)
+            checked = LhsModel(stack.weights, states, dict(stack.responses))
+            pairs = [(states.matrix, stack.hidden_states.matrix), (checked.weights, stack.weights)]
+            pairs += [(checked.responses[label], stack.responses[label]) for label in MEASUREMENT_LABELS]
+            for public, trusted in pairs:
+                assert public.shape == trusted.shape and public.tobytes() == trusted.tobytes()
+                assert not trusted.flags.writeable
+            assert sorted(stack.responses) == sorted(MEASUREMENT_LABELS)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1, 2, 2), "seed must be an integer of at least 0, got -1"),
+            (([3, -1], 2, 2), "seed must be an integer of at least 0, got -1"),
+            ((3, 2, 0), "n_lambda must be an integer of at least 1, got 0"),
+            (([3, 4], 2, [2, 0]), "n_lambda must be an integer of at least 1, got 0"),
+            ((3, 1, 2), "dimension must be an integer of at least 2, got 1"),
+        ],
+    )
+    def test_bad_input_rejected_before_any_draw(self, args, message, monkeypatch):
+        # the stack is trusted because its seeds, counts and dimension are checked where they come in
+        monkeypatch.setattr(steering, "_draws", lambda *a: pytest.fail("drew before checking"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_lhs_model(*args)
 
     def test_single_lambda_gives_product_statistics(self):
         model = sample_lhs_model(7, 2, 1)
