@@ -22,7 +22,7 @@ from .entropy import (
     renyi_entropy,
     tsallis_entropy,
 )
-from .qobj import depolarize, mub_pair
+from .qobj import depolarize, joint_distribution, mub_pair
 from .scenarios import ScanResult
 
 
@@ -278,7 +278,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_check(args) -> int:
     comp, four = mub_pair(args.d)
     noisy_x, noisy_z = depolarize(four, args.vx), depolarize(comp, args.va)
-    jx, jz = steering.born_statistics(noisy_x, noisy_z, four, comp)
+    jx, jz = joint_distribution(noisy_x, four), joint_distribution(noisy_z, comp)
     cert = steering.evaluate(jx, jz, steering.overlap_bound(four, comp), args.alpha)
     print(f"lhs       {cert.lhs:.9g} bits")
     print(f"bound     {cert.bound:.9g} bits")

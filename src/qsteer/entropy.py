@@ -51,10 +51,6 @@ _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)  # the largest x whose expm1(x) is finite
 
 
-class NoDualOrderError(ValueError):
-    """The Renyi order has no dual partner under 1/a + 1/b = 2."""
-
-
 def check_probabilities(arr: np.ndarray, noun: str, axis) -> np.ndarray:
     """The probability rule, for a nonempty float array of the caller's shape:
     a ValueError naming ``noun`` and the value on an entry below
@@ -151,8 +147,8 @@ class JointDistribution:
     Entries may carry tiny negative noise from Born-rule arithmetic;
     ``check_probabilities`` clamps it, rejects larger negativity and checks
     that each table sums to one.  Conditioning acts on the second axis.  The
-    array is stored read-only and checked once: the transpose or a convex mixture
-    of checked tables (``swapped``, ``mixture``) is nonnegative with unit sums.
+    array is stored read-only and checked once: a convex mixture of checked
+    tables (``mixture``) is nonnegative with unit sums.
     """
 
     __slots__ = ("table",)
@@ -179,10 +175,6 @@ class JointDistribution:
         w = check_visibility(w, "mixture weight")
         return cls._valid(w * one.table + (1.0 - w) * zero.table)
 
-    def swapped(self) -> "JointDistribution":
-        """The same joint with the roles of the two variables exchanged."""
-        return JointDistribution._valid(self.table.swapaxes(-1, -2))
-
     def __repr__(self) -> str:
         return f"JointDistribution(shape={self.table.shape})"
 
@@ -197,7 +189,7 @@ def dual_order(alpha: float) -> float:
     """Dual Renyi order b with 1/a + 1/b = 2; defined for one real a >= 1/2."""
     real, alpha = _as_order(alpha)
     if not (real and alpha >= 0.5):
-        raise NoDualOrderError(f"no dual order for alpha={alpha!r} < 1/2")
+        raise ValueError(f"no dual order for alpha={alpha!r} < 1/2")
     if alpha == 0.5:
         return math.inf
     if math.isinf(alpha):

@@ -29,7 +29,8 @@ class ThresholdSolution(NamedTuple):
 
 @dataclass(frozen=True)
 class ThresholdRecord:
-    """One scan row: a finite real parameter, detected and exact visibility thresholds.
+    """One scan row: a finite real parameter, detected and exact visibility
+    thresholds, each one real number (``check_numeric``).
 
     ``exact`` is None when the true boundary is not computable; the derived
     ``gap`` = detected - exact then stays None.  A detected threshold may
@@ -46,9 +47,11 @@ class ThresholdRecord:
     def __post_init__(self):
         if not math.isfinite(check_numeric(self.parameter, "parameter", "number", real=True)):
             raise ValueError(f"parameter must be a finite real number, got {self.parameter!r}")
+        check_numeric(self.detected, "detected threshold", "number", real=True)
         if not 0.0 <= self.detected <= 1.0:
             raise ValueError(f"detected threshold {self.detected!r} outside [0, 1]")
         if self.exact is not None:
+            check_numeric(self.exact, "exact threshold", "number", real=True)
             if not 0.0 <= self.exact <= 1.0:
                 raise ValueError(f"exact threshold {self.exact!r} outside [0, 1]")
             gap = self.detected - self.exact

@@ -7,7 +7,9 @@ measurements is the same as their incompatibility, so no bipartite state is
 ever built. Conventions: 0-based basis labels, ``omega = exp(2 pi i / d)``,
 Alice (subsystem A) first in tensor products, and visibility ``v`` meaning
 ``measurement = v * ideal + (1 - v) * white noise`` (so the fully noisy
-limit is v = 0).
+limit is v = 0).  Every outcome table is Bob-first, p(b, a): Bob's outcome on
+the first axis and Alice's, the conditioning side, on the second, as
+``entropy`` conditions.
 """
 
 from __future__ import annotations
@@ -190,23 +192,21 @@ def depolarize(p: Povm, v: float) -> Povm:
 
 
 def joint_distribution(alice: Povm, bob: Povm) -> JointDistribution:
-    """Born-rule outcome table on the maximally entangled state
-    |Phi+> = sum_i |ii>/sqrt(d): p(a, b) = <Phi+|E_a (x) F_b|Phi+> = tr(E_a F_b^T)/d.
+    """Bob-first Born-rule outcome table on the maximally entangled state
+    |Phi+> = sum_i |ii>/sqrt(d): p(b, a) = <Phi+|E_a (x) F_b|Phi+> = tr(E_a F_b^T)/d.
 
-    Alice holds the first tensor factor; the returned table has her outcome
-    on the first axis.  Two bases (``Povm.from_basis``) give |a^T b|^2/d by one
-    d x d product.
+    Two bases (``Povm.from_basis``) give |a^T b|^2/d by one d x d product.
     """
     d = alice.dim
     if bob.dim != d:
         raise ValueError(f"measurements act on different dimensions: {d} and {bob.dim}")
     amp2 = (1.0 / np.sqrt(d)) ** 2  # |<ii|Phi+>|^2; may differ from 1/d in the last bit
     if alice.basis is not None and bob.basis is not None:  # tr(|a><a| |b*><b*|) = |a^T b|^2
-        return JointDistribution(np.abs(alice.basis.T @ bob.basis) ** 2 * amp2)
+        return JointDistribution((np.abs(alice.basis.T @ bob.basis) ** 2 * amp2).T)
     e = alice.effects.reshape(alice.n_outcomes, -1) * amp2
     f = bob.effects.reshape(bob.n_outcomes, -1)
-    # tr(E F^T) = sum_ij E[i,j] F[i,j]: one product of the flattened effects
-    return JointDistribution((e @ f.T).real)
+    # tr(E F^T) = sum_ij E[i,j] F[i,j]: one product of the flattened effects, transposed
+    return JointDistribution((e @ f.T).real.T)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .jointmeas import (
     mub_jm_threshold_symmetric,
     qubit_exact_threshold,
 )
-from .qobj import Povm, mub_pair, qubit_povm, rotated_d3_bases
+from .qobj import Povm, joint_distribution, mub_pair, qubit_povm, rotated_d3_bases
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,13 @@ def _scan(
 
 def _pipeline_tables(alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm) -> tuple:
     """Bob-first Born tables on |Phi+> at visibility 1 and 0 for both settings,
-    and Bob's bound: what a threshold solve needs, whatever the order.
+    and Bob's bound: what a threshold solve needs, whatever the order.  The
+    v = 1 tables come from ``joint_distribution``, one of the two table
+    builders; the other, ``lhs_statistics``, serves the LHS suite.
 
     At v = 0 Alice's effect E_a is tr(E_a) I/d, and the E_a sum to I, so that
     table is Bob's marginal times tr(E_a)/d and needs no contraction."""
-    t1 = steering.born_statistics(alice_x, alice_z, bob_x, bob_z)
+    t1 = joint_distribution(alice_x, bob_x), joint_distribution(alice_z, bob_z)
     traces = (np.trace(a.effects, axis1=1, axis2=2).real / a.dim for a in (alice_x, alice_z))
     t0 = tuple(JointDistribution(np.outer(t.table.sum(axis=1), w)) for t, w in zip(t1, traces))
     return t1, t0, steering.overlap_bound(bob_x, bob_z)

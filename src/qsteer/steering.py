@@ -6,11 +6,11 @@ The criterion evaluated here is
     H_a(X_B | X_A) + H_b(Z_B | Z_A) >= q(X_B, Z_B),    1/a + 1/b = 2,
 
 with ``q`` the overlap bound of Bob's two measurements.  ``evaluate`` tests
-Bob-first statistics against ``q``: the Born statistics of Alice's and Bob's
-measurements on the maximally entangled state (``born_statistics``), or those
-of a local-hidden-state model (``lhs_statistics``).  A positive violation
-(bound minus left-hand side) certifies steering; statistics produced by any
-local-hidden-state model can never violate it.  Bob's effects (``Povm.effects``)
+Bob-first tables against ``q``, from one of the two table builders: the Born
+rule on the maximally entangled state (``qobj.joint_distribution``, one
+setting a call) or a local-hidden-state model (``lhs_statistics``).  A
+positive violation (bound minus left-hand side) certifies steering;
+statistics produced by any local-hidden-state model can never violate it.  Bob's effects (``Povm.effects``)
 and a model's hidden states arrive as validated read-only stacks and are
 contracted as they are.  An ``LhsModel`` may itself be a stack of models:
 ``sample_lhs_model`` draws one from a sequence of seeds, one ``default_rng``
@@ -38,7 +38,7 @@ from .entropy import (
     conditional_renyi,
     dual_order,
 )
-from .qobj import DensityMatrix, Povm, joint_distribution
+from .qobj import DensityMatrix, Povm
 
 MEASUREMENT_LABELS = ("x", "z")
 
@@ -101,20 +101,10 @@ def steering_lhs(jx, jz, alpha: float):
     return conditional_renyi(jx, alpha) + conditional_renyi(jz, beta)
 
 
-def born_statistics(
-    alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm
-) -> tuple[JointDistribution, JointDistribution]:
-    """Bob-first Born tables p(b, a) = tr(E_a F_b^T)/d on |Phi+> for both settings."""
-    return (
-        joint_distribution(alice_x, bob_x).swapped(),
-        joint_distribution(alice_z, bob_z).swapped(),
-    )
-
-
 def evaluate(
     jx: JointDistribution, jz: JointDistribution, bound: float, alpha: float
 ) -> SteeringCertificate:
-    """Steering test of Bob-first tables, from ``born_statistics`` or ``lhs_statistics``.
+    """Steering test of Bob-first tables, from ``qobj.joint_distribution`` or ``lhs_statistics``.
 
     ``bound`` is ``overlap_bound(bob_x, bob_z)``: it depends on Bob's
     measurements only (Alice's devices stay uncharacterized); a finite one of

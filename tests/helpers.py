@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from qsteer.steering import born_statistics, evaluate, overlap_bound
+from qsteer.qobj import joint_distribution
+from qsteer.steering import evaluate, overlap_bound
 
 
 def random_unitary(rng, d):
@@ -12,5 +13,5 @@ def random_unitary(rng, d):
 
 def certify(alice_x, alice_z, bob_x, bob_z, alpha):
     """The criterion on the Born-rule statistics of the maximally entangled state."""
-    jx, jz = born_statistics(alice_x, alice_z, bob_x, bob_z)
+    jx, jz = joint_distribution(alice_x, bob_x), joint_distribution(alice_z, bob_z)
     return evaluate(jx, jz, overlap_bound(bob_x, bob_z), alpha)

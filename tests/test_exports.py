@@ -87,7 +87,7 @@ def test_each_input_rule_raises_from_one_place():
         text = path.read_text(encoding="utf-8")
         for node in ast.walk(ast.parse(text)):
             if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                    and getattr(node.exc.func, "id", None) in ("ValueError", "NoDualOrderError")):
+                    and getattr(node.exc.func, "id", None) == "ValueError"):
                 raises.append(f"{path.stem}: {ast.get_source_segment(text, node)}")
     for fragment in RULE_FRAGMENTS:  # every rule lives in entropy, beside the others
         assert [r.split(":")[0] for r in raises if fragment in r] == ["entropy"], fragment

@@ -13,9 +13,9 @@ from qsteer.jointmeas import (
     qubit_exact_threshold,
     renyi_mub_threshold_symmetric,
 )
-from qsteer.qobj import depolarize, mub_pair
+from qsteer.qobj import depolarize, joint_distribution, mub_pair
 from qsteer.scenarios import mub_eta_scan, qubit_angle_scan
-from qsteer.steering import born_statistics, evaluate, overlap_bound
+from qsteer.steering import evaluate, overlap_bound
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -58,7 +58,8 @@ def pipeline_violation(d, va, vx):
     """The criterion's violation on the Born tables of noisy MUBs, the
     Fourier basis (max-entropy) at ``vx`` and the computational one at ``va``."""
     comp, four = mub_pair(d)
-    jx, jz = born_statistics(depolarize(four, vx), depolarize(comp, va), four, comp)
+    jx = joint_distribution(depolarize(four, vx), four)
+    jz = joint_distribution(depolarize(comp, va), comp)
     return evaluate(jx, jz, overlap_bound(four, comp), 0.5).violation
 
 
@@ -481,6 +482,15 @@ class TestThresholdRecord:
         # a NaN parameter passed ScanResult's sort check, which compares NaN by identity
         with pytest.raises(ValueError, match="parameter must be a"):
             ThresholdRecord(parameter=parameter, detected=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        *(("detected", v) for v in ("0.5", None, 0.5 + 0j, np.array([0.5]), np.complex128(0.4))),
+        *(("exact", v) for v in ("0.5", 0.5 + 0j, np.array([0.5]), np.complex128(0.4))),
+    ], ids=str)
+    def test_thresholds_must_be_real_numbers(self, field, value):
+        # each was a TypeError from the range comparison, or was stored as given
+        with pytest.raises(ValueError, match=f"{field} threshold must be a real number, got"):
+            ThresholdRecord(parameter=0.0, **{"detected": 0.9, field: value})
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -254,16 +254,16 @@ class TestJointDistributionOp:
     def test_depolarized_alice_gives_product(self):
         comp, four = mub_pair(3)
         j = joint_distribution(depolarize(comp, 0.0), four).table
-        marg_b = j.sum(axis=0)
-        assert np.abs(j - np.outer(np.full(3, 1.0 / 3.0), marg_b)).max() < 1e-12
+        marg_b = j.sum(axis=1)
+        assert np.abs(j - np.outer(marg_b, np.full(3, 1.0 / 3.0))).max() < 1e-12
 
     def test_fourier_pair_relabeled_correlation(self):
         _, four = mub_pair(3)
         j = joint_distribution(four, four).table
         for a in range(3):
             b = (-a) % 3
-            assert j[a, b] == pytest.approx(1.0 / 3.0, abs=1e-12)
-            assert j[a].sum() == pytest.approx(j[a, b], abs=1e-12)
+            assert j[b, a] == pytest.approx(1.0 / 3.0, abs=1e-12)
+            assert j[:, a].sum() == pytest.approx(j[b, a], abs=1e-12)
 
     def test_marginals_match_independent_evaluation(self):
         # both reduced states of |Phi+> are I/d, so the marginals are tr(E_a)/d
@@ -273,9 +273,9 @@ class TestJointDistributionOp:
         bob = random_povm(rng, 3, 3)
         j = joint_distribution(alice, bob).table
         for a, e in enumerate(alice.effects):
-            assert j[a].sum() == pytest.approx(np.trace(e).real / 3, abs=1e-10)
+            assert j[:, a].sum() == pytest.approx(np.trace(e).real / 3, abs=1e-10)
         for b, f in enumerate(bob.effects):
-            assert j[:, b].sum() == pytest.approx(np.trace(f).real / 3, abs=1e-10)
+            assert j[b].sum() == pytest.approx(np.trace(f).real / 3, abs=1e-10)
 
     @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 3)])
     def test_matches_kron_reference(self, da, db):
@@ -288,7 +288,7 @@ class TestJointDistributionOp:
             return
         phi = np.eye(da).reshape(-1) / np.sqrt(da)
         expected = np.array(
-            [[(phi @ np.kron(e, f) @ phi).real for f in bob.effects] for e in alice.effects]
+            [[(phi @ np.kron(e, f) @ phi).real for e in alice.effects] for f in bob.effects]
         )
         table = joint_distribution(alice, bob).table
         assert np.abs(table - expected).max() <= 1e-12

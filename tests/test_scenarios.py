@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsteer import acceptance, entropy, qobj, scenarios, steering
-from qsteer.entropy import JointDistribution, NoDualOrderError, dual_order
+from qsteer.entropy import JointDistribution, dual_order
 from qsteer.jointmeas import (
     ThresholdRecord,
     ThresholdSolution,
@@ -29,7 +29,7 @@ from qsteer.scenarios import (
     qubit_angle_scan,
     qubit_random_povm_check,
 )
-from qsteer.steering import born_statistics, evaluate, overlap_bound
+from qsteer.steering import evaluate, overlap_bound
 
 from helpers import certify
 
@@ -168,7 +168,7 @@ def test_pipeline_threshold_rejects_orders_without_a_dual(alpha):
     # dropped the imaginary part of 0.7+1j with only a ComplexWarning
     message = re.escape(f"no dual order for alpha={alpha!r} < 1/2")
     for call in (dual_order, lambda a: mub_pipeline_threshold(3, a), lambda a: fig1_scan([3], [a], tol=1e-3)):
-        with pytest.raises(NoDualOrderError, match=message):
+        with pytest.raises(ValueError, match=message):
             call(alpha)
 
 
@@ -274,12 +274,12 @@ class TestPipelineSolveCost:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # the bindings the pipeline calls: steering.born_statistics contracts
-        # through steering.joint_distribution; depolarize is counted wherever
+        # the bindings the pipeline calls: scenarios._pipeline_tables contracts
+        # through scenarios.joint_distribution; depolarize is counted wherever
         # scenarios could reach it
         counts = Counter()
-        bindings = [(steering, n) for n in ("evaluate", "joint_distribution", "overlap_bound")]
-        bindings += [(qobj, "depolarize"), (scenarios, "depolarize")]
+        bindings = [(steering, n) for n in ("evaluate", "overlap_bound")]
+        bindings += [(scenarios, "joint_distribution"), (qobj, "depolarize"), (scenarios, "depolarize")]
         for module, name in bindings:
             original = getattr(module, name, None)
 
@@ -301,8 +301,8 @@ class TestPipelineSolveCost:
 
     @pytest.mark.parametrize("d, alpha", [(2, 0.5), (7, 1.0), (10, math.inf), (50, 0.5)])
     def test_solve_checks_4_tables(self, monkeypatch, d, alpha):
-        # the two Born tables and the two v = 0 tables; their transposes and
-        # mixtures are valid by construction and not checked again
+        # the two Born tables and the two v = 0 tables; their mixtures are
+        # valid by construction and not checked again
         checks = Counter()
 
         def counted(*args, _original=entropy.check_probabilities):
@@ -458,7 +458,7 @@ class TestPipelineTables:
     def assert_v0_tables_match(alice_x, alice_z, bob_x, bob_z):
         _, t0, _ = scenarios._pipeline_tables(alice_x, alice_z, bob_x, bob_z)
         noisy_x, noisy_z = depolarize(alice_x, 0.0), depolarize(alice_z, 0.0)
-        born = born_statistics(noisy_x, noisy_z, bob_x, bob_z)
+        born = joint_distribution(noisy_x, bob_x), joint_distribution(noisy_z, bob_z)
         for table, reference in zip(t0, born):
             assert np.abs(table.table - reference.table).max() <= 1e-15
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from qsteer import steering
-from qsteer.entropy import JointDistribution, NoDualOrderError
-from qsteer.qobj import DensityMatrix, Povm, depolarize, mub_pair, qubit_povm, rotated_d3_bases
+from qsteer.entropy import JointDistribution
+from qsteer.qobj import (DensityMatrix, Povm, depolarize, joint_distribution, mub_pair, qubit_povm,
+                         rotated_d3_bases)
 from qsteer.scenarios import LHS_ALPHAS, LHS_N_LAMBDAS
 from qsteer.steering import (
     MEASUREMENT_LABELS,
     LhsModel,
-    born_statistics,
     evaluate,
     lhs_statistics,
     overlap_bound,
@@ -212,7 +212,7 @@ class TestSteeringLhs:
 
     def test_alpha_below_half_rejected(self):
         j = JointDistribution(np.full((2, 2), 0.25))
-        with pytest.raises(NoDualOrderError):
+        with pytest.raises(ValueError, match="no dual order"):
             steering_lhs(j, j, 0.4)
 
     @pytest.mark.parametrize("x_stack, z_stack", [((), (3,)), ((3,), ()), ((2,), (3,)), ((2, 3), (3, 2))])
@@ -320,23 +320,58 @@ class TestBornStatistics:
     )
     def test_tables_affine_in_visibility(self, name):
         alice_x, alice_z, bob_x, bob_z = self._scenario(name)
-        sharp = born_statistics(alice_x, alice_z, bob_x, bob_z)
-        noisy = born_statistics(depolarize(alice_x, 0.0), depolarize(alice_z, 0.0), bob_x, bob_z)
-        for v in (0.0, 0.3, 0.71, 1.0):
-            direct = born_statistics(depolarize(alice_x, v), depolarize(alice_z, v), bob_x, bob_z)
-            for j, t1, t0 in zip(direct, sharp, noisy):
-                mixed = v * t1.table + (1.0 - v) * t0.table
-                assert np.abs(j.table - mixed).max() <= 1e-12
+        for alice, bob in ((alice_x, bob_x), (alice_z, bob_z)):
+            t1 = joint_distribution(alice, bob).table
+            t0 = joint_distribution(depolarize(alice, 0.0), bob).table
+            for v in (0.0, 0.3, 0.71, 1.0):
+                direct = joint_distribution(depolarize(alice, v), bob).table
+                assert np.abs(direct - (v * t1 + (1.0 - v) * t0)).max() <= 1e-12
 
     def test_tables_are_bob_first(self):
         # Alice's reduced state is I/2, so her biased outcome has marginal
         # (1 +- bias)/2 on the second (conditioning) axis; Bob's is uniform
         comp, four = mub_pair(2)
         alice_x, alice_z = qubit_povm(0.3, (0.6, 0, 0)), qubit_povm(-0.2, (0, 0, 0.7))
-        jx, jz = born_statistics(alice_x, alice_z, four, comp)
+        jx, jz = joint_distribution(alice_x, four), joint_distribution(alice_z, comp)
         assert np.abs(jx.table.sum(axis=0) - [0.65, 0.35]).max() < 1e-12
         assert np.abs(jz.table.sum(axis=0) - [0.4, 0.6]).max() < 1e-12
         assert np.abs(jx.table.sum(axis=1) - 0.5).max() < 1e-12
+
+    @pytest.mark.parametrize("builder", ["basis pair", "trine and biased qubit", "lhs model"])
+    def test_every_table_builder_is_bob_first(self, builder):
+        # each table has shape (n_b, n_a), Bob's marginal summed along axis 1
+        # and Alice's along axis 0; the marginals or the entries tell Alice from
+        # Bob, so a transposed table fails
+        rng = np.random.default_rng(11)
+        if builder == "lhs model":
+            bobs = qubit_povm(0.3, (0.6, 0, 0)), mub_pair(2)[0]
+            weights = np.array([0.2, 0.5, 0.3])
+            psi = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            states = psi[:, :, None] * psi[:, None, :].conj()
+            responses = {"x": rng.dirichlet(np.ones(3), size=3), "z": rng.dirichlet(np.ones(4), size=3)}
+            model = LhsModel(weights, DensityMatrix(states), responses)
+            cases = [
+                (table, np.einsum("l,bij,lji->b", weights, bob.effects, states).real,
+                 weights @ responses[label], None)
+                for table, bob, label in zip(lhs_statistics(model, *bobs), bobs, MEASUREMENT_LABELS)
+            ]
+        else:
+            if builder == "basis pair":
+                alice, bob = (Povm.from_basis(random_unitary(rng, 3)) for _ in range(2))
+            else:
+                alice, bob = TRINE, qubit_povm(0.3, (0.6, 0, 0))
+            phi = np.eye(alice.dim).reshape(-1) / np.sqrt(alice.dim)
+            reference = np.array([[(phi @ np.kron(e, f) @ phi).real for e in alice.effects] for f in bob.effects])
+            assert reference.shape != reference.T.shape or not np.allclose(reference, reference.T)
+            cases = [(joint_distribution(alice, bob).table, *(np.trace(p.effects, axis1=1, axis2=2).real / p.dim
+                                                             for p in (bob, alice)), reference)]
+        for table, bob_marginal, alice_marginal, reference in cases:
+            assert table.shape == (bob_marginal.size, alice_marginal.size)
+            assert np.abs(table.sum(axis=1) - bob_marginal).max() < 1e-12
+            assert np.abs(table.sum(axis=0) - alice_marginal).max() < 1e-12
+            if reference is not None:
+                assert np.abs(table - reference).max() < 1e-12
 
 
 class TestLhsModel:
