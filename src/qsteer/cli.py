@@ -352,6 +352,10 @@ def _cmd_lhs_test(args) -> int:
         f"max violation {report.max_violation:.3e} over {report.n_evaluations} "
         f"evaluations ({report.n_models} models, dims {report.dims})"
     )
+    if report.worst_case:
+        w = report.worst_case
+        print(f"worst case: d={w['d']}, model {w['model_index']} of stack seed {w['stack_seed']}, "
+              f"n_lambda={w['n_lambda']}, alpha={w['alpha']!r}, Bob pair {w['bob_pair']}")
     if not report.sound:
         print("INTERNAL ERROR: a local-hidden-state model violated the criterion",
               file=sys.stderr)

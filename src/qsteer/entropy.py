@@ -189,7 +189,7 @@ def dual_order(alpha: float) -> float:
     """Dual Renyi order b with 1/a + 1/b = 2; defined for one real a >= 1/2."""
     real, alpha = _as_order(alpha)
     if not (real and alpha >= 0.5):
-        raise ValueError(f"no dual order for alpha={alpha!r} < 1/2")
+        raise ValueError(f"no dual order for alpha={alpha!r}: it must be a real number of at least 1/2")
     if alpha == 0.5:
         return math.inf
     if math.isinf(alpha):

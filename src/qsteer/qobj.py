@@ -163,7 +163,7 @@ def qubit_povm(bias: float, bloch) -> Povm:
         raise ValueError("bloch must be a real 3-vector")
     size = abs(bias) + math.sqrt(r @ r)
     if not size <= 1.0 + PROB_NEGATIVITY:
-        raise ValueError(f"invalid qubit POVM: |bias| + |bloch| = {size:.6f} exceeds 1")
+        raise ValueError(f"invalid qubit POVM: |bias| + |bloch| must be at most 1, got {size:.6f}")
     shift = (np.array([bias, *r]) @ _PAULI).reshape(2, 2)
     return Povm((np.eye(2) + _SIGNS * shift) / 2.0)
 

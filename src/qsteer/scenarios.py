@@ -489,19 +489,21 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     ``n_models`` is the total number of models, split evenly over the
     dimensions ``LHS_DIMS`` (the first takes the remainder; the report's
     ``dims`` are those that received one); model i of a dimension has
-    ``LHS_N_LAMBDAS[i % 4]`` hidden states and its own seed, drawn from
-    ``seed``.  Every model is tested against every entropy order of
-    ``LHS_ALPHAS`` and two projective measurement pairs for Bob.  The models
-    of one dimension are sampled as one stack, padded to its largest count, by
-    one ``sample_lhs_model`` call; each model's tables are bit for bit those
-    of the model alone.  One ``lhs_statistics`` call per Bob pair contracts
+    ``LHS_N_LAMBDAS[i % 4]`` hidden states.  Every model is tested against
+    every entropy order of ``LHS_ALPHAS`` and two projective measurement pairs
+    for Bob.  The models of one dimension are sampled as one stack, padded to
+    its largest count, by one ``sample_lhs_model`` call from one seed drawn
+    from ``seed``; each model's tables are bit for bit those of its row
+    alone.  One ``lhs_statistics`` call per Bob pair contracts
     the stack, and the tables form one (model, Bob pair, n_b, n_a) stack a
     dimension and setting, checked once; one ``steering_lhs`` call per
     order takes it against the vector of the pairs' bounds.  Statistics from
     any such model satisfy the inequality, so the maximum observed violation
     must stay at floating-point scale; anything larger falsifies the
     implementation.  ``worst_case`` is the first maximum over (d, model, Bob
-    pair, order).  Fully deterministic in ``seed``.
+    pair, order); its model is row ``model_index`` of
+    ``sample_lhs_model(stack_seed, d, np.resize(LHS_N_LAMBDAS, count))``,
+    ``count`` the models of dimension d.  Fully deterministic in ``seed``.
     """
     n_models, seed = check_int(n_models, 1, "n_models"), check_int(seed, 0, "seed")
     master = np.random.default_rng(seed)
@@ -513,10 +515,10 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     shares = [(d, count) for d, count in zip(LHS_DIMS, per_dim) if count]
     for d, count in shares:
         pairs = _bob_pairs(d)
-        model_seeds = master.integers(0, 2**63 - 1, size=count)
+        stack_seed = int(master.integers(0, 2**63 - 1))
         n_lambdas = np.resize(LHS_N_LAMBDAS, count)
         bounds = np.array([steering.overlap_bound(bx, bz) for _, bx, bz in pairs])
-        stack = steering.sample_lhs_model(model_seeds, d, n_lambdas)
+        stack = steering.sample_lhs_model(stack_seed, d, n_lambdas)
         tables = [steering.lhs_statistics(stack, bx, bz) for _, bx, bz in pairs]
         # one (model, Bob pair, n_b, n_a) stack a setting; violations[i, k, a] for Bob pair k and order a
         jx, jz = (JointDistribution(np.stack(t, 1)) for t in zip(*tables))
@@ -528,7 +530,7 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
             worst = {
                 "d": d,
                 "model_index": int(index),
-                "model_seed": int(model_seeds[index]),
+                "stack_seed": stack_seed,
                 "n_lambda": int(n_lambdas[index]),
                 "alpha": LHS_ALPHAS[a],
                 "bob_pair": pairs[k][0],

@@ -13,11 +13,11 @@ positive violation (bound minus left-hand side) certifies steering;
 statistics produced by any local-hidden-state model can never violate it.  Bob's effects (``Povm.effects``)
 and a model's hidden states arrive as validated read-only stacks and are
 contracted as they are.  An ``LhsModel`` may itself be a stack of models:
-``sample_lhs_model`` draws one from a sequence of seeds, one ``default_rng``
-stream per seed read in four calls (weights, mixing exponentials, Gaussians,
-responses), with one hidden-variable count for all or one per seed.  Models
-of fewer hidden states are padded to the largest count with states of weight
-exactly 0, so every row is bit for bit its model alone; a sampled stack,
+``sample_lhs_model`` draws one from one seed and one hidden-variable count
+per model, one ``default_rng`` stream read in four calls for the whole stack
+(weights, mixing exponentials, Gaussians, responses).  Models of fewer hidden
+states are padded to the largest count with states of weight exactly 0, so
+every row's tables are bit for bit those of the row alone; a sampled stack,
 valid by how it is drawn, is stored unchecked.  ``lhs_statistics`` turns a
 stack into one stack of plain tables, which ``steering_lhs`` checks on entry.
 """
@@ -183,64 +183,48 @@ def _flat_dirichlet(e: np.ndarray) -> np.ndarray:
     return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
 
 
-def _draws(seeds, d: int, counts: np.ndarray) -> tuple:
-    """The models' standard exponentials and Gaussians, each model read from
-    its own ``default_rng(seed)`` stream in four calls: n weights, (n, 2d)
-    mixing exponentials, (n, 2d, 2, d) Gaussians, then (2, n, d) response
-    rows for x and z, n the model's count.  Weights and responses go into
-    (m, N) and (2, m, N, d) stacks, N the largest count, padded with 0 and
-    1; the mixing exponentials and Gaussians of the drawn states only, model
-    after model."""
-    m, k, n = len(seeds), len(MEASUREMENT_LABELS), counts.max()
-    weights, responses = np.zeros((m, n)), np.ones((k, m, n, d))
-    mix, gauss = np.empty((counts.sum(), 2 * d)), np.empty((counts.sum(), 2 * d, 2, d))
-    end = 0
-    for i, (seed, c) in enumerate(zip(seeds, counts)):
-        rng, start, end = np.random.default_rng(seed), end, end + c
-        weights[i, :c] = rng.standard_exponential(c)
-        mix[start:end] = rng.standard_exponential((c, 2 * d))
-        gauss[start:end] = rng.normal(size=(c, 2 * d, 2, d))
-        responses[:, i, :c] = rng.standard_exponential((k, c, d))
-    return weights, mix, gauss, responses
-
-
 def sample_lhs_model(rng_seed, d: int, n_lambda) -> LhsModel:
-    """Draw a random local-hidden-state model, deterministic in the seed; or,
-    for a 1-d sequence of seeds, the stack of those models, leading shape (m,).
+    """Draw a random local-hidden-state model of ``n_lambda`` hidden states,
+    deterministic in the one integer seed; or, for a nonempty 1-d sequence of
+    counts, the stack of one model per count, leading shape (m,).
 
-    ``n_lambda`` is the hidden-variable count of every model, or a 1-d
-    sequence of one count per seed.  A stack of several counts is padded to
-    the largest: a padded hidden state has weight exactly 0, is I/d and gets
-    uniform responses, so it adds exactly 0 to every table.  Each seed has its
-    own ``default_rng(seed)`` stream, read as ``_draws`` says, so the drawn
-    entries of a model of a stack, and its ``lhs_statistics`` tables, are bit
-    for bit those of its seed and count alone.  Each hidden state mixes 2d
-    Haar-like pure states (normalized complex Gaussians) with Dirichlet weights,
-    built for the drawn entries only; Dirichlet rows and these states, padded
-    with I/d, are valid by construction: stored unchecked.  One seed is a stack of one, indexed.
+    One ``default_rng(seed)`` stream serves the whole stack, read in four
+    calls, model after model within each: n weights, (n, 2d) mixing
+    exponentials, (n, 2d, 2, d) Gaussians, then (2, n, d) response rows for x
+    and z, n the sum of the counts.  One count makes exactly these four calls
+    for one model.  The draws fill the drawn entries of (m, N) weights and
+    (2, m, N, d) responses, N the largest count; a padded hidden state has
+    weight exactly 0, is I/d and gets uniform responses, so it adds exactly 0
+    to every table, and each row's tables are bit for bit those of the row
+    alone.  Each hidden state mixes 2d Haar-like pure states (normalized
+    complex Gaussians) with Dirichlet weights, built for the drawn entries
+    only; Dirichlet rows and these states, padded with I/d, are valid by
+    construction: stored unchecked.
     """
-    d = check_int(d, 2, "dimension")
-    shape, counts = np.shape(rng_seed), np.shape(n_lambda)
+    d, seed = check_int(d, 2, "dimension"), check_int(rng_seed, 0, "seed")
+    shape = np.shape(n_lambda)
     if len(shape) > 1 or shape == (0,):
-        raise ValueError(f"seeds must be one integer or a nonempty 1-d sequence, got shape {shape}")
-    seeds = [check_int(s, 0, "seed") for s in (rng_seed if shape else [rng_seed])]
-    if not counts:
-        counts = np.full(len(seeds), check_int(n_lambda, 1, "n_lambda"))
-    elif counts == shape:  # one count per seed, each distinct count checked once
+        raise ValueError(f"n_lambda must be one count or a nonempty 1-d sequence of counts, got shape {shape}")
+    if shape:  # each distinct count checked once
         rule = {c: check_int(c, 1, "n_lambda") for c in set(n_lambda)}
         counts = np.array([rule[c] for c in n_lambda])
     else:
-        raise ValueError(f"n_lambda must be one count or one per seed, got shape {counts} for {len(seeds)} seeds")
-    weights, mix, gauss, responses = _draws(seeds, d, counts)
+        counts = np.array([check_int(n_lambda, 1, "n_lambda")])
+    rng, n, k = np.random.default_rng(seed), counts.sum(), len(MEASUREMENT_LABELS)
+    drawn = np.arange(counts.max()) < counts[:, None]
+    weights, responses = np.zeros(drawn.shape), np.ones((k, *drawn.shape, d))
+    weights[drawn] = rng.standard_exponential(n)
+    mix = rng.standard_exponential((n, 2 * d))
+    gauss = rng.normal(size=(n, 2 * d, 2, d))
+    responses[:, drawn] = rng.standard_exponential((k, n, d))
     weights, mix, responses = (_flat_dirichlet(e) for e in (weights, mix, responses))
     psi = gauss[..., 0, :] + 1j * gauss[..., 1, :]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     states = np.empty(weights.shape + (d, d), dtype=complex)
     states[...] = np.eye(d) / d
-    drawn = np.arange(weights.shape[-1]) < counts[:, None]
     # sigma_l = sum_k mix_lk |psi_lk><psi_lk| for every drawn state at once
     states[drawn] = np.swapaxes(psi * mix[..., None], -1, -2) @ psi.conj()
-    if not shape:  # one seed: index the stack of one
+    if not shape:  # one count: index the stack of one
         weights, states, responses = weights[0], states[0], responses[:, 0]
     return LhsModel._valid(weights, DensityMatrix._valid(states), dict(zip(MEASUREMENT_LABELS, responses)))
 

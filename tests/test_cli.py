@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsteer import acceptance, scenarios
+from qsteer import acceptance, scenarios, steering
+from qsteer.qobj import DensityMatrix
 from qsteer.cli import emit_csv, emit_svg, run
 from qsteer.jointmeas import ThresholdRecord, mub_jm_threshold_symmetric
 from qsteer.scenarios import LhsFalsificationReport, ScanResult, fig1_scan
@@ -53,7 +55,7 @@ class TestRunExitCodes:
             assert f"bad order list: {alphas!r}" in captured.err
         # the order rule is the library's, which names the value
         assert run(["check", "--d", "2", "--alpha", "nan"]) == 2
-        assert "no dual order for alpha=nan < 1/2" in capsys.readouterr().err
+        assert "no dual order for alpha=nan: it must be a real number of at least 1/2" in capsys.readouterr().err
 
     def test_sum_errors_print_plain_floats(self, capsys):
         assert run(["entropy", "--probs", "0.7,0.7"]) == 2
@@ -117,9 +119,10 @@ class TestRunExitCodes:
            for command in ("scan-fig1", "tightness")]
         + [(["tightness", "--grid-points", "0"], "grid_points must be an integer of at least 1")]
         + [(["lhs-test", "--seed", "-1"], "seed must be an integer of at least 0, got -1")]
-        + [([command, "--d", "2", "--alpha", a], f"no dual order for alpha={a} < 1/2")
+        + [([command, "--d", "2", "--alpha", a], f"no dual order for alpha={a}: it must be a real number")
            for command in ("check", "threshold") for a in ("0.3", "nan")]
-        + [(["scan-fig1", "--d", "2", "--alphas", "0.3"], "no dual order for alpha=0.3 < 1/2")],
+        + [(["scan-fig1", "--d", "2", "--alphas", a], f"no dual order for alpha={a}: it must be a real number")
+           for a in ("0.3", "nan")],
     )
     def test_value_the_library_rejects_exits_2(self, capsys, argv, named):
         # the CLI leaves these checks to the library, which names the value
@@ -176,6 +179,27 @@ class TestRunExitCodes:
     def test_lhs_test_command(self, capsys):
         assert run(["lhs-test", "--seed", "5", "--n-models", "50"]) == 0
         assert "no local-hidden-state violation" in capsys.readouterr().out
+
+    def test_lhs_test_worst_case_rebuilds_the_maximum(self, capsys):
+        # the printed worst case names one row of one dimension's stack; rebuilt
+        # from the printed values alone, that row gives the reported maximum back
+        assert run(["lhs-test", "--seed", "42", "--n-models", "400"]) == 0
+        out = capsys.readouterr().out
+        found = re.search(r"worst case: d=(\d+), model (\d+) of stack seed (\d+), n_lambda=(\d+), "
+                          r"alpha=(\S+), Bob pair (\S+)\n", out)
+        d, index, stack_seed, n_lambda = map(int, found.groups()[:4])
+        alpha, pair = float(found[5]), found[6]
+        stack = steering.sample_lhs_model(stack_seed, d, np.resize(scenarios.LHS_N_LAMBDAS, 200))
+        model = steering.LhsModel(
+            stack.weights[index, :n_lambda],
+            DensityMatrix(stack.hidden_states.matrix[index, :n_lambda]),
+            {label: r[index, :n_lambda] for label, r in stack.responses.items()},
+        )
+        (bx, bz), = [(bx, bz) for name, bx, bz in scenarios._bob_pairs(d) if name == pair]
+        jx, jz = steering.lhs_statistics(model, bx, bz)
+        violation = steering.overlap_bound(bx, bz) - steering.steering_lhs(jx, jz, alpha)
+        assert violation == scenarios.lhs_falsification_suite(42, 400).max_violation
+        assert f"max violation {violation:.3e} over 4000 evaluations" in out
 
     def test_lhs_test_exits_1_on_a_violation(self, capsys, monkeypatch):
         def unsound(seed, n_models):

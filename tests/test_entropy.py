@@ -347,9 +347,10 @@ class TestDualOrder:
 ORDER_RULES = {
     "renyi_entropy": (lambda a: renyi_entropy([0.5, 0.5], a), "Renyi order must be >= 0, got {!r}"),
     "tsallis_entropy": (lambda a: tsallis_entropy([0.7, 0.3], a), "Tsallis order must be positive, got {!r}"),
-    "dual_order": (dual_order, "no dual order for alpha={!r} < 1/2"),
+    "dual_order": (dual_order, "no dual order for alpha={!r}: it must be a real number of at least 1/2"),
     "mub_pipeline_threshold": (
-        lambda a: scenarios.mub_pipeline_threshold(3, a, 1e-3), "no dual order for alpha={!r} < 1/2"
+        lambda a: scenarios.mub_pipeline_threshold(3, a, 1e-3),
+        "no dual order for alpha={!r}: it must be a real number of at least 1/2",
     ),
 }
 

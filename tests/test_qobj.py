@@ -345,7 +345,7 @@ class TestQubitPovm:
 
     @pytest.mark.parametrize("bias, bloch", [(np.nan, (0, 0, 0.5)), (0.0, (np.nan, 0, 0))])
     def test_nan_input_rejected_as_invalid(self, bias, bloch):
-        with pytest.raises(ValueError, match=r"invalid qubit POVM: \|bias\| \+ \|bloch\| = nan"):
+        with pytest.raises(ValueError, match=r"invalid qubit POVM: \|bias\| \+ \|bloch\| must be at most 1, got nan"):
             qubit_povm(bias, bloch)
 
     def test_roundtrip_through_type(self):

@@ -151,8 +151,8 @@ class TestFig1Scan:
         assert scan.metadata["alphas"] == [0.5, 1.0]
 
     @pytest.mark.parametrize("dims, alphas, message", [
-        ([3], [0.5, "0.7"], "no dual order for alpha='0.7' < 1/2"),
-        ([3], [0.5, None], "no dual order for alpha=None < 1/2"),
+        ([3], [0.5, "0.7"], "no dual order for alpha='0.7': it must be a real number of at least 1/2"),
+        ([3], [0.5, None], "no dual order for alpha=None: it must be a real number of at least 1/2"),
         ([3, "4"], [0.5], "dimension must be an integer of at least 2, got '4'"),
     ])
     def test_rejects_entry_before_sorting(self, dims, alphas, message, monkeypatch):
@@ -166,7 +166,7 @@ class TestFig1Scan:
 def test_pipeline_threshold_rejects_orders_without_a_dual(alpha):
     # "0.7" and None used to escape as TypeError, and fig1_scan parsed "0.7" and
     # dropped the imaginary part of 0.7+1j with only a ComplexWarning
-    message = re.escape(f"no dual order for alpha={alpha!r} < 1/2")
+    message = re.escape(f"no dual order for alpha={alpha!r}: it must be a real number of at least 1/2")
     for call in (dual_order, lambda a: mub_pipeline_threshold(3, a), lambda a: fig1_scan([3], [a], tol=1e-3)):
         with pytest.raises(ValueError, match=message):
             call(alpha)
@@ -1139,18 +1139,27 @@ class TestLhsFalsification:
     @staticmethod
     def per_model_reference(seed, n_models):
         """The suite as one loop over models, Bob pairs and orders, with one
-        scalar steering_lhs call per evaluation; the first strict maximum wins."""
+        scalar steering_lhs call per evaluation; the first strict maximum wins.
+        Each model is its row of its dimension's stack, sliced to its own
+        hidden states and rebuilt through the public checks."""
         master = np.random.default_rng(seed)
         max_violation, worst, n_evals = -math.inf, {}, 0
         dims = scenarios.LHS_DIMS
         per_dim = [n_models // len(dims)] * len(dims)
         per_dim[0] += n_models - sum(per_dim)
         for d, count in zip(dims, per_dim):
+            if not count:  # no model, no stack: the suite draws no seed for it
+                continue
             pairs = scenarios._bob_pairs(d)
-            model_seeds = master.integers(0, 2**63 - 1, size=count)
-            for index in range(count):
-                n_lambda = scenarios.LHS_N_LAMBDAS[index % len(scenarios.LHS_N_LAMBDAS)]
-                model = steering.sample_lhs_model(int(model_seeds[index]), d, n_lambda)
+            stack_seed = int(master.integers(0, 2**63 - 1))
+            n_lambdas = [scenarios.LHS_N_LAMBDAS[i % len(scenarios.LHS_N_LAMBDAS)] for i in range(count)]
+            stack = steering.sample_lhs_model(stack_seed, d, n_lambdas)
+            for index, n_lambda in enumerate(n_lambdas):
+                model = steering.LhsModel(
+                    stack.weights[index, :n_lambda],
+                    qobj.DensityMatrix(stack.hidden_states.matrix[index, :n_lambda]),
+                    {label: r[index, :n_lambda] for label, r in stack.responses.items()},
+                )
                 for name, bx, bz in pairs:
                     bound = overlap_bound(bx, bz)
                     jx, jz = steering.lhs_statistics(model, bx, bz)
@@ -1162,7 +1171,7 @@ class TestLhsFalsification:
                             worst = {
                                 "d": d,
                                 "model_index": index,
-                                "model_seed": int(model_seeds[index]),
+                                "stack_seed": stack_seed,
                                 "n_lambda": n_lambda,
                                 "alpha": alpha,
                                 "bob_pair": name,

@@ -46,6 +46,34 @@ def per_model_sample_lhs_model(rng_seed, d, n_lambda):
     return weights, np.array(states), responses
 
 
+def per_stack_sample_lhs_model(rng_seed, d, counts):
+    """A stack in the sampler's draw order, from numpy's own samplers on one
+    stream, each kind of draw model after model: every model's ``dirichlet``
+    weights, then every model's n Dirichlet mixes of size 2d, then every
+    model's ``normal`` run of (n, 2d, 2, d) Gaussians, then every model's x
+    responses and every model's z responses.  Each model's states are its
+    mix of normalized pure states, summed in one product.  Returns (weights,
+    states, responses) per model."""
+    rng = np.random.default_rng(rng_seed)
+    weights = [rng.dirichlet(np.ones(n)) for n in counts]
+    mixes = [rng.dirichlet(np.ones(2 * d), size=n) for n in counts]
+    gaussians = [rng.normal(size=(n, 2 * d, 2, d)) for n in counts]
+    responses = [[rng.dirichlet(np.ones(d), size=n) for n in counts] for _ in ("x", "z")]
+    models = []
+    for w, mix, g, x, z in zip(weights, mixes, gaussians, *responses):
+        psi = g[..., 0, :] + 1j * g[..., 1, :]
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        states = np.swapaxes(psi * mix[..., None], -1, -2) @ psi.conj()
+        models.append((w, states, {"x": x, "z": z}))
+    return models
+
+
+def model_row(stack, i, n):
+    """The first n hidden states of row i of a stack, rebuilt through the public checks."""
+    responses = {label: r[i, :n] for label, r in stack.responses.items()}
+    return LhsModel(stack.weights[i, :n], DensityMatrix(stack.hidden_states.matrix[i, :n]), responses)
+
+
 def random_povm(rng, d, n):
     """n effects from random Gram matrices A_k = M_k^+ M_k, M_k of random rank,
     made to sum to I by S^(-1/2) A_k S^(-1/2) with S = sum_k A_k."""
@@ -165,7 +193,7 @@ class TestOverlapBound:
         if d == 2:
             pairs.append((TRINE, comp))
         for n_lambda in LHS_N_LAMBDAS:
-            models = sample_lhs_model(range(10 * n_lambda, 10 * n_lambda + 10), d, n_lambda)
+            models = sample_lhs_model(10 * n_lambda, d, [n_lambda] * 10)
             for bx, bz in pairs:
                 bound = overlap_bound(bx, bz)
                 jx, jz = lhs_statistics(models, bx, bz)
@@ -387,82 +415,92 @@ class TestLhsModel:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_same_draws_as_the_per_state_sampler(self, d):
-        # four calls a seed read the stream as numpy's dirichlet and normal
-        # samplers do; each seed of a stack keeps its own stream, so the
-        # stack holds its models bit for bit
-        seeds = [seed * 1009 + d for seed in range(12)]
-        for n_lambda in (1, 2, 3, 4, 8):
-            stack = sample_lhs_model(seeds, d, n_lambda)
-            assert stack.weights.shape == (12, n_lambda)
-            assert stack.hidden_states.matrix.shape == (12, n_lambda, d, d)
+        # one stream a stack, read in four calls as numpy's dirichlet and normal
+        # samplers read it, each kind of draw model after model; one count is
+        # one model, drawn as a stack of one, its states summed outer product
+        # by outer product
+        ragged = [1, 2, 3, 4, 8, 3, 1, 8, 2, 4, 1, 2]
+        for stack_seed, counts in enumerate([ragged] + [[n] * 12 for n in (1, 2, 3, 4, 8)]):
+            seed = stack_seed * 1009 + d
+            stack = sample_lhs_model(seed, d, counts)
+            assert stack.weights.shape == (12, max(counts))
+            assert stack.hidden_states.matrix.shape == (12, max(counts), d, d)
             assert stack.dim == d
-            for i, seed in enumerate(seeds):
-                model = sample_lhs_model(seed, d, n_lambda)
-                weights, states, responses = per_model_sample_lhs_model(seed, d, n_lambda)
-                assert np.array_equal(model.weights, weights)
-                assert np.array_equal(stack.weights[i], weights)
+            for i, (n, (weights, states, responses)) in enumerate(
+                    zip(counts, per_stack_sample_lhs_model(seed, d, counts))):
+                assert stack.weights[i, :n].tobytes() == weights.tobytes()
+                assert stack.hidden_states.matrix[i, :n].tobytes() == states.tobytes()
                 for label in responses:
-                    assert np.array_equal(model.responses[label], responses[label])
-                    assert np.array_equal(stack.responses[label][i], responses[label])
-                assert model.hidden_states.matrix.shape == (n_lambda, d, d)
-                assert np.abs(model.hidden_states.matrix - states).max() <= 1e-14
-                assert np.array_equal(stack.hidden_states.matrix[i], model.hidden_states.matrix)
+                    assert stack.responses[label][i, :n].tobytes() == responses[label].tobytes()
+        for n_lambda in (1, 2, 3, 4, 8):
+            model = sample_lhs_model(d, d, n_lambda)
+            weights, states, responses = per_model_sample_lhs_model(d, d, n_lambda)
+            (one_weights, one_states, one_responses), = per_stack_sample_lhs_model(d, d, [n_lambda])
+            assert model.weights.tobytes() == weights.tobytes() == one_weights.tobytes()
+            for label in responses:
+                assert model.responses[label].tobytes() == responses[label].tobytes()
+                assert model.responses[label].tobytes() == one_responses[label].tobytes()
+            assert model.hidden_states.matrix.shape == (n_lambda, d, d)
+            assert np.abs(model.hidden_states.matrix - states).max() <= 1e-14
+            assert model.hidden_states.matrix.tobytes() == one_states.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stacked_statistics_are_each_models_own(self, d):
+        # each row's tables are those of the row alone, rebuilt through the public checks
         rng = np.random.default_rng(d)
         comp, four = mub_pair(d)
         pairs = [(four, comp), (Povm.from_basis(random_unitary(rng, d)), comp)]
         if d == 2:
             pairs.append((qubit_povm(0.0, (math.sin(math.pi / 3), 0, math.cos(math.pi / 3))), comp))
         for n_lambda in (1, 2, 3, 4, 8):
-            seeds = list(range(40 * n_lambda, 40 * n_lambda + 40))
-            stack = sample_lhs_model(seeds, d, n_lambda)
+            stack = sample_lhs_model(40 * n_lambda, d, [n_lambda] * 40)
             for bx, bz in pairs:
                 jx, jz = lhs_statistics(stack, bx, bz)
                 assert type(jx) is type(jz) is np.ndarray
                 assert jx.shape == jz.shape == (40, d, d)
-                for i, seed in enumerate(seeds):
-                    one_x, one_z = lhs_statistics(sample_lhs_model(seed, d, n_lambda), bx, bz)
+                for i in range(40):
+                    one_x, one_z = lhs_statistics(model_row(stack, i, n_lambda), bx, bz)
                     assert np.array_equal(jx[i], one_x)
                     assert np.array_equal(jz[i], one_z)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_ragged_stack_rows_are_each_models_own(self, d):
-        # one count per seed: each row is padded to 8 hidden states of weight 0,
-        # I/d and uniform responses, and its drawn entries and tables are the
-        # model's own, drawn alone with its count
+        # one count a model: each row is padded to 8 hidden states of weight 0,
+        # I/d and uniform responses, and its tables are those of its drawn
+        # entries alone, rebuilt through the public checks
         counts = [1, 2, 3, 4, 8] * 3
-        seeds = [seed * 1013 + d for seed in range(len(counts))]
-        stack = sample_lhs_model(seeds, d, counts)
+        stack = sample_lhs_model(1013 + d, d, counts)
         assert stack.weights.shape == (15, 8)
         comp, four = mub_pair(d)
         tables = lhs_statistics(stack, four, comp)
-        for i, (seed, n) in enumerate(zip(seeds, counts)):
+        for i, n in enumerate(counts):
             assert (stack.weights[i, n:] == 0.0).all()
             assert (stack.hidden_states.matrix[i, n:] == np.eye(d) / d).all()
-            model = sample_lhs_model(seed, d, n)
-            assert np.array_equal(stack.weights[i, :n], model.weights)
-            assert np.array_equal(stack.hidden_states.matrix[i, :n], model.hidden_states.matrix)
-            for label in model.responses:
-                assert np.array_equal(stack.responses[label][i, :n], model.responses[label])
+            for label in MEASUREMENT_LABELS:
                 assert (stack.responses[label][i, n:] == 1.0 / d).all()
-            for table, own in zip(tables, lhs_statistics(model, four, comp)):
+            for table, own in zip(tables, lhs_statistics(model_row(stack, i, n), four, comp)):
                 assert np.array_equal(table[i], own)
 
     def test_one_count_per_seed(self):
-        assert sample_lhs_model([3, 4], 2, np.array([2, 2])).weights.tobytes() == (
-            sample_lhs_model([3, 4], 2, 2).weights.tobytes()
+        # one seed a stack, one count a model: a sequence of one count is a stack of one
+        assert sample_lhs_model(3, 2, np.array([2, 2])).weights.tobytes() == (
+            sample_lhs_model(3, 2, [2, 2]).weights.tobytes()
         )
-        for seeds, counts in (([3, 4], [2]), ([3, 4], [2, 2, 2]), (3, [2]), ([3, 4], [[1, 2]])):
-            with pytest.raises(ValueError, match="n_lambda must be one count or one per seed"):
-                sample_lhs_model(seeds, 2, counts)
+        one, stack = sample_lhs_model(3, 2, 2), sample_lhs_model(3, 2, [2])
+        assert stack.weights.shape == (1, 2) and stack.weights[0].tobytes() == one.weights.tobytes()
+        assert stack.hidden_states.matrix[0].tobytes() == one.hidden_states.matrix.tobytes()
+        for counts, shape in (([], "(0,)"), ([[1, 2]], "(1, 2)"), (np.ones((2, 2), int), "(2, 2)")):
+            message = re.escape(f"n_lambda must be one count or a nonempty 1-d sequence of counts, got shape {shape}")
+            with pytest.raises(ValueError, match=message):
+                sample_lhs_model(3, 2, counts)
+        with pytest.raises(ValueError, match=re.escape("seed must be an integer of at least 0, got [3, 4]")):
+            sample_lhs_model([3, 4], 2, [2, 2])
         for bad in (0, 2.5, math.nan):
             with pytest.raises(ValueError, match=f"n_lambda must be an integer of at least 1, got {bad!r}"):
-                sample_lhs_model([3, 4], 2, [2, bad])
+                sample_lhs_model(3, 2, [2, bad])
 
     def test_stack_axes_must_agree(self):
-        stack = sample_lhs_model([3, 4, 5, 6], 2, 3)
+        stack = sample_lhs_model(3, 2, [3] * 4)
         w, sigma, resp = stack.weights, stack.hidden_states.matrix, dict(stack.responses)
         assert LhsModel(w, stack.hidden_states, resp).weights.shape == (4, 3)
         with pytest.raises(ValueError, match=r"DensityMatrix of shape \(4, 3, d, d\)"):
@@ -491,15 +529,17 @@ class TestLhsModel:
     @pytest.mark.parametrize(
         "seeds, message",
         [
-            ([], r"nonempty 1-d sequence, got shape \(0,\)"),
-            ([[1, 2]], r"nonempty 1-d sequence, got shape \(1, 2\)"),
-            ([1, -2], "seed must be an integer of at least 0, got -2"),
-            ([1, 2.5], "seed must be an integer of at least 0, got 2.5"),
+            ([], r"seed must be an integer of at least 0, got \[\]"),
+            ([[1, 2]], r"seed must be an integer of at least 0, got \[\[1, 2\]\]"),
+            ([1, -2], r"seed must be an integer of at least 0, got \[1, -2\]"),
+            ([1, 2.5], r"seed must be an integer of at least 0, got \[1, 2\.5\]"),
         ],
     )
     def test_malformed_seed_sequences_rejected(self, seeds, message):
-        with pytest.raises(ValueError, match=message):
-            sample_lhs_model(seeds, 2, 2)
+        # a stack takes one seed: every sequence of seeds, well formed or not, is rejected
+        for counts in (2, [2] * max(len(seeds), 1)):
+            with pytest.raises(ValueError, match=message):
+                sample_lhs_model(seeds, 2, counts)
 
     def test_invariants_hold_for_samples(self):
         for seed in range(20):
@@ -514,11 +554,11 @@ class TestLhsModel:
         # must pass it and keep it bit for bit, ragged, uniform and single alike
         rng = np.random.default_rng(d)
         counts = [1, 2, 3, 4, 8]
-        cases = [(rng.integers(0, 2**63 - 1, size=15).tolist(), counts * 3)]
-        cases += [(rng.integers(0, 2**63 - 1, size=6).tolist(), n) for n in counts]
+        cases = [(int(rng.integers(0, 2**63 - 1)), counts * 3)]
+        cases += [(int(rng.integers(0, 2**63 - 1)), [n] * 6) for n in counts]
         cases += [(int(rng.integers(0, 2**63 - 1)), n) for n in counts]
-        for seeds, n_lambda in cases:
-            stack = sample_lhs_model(seeds, d, n_lambda)
+        for seed, n_lambda in cases:
+            stack = sample_lhs_model(seed, d, n_lambda)
             states = DensityMatrix(stack.hidden_states.matrix)
             checked = LhsModel(stack.weights, states, dict(stack.responses))
             pairs = [(states.matrix, stack.hidden_states.matrix), (checked.weights, stack.weights)]
@@ -532,15 +572,21 @@ class TestLhsModel:
         "args, message",
         [
             ((-1, 2, 2), "seed must be an integer of at least 0, got -1"),
-            (([3, -1], 2, 2), "seed must be an integer of at least 0, got -1"),
+            (([3, -1], 2, 2), "seed must be an integer of at least 0, got [3, -1]"),
             ((3, 2, 0), "n_lambda must be an integer of at least 1, got 0"),
-            (([3, 4], 2, [2, 0]), "n_lambda must be an integer of at least 1, got 0"),
+            ((3, 2, [2, 0]), "n_lambda must be an integer of at least 1, got 0"),
             ((3, 1, 2), "dimension must be an integer of at least 2, got 1"),
+            (([3, 4], 2, [2, 2]), "seed must be an integer of at least 0, got [3, 4]"),
+            ((np.array([3]), 2, [2]), "seed must be an integer of at least 0, got array([3])"),
+            ((3, 2, []), "n_lambda must be one count or a nonempty 1-d sequence of counts, got shape (0,)"),
+            ((3, 2, [[2, 2]]), "n_lambda must be one count or a nonempty 1-d sequence of counts, got shape (1, 2)"),
+            ((3, 2, [2, 2.5]), "n_lambda must be an integer of at least 1, got 2.5"),
+            ((3, 2, [2, "2"]), "n_lambda must be an integer of at least 1, got '2'"),
         ],
     )
     def test_bad_input_rejected_before_any_draw(self, args, message, monkeypatch):
-        # the stack is trusted because its seeds, counts and dimension are checked where they come in
-        monkeypatch.setattr(steering, "_draws", lambda *a: pytest.fail("drew before checking"))
+        # the stack is trusted because its seed, counts and dimension are checked where they come in
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew before checking"))
         with pytest.raises(ValueError, match=re.escape(message)):
             sample_lhs_model(*args)
 
