@@ -354,8 +354,8 @@ def _cmd_lhs_test(args) -> int:
     )
     if report.worst_case:
         w = report.worst_case
-        print(f"worst case: d={w['d']}, model {w['model_index']} of stack seed {w['stack_seed']}, "
-              f"n_lambda={w['n_lambda']}, alpha={w['alpha']!r}, Bob pair {w['bob_pair']}")
+        print(f"worst case: d={w['d']}, model {w['model_index']} of {w['stack_size']} from stack seed "
+              f"{w['stack_seed']}, n_lambda={w['n_lambda']}, alpha={w['alpha']!r}, Bob pair {w['bob_pair']}")
     if not report.sound:
         print("INTERNAL ERROR: a local-hidden-state model violated the criterion",
               file=sys.stderr)

@@ -26,6 +26,7 @@ _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], 
 _PAULI.setflags(write=False)
 _SIGNS = np.array([1.0, -1.0])[:, None, None]  # s in the effects (I + s (b I + r.sigma))/2
 _SIGNS.setflags(write=False)
+_I2 = _PAULI[0].reshape(2, 2)  # the identity, read-only
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -89,8 +90,8 @@ class DensityMatrix:
 
 class Povm:
     """Finite measurement: PSD effects summing to the identity, kept as the
-    validated stack itself, one read-only ``effects`` array of shape (n, d, d),
-    or stored unchecked by ``_valid`` where its caller says why it is valid.
+    validated stack itself, one read-only ``effects`` array of shape (n, d, d), or
+    stored unchecked by ``_valid`` or ``_qubit`` where its caller says why it is valid.
     ``from_basis`` also keeps its d x d matrix, read-only, as ``basis`` (else
     None), so that two bases contract by one d x d product; their effects are
     still validated here through ``is_psd``: a basis passes exactly when they do."""
@@ -127,6 +128,14 @@ class Povm:
         return povm
 
     @classmethod
+    def _qubit(cls, bias: float, bloch) -> "Povm":
+        """The qubit effects (I +- (b I + r.sigma))/2 of ``qubit_povm``, stored unchecked:
+        their eigenvalues (1 +- b +- |r|)/2 are >= 0 wherever |b| + |r| <= 1, as its caller ensures."""
+        br = np.empty(4)
+        br[0], br[1:] = bias, bloch
+        return cls._valid((_I2 + _SIGNS * (br @ _PAULI).reshape(2, 2)) / 2.0)
+
+    @classmethod
     def from_basis(cls, basis) -> "Povm":
         """Rank-1 projective POVM |b_k><b_k| from the columns of a unitary matrix,
         kept as a read-only copy in ``basis``.  A basis is square, so any other
@@ -151,7 +160,7 @@ class Povm:
 
 
 def qubit_povm(bias: float, bloch) -> Povm:
-    """Two-outcome qubit measurement (I +- (b I + r.sigma))/2.
+    """Two-outcome qubit measurement (I +- (b I + r.sigma))/2, validated by ``Povm``.
 
     ``bias`` is the outcome imbalance b; ``bloch`` the subnormalized Bloch
     vector r, both real.  Validity of both effects requires |b| + |r| <= 1, and
@@ -164,8 +173,7 @@ def qubit_povm(bias: float, bloch) -> Povm:
     size = abs(bias) + math.sqrt(r @ r)
     if not size <= 1.0 + PROB_NEGATIVITY:
         raise ValueError(f"invalid qubit POVM: |bias| + |bloch| must be at most 1, got {size:.6f}")
-    shift = (np.array([bias, *r]) @ _PAULI).reshape(2, 2)
-    return Povm((np.eye(2) + _SIGNS * shift) / 2.0)
+    return Povm(Povm._qubit(bias, r).effects)
 
 
 def fourier_matrix(d: int) -> np.ndarray:

@@ -89,11 +89,12 @@ def _pipeline_tables(alice_x: Povm, alice_z: Povm, bob_x: Povm, bob_z: Povm) -> 
     v = 1 tables come from ``joint_distribution``, one of the two table
     builders; the other, ``lhs_statistics``, serves the LHS suite.
 
-    At v = 0 Alice's effect E_a is tr(E_a) I/d, and the E_a sum to I, so that
-    table is Bob's marginal times tr(E_a)/d and needs no contraction."""
+    At v = 0 Alice's effect E_a is tr(E_a) I/d, and the E_a sum to I, so that table
+    is Bob's marginal times tr(E_a)/d: no contraction, but a check, which clamps a
+    trace that rounds slightly below 0."""
     t1 = joint_distribution(alice_x, bob_x), joint_distribution(alice_z, bob_z)
-    traces = (np.trace(a.effects, axis1=1, axis2=2).real / a.dim for a in (alice_x, alice_z))
-    t0 = tuple(JointDistribution(np.outer(t.table.sum(axis=1), w)) for t, w in zip(t1, traces))
+    traces = (a.effects.diagonal(0, 1, 2).sum(-1).real / a.dim for a in (alice_x, alice_z))
+    t0 = tuple(JointDistribution(t.table.sum(axis=1)[:, None] * w) for t, w in zip(t1, traces))
     return t1, t0, steering.overlap_bound(bob_x, bob_z)
 
 
@@ -218,14 +219,15 @@ def qubit_angle_scan(theta_grid: Sequence[float], tol: float = 1e-6) -> ScanResu
     (1 +- v cos theta)/2.  Per angle the detected threshold comes from the
     pipeline root-finder at alpha = 1/2 and the exact one from the closed-form
     qubit boundary.  ``tol`` is checked before any work, so also for an empty grid.
+    Bob's pair (the z basis, unbiased unit x) is stored unchecked, Alice's validated.
     """
     tol = check_tolerance(tol)
     thetas = [float(check_numeric(t, "theta", "number", real=True)) for t in theta_grid]
     for t in thetas:
         if not 0.0 <= t < math.pi / 4.0:
             raise ValueError(f"theta must lie in [0, pi/4), got {t!r}")
-    bob_z = Povm.from_basis(np.eye(2, dtype=complex))
-    bob_x = qubit_povm(0.0, (1.0, 0.0, 0.0))
+    bob_z = Povm._valid(None, np.eye(2, dtype=complex))  # I is a basis
+    bob_x = Povm._qubit(0.0, (1.0, 0.0, 0.0))  # bias 0, a unit Bloch vector
     rows = []
     for t in sorted(thetas):
         dir_z = np.array([math.sin(t), 0.0, math.cos(t)])
@@ -322,7 +324,8 @@ def qubit_random_povm_check(n_cases: int, seed: int, tol: float = 1e-6) -> ScanR
     record is re-derived through the pipeline with Bob's chosen pair, at
     alpha = 1/2 or, with the max-entropy on z, its dual alpha = inf (the record
     reads 1/2), and each case names the setting that carries the max-entropy.
-    Fully deterministic in ``seed``; ``tol`` is checked before any work."""
+    Bob's pair (unbiased, orthonormal directions) is stored unchecked, Alice's
+    validated.  Fully deterministic in ``seed``; ``tol`` is checked before any work."""
     n_cases, seed = check_int(n_cases, 1, "n_cases"), check_int(seed, 0, "seed")
     tol = check_tolerance(tol)
     rng = np.random.default_rng(seed)
@@ -349,7 +352,7 @@ def qubit_random_povm_check(n_cases: int, seed: int, tol: float = 1e-6) -> ScanR
 
         # re-derive through the Born-rule pipeline; the dual order alpha = inf puts the max-entropy on z
         alice = qubit_povm(bias_x, bloch_x), qubit_povm(bias_z, bloch_z)
-        tables = _pipeline_tables(*alice, qubit_povm(0.0, u_x), qubit_povm(0.0, u_z))
+        tables = _pipeline_tables(*alice, Povm._qubit(0.0, u_x), Povm._qubit(0.0, u_z))  # |b| + |r| = 1
         solution = _pipeline_threshold(tables, 0.5 if setting == "x" else math.inf, tol)
         exact = None if kind == "biased" else qubit_exact_threshold(bloch_z, bloch_x)
         rows.append((float(idx), solution, exact))
@@ -388,9 +391,9 @@ def d3_family_scan(
 ) -> ScanResult:
     """Threshold scan over the d=3 rotated-basis family.
 
-    Alice carries symmetric noise on the two rotated bases; Bob measures
-    their entrywise conjugate bases, the ideal partners that see perfect
-    correlations on the maximally entangled state (as at the MUB endpoint).
+    Alice carries symmetric noise on the two rotated bases; Bob measures their
+    entrywise conjugates, stored unchecked (the conjugate of a basis is a basis):
+    the ideal partners, perfectly correlated on |Phi+> as at the MUB endpoint.
     At t = 0 the detected threshold is the MUB boundary; at t = 1/2 the bases
     coincide, the bound vanishes and nothing is ever detected.  Interior exact
     boundaries are not computable here and stay unset.  ``refine_bob``
@@ -410,7 +413,7 @@ def d3_family_scan(
     bases = [rotated_d3_bases(t) for t in ts]  # checks every t before a solve
     rows, settings = [], []
     for t, (alice_z, alice_x) in zip(ts, bases):
-        bob_z, bob_x = (Povm.from_basis(a.basis.conj()) for a in (alice_z, alice_x))
+        bob_z, bob_x = (Povm._valid(None, a.basis.conj()) for a in (alice_z, alice_x))  # still bases
 
         tables = _pipeline_tables(alice_x, alice_z, bob_x, bob_z)
         solution = _pipeline_threshold(tables, 0.5, tol)
@@ -466,10 +469,11 @@ class LhsFalsificationReport:
 
 
 def _bob_pairs(d: int) -> list[tuple[str, Povm, Povm]]:
+    """Bob's named pairs in dimension ``d``; the tilted qubit (bias 0, unit r) is stored unchecked."""
     comp, four = mub_pair(d)
     pairs = [("mub", four, comp)]
     if d == 2:
-        tilted = qubit_povm(0.0, (math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3)))
+        tilted = Povm._qubit(0.0, (math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3)))  # |b| + |r| = 1
         pairs.append(("tilted-60deg", tilted, comp))
     elif d == 3:
         rz, rx = rotated_d3_bases(0.2)
@@ -502,8 +506,8 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
     must stay at floating-point scale; anything larger falsifies the
     implementation.  ``worst_case`` is the first maximum over (d, model, Bob
     pair, order); its model is row ``model_index`` of
-    ``sample_lhs_model(stack_seed, d, np.resize(LHS_N_LAMBDAS, count))``,
-    ``count`` the models of dimension d.  Fully deterministic in ``seed``.
+    ``sample_lhs_model(stack_seed, d, np.resize(LHS_N_LAMBDAS, stack_size))``,
+    ``stack_size`` the models of dimension d.  Fully deterministic in ``seed``.
     """
     n_models, seed = check_int(n_models, 1, "n_models"), check_int(seed, 0, "seed")
     master = np.random.default_rng(seed)
@@ -531,6 +535,7 @@ def lhs_falsification_suite(seed: int, n_models: int) -> LhsFalsificationReport:
                 "d": d,
                 "model_index": int(index),
                 "stack_seed": stack_seed,
+                "stack_size": count,
                 "n_lambda": int(n_lambdas[index]),
                 "alpha": LHS_ALPHAS[a],
                 "bob_pair": pairs[k][0],

@@ -185,11 +185,11 @@ class TestRunExitCodes:
         # from the printed values alone, that row gives the reported maximum back
         assert run(["lhs-test", "--seed", "42", "--n-models", "400"]) == 0
         out = capsys.readouterr().out
-        found = re.search(r"worst case: d=(\d+), model (\d+) of stack seed (\d+), n_lambda=(\d+), "
+        found = re.search(r"worst case: d=(\d+), model (\d+) of (\d+) from stack seed (\d+), n_lambda=(\d+), "
                           r"alpha=(\S+), Bob pair (\S+)\n", out)
-        d, index, stack_seed, n_lambda = map(int, found.groups()[:4])
-        alpha, pair = float(found[5]), found[6]
-        stack = steering.sample_lhs_model(stack_seed, d, np.resize(scenarios.LHS_N_LAMBDAS, 200))
+        d, index, stack_size, stack_seed, n_lambda = map(int, found.groups()[:5])
+        alpha, pair = float(found[6]), found[7]
+        stack = steering.sample_lhs_model(stack_seed, d, np.resize(scenarios.LHS_N_LAMBDAS, stack_size))
         model = steering.LhsModel(
             stack.weights[index, :n_lambda],
             DensityMatrix(stack.hidden_states.matrix[index, :n_lambda]),

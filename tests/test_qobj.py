@@ -383,6 +383,33 @@ class TestQubitPovm:
         stack = np.stack([np.eye(2), *sigma]).reshape(4, 4)
         assert np.array_equal(qobj._PAULI, stack) and not qobj._PAULI.flags.writeable
 
+    def test_trusted_qubit_equals_the_validated_one(self):
+        # Povm._qubit stores qubit_povm's effects unchecked: bit for bit the same, read-only,
+        # and passed by Povm's own checks, inside and on the edge |b| + |r| = 1
+        rng = np.random.default_rng(2255)
+        cases = [(0.0, (1.0, 0.0, 0.0)), (0.0, [0, 0, 1]), (-1.0, np.zeros(3)), (0.3, (0.0, -0.7, 0.0))]
+        for i in range(600):
+            r = rng.normal(size=3)
+            r *= rng.uniform(0.0, 1.0) / np.linalg.norm(r)
+            room = 1.0 - np.linalg.norm(r)
+            cases.append((room * (rng.choice([-1.0, 1.0]) if i % 2 else rng.uniform(-1.0, 1.0)), r))
+        for bias, bloch in cases:
+            trusted = Povm._qubit(bias, bloch)
+            assert trusted.effects.tobytes() == qubit_povm(bias, bloch).effects.tobytes(), (bias, bloch)
+            assert Povm(trusted.effects).effects.tobytes() == trusted.effects.tobytes()
+            assert trusted.basis is None and not trusted.effects.flags.writeable
+        assert not qobj._I2.flags.writeable and np.array_equal(qobj._I2, np.eye(2))
+
+    @pytest.mark.parametrize("bias, bloch", [(0.5, (0.8, 0.0, 0.0)), (-0.2, (0.0, 0.6, 0.6)), (1e-9, (0, 0, 1))])
+    def test_bias_past_the_edge_rejected_before_construction(self, monkeypatch, bias, bloch):
+        # the trusted formula would store an effect with a negative eigenvalue; qubit_povm,
+        # where the input comes in, rejects it before any construction
+        assert not is_psd(Povm._qubit(bias, bloch).effects)
+        monkeypatch.setattr(Povm, "_qubit", classmethod(lambda *args: pytest.fail("constructed")))
+        monkeypatch.setattr(Povm, "_valid", classmethod(lambda *args: pytest.fail("stored unchecked")))
+        with pytest.raises(ValueError, match=r"invalid qubit POVM: \|bias\| \+ \|bloch\| must be at most 1"):
+            qubit_povm(bias, bloch)
+
     def test_unit_vectors_equal_the_norm_formula(self):
         rng = np.random.default_rng(2254)
         for _ in range(1000):

@@ -369,10 +369,15 @@ class TestPipelineSolveCost:
         return counts
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_qubit_case_validates_4_povms(self, validations, seed):
-        # Alice's two POVMs and Bob's two, each built and checked once
+    def test_qubit_case_validates_2_povms(self, validations, seed):
+        # Alice's two POVMs, each built and checked once; Bob's pair is stored unchecked
         qubit_random_povm_check(1, seed, 1e-4)
-        assert validations == {"is_psd": 4, "__init__": 4}
+        assert validations == {"is_psd": 2, "__init__": 2}
+
+    def test_d3_family_point_validates_2_povms(self, validations):
+        # Alice's two rotated bases; Bob's conjugate bases are stored unchecked
+        d3_family_scan([0.1], 1e-6)
+        assert validations == {"is_psd": 2, "__init__": 2}
 
     @pytest.mark.parametrize("d, alpha", [(2, 0.5), (5, 1.0), (10, math.inf)])
     def test_mub_solve_validates_2_povms(self, validations, d, alpha):
@@ -483,6 +488,75 @@ class TestPipelineTables:
 
     def test_d3_family(self):
         self.assert_v0_tables_match(*d3_measurements(0.2))
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 10])
+    def test_v0_tables_equal_the_trace_and_outer_formula(self, d):
+        # the diagonal sum and the broadcast product are np.trace and np.outer bit for bit,
+        # on projective and on depolarized (full-rank) effects of Alice
+        comp, four = mub_pair(d)
+        rng = np.random.default_rng(d)
+        for alice_x, alice_z in [(four, comp), *((depolarize(four, v), depolarize(comp, v)) for v in rng.random(5))]:
+            t1, t0, _ = scenarios._pipeline_tables(alice_x, alice_z, four, comp)
+            for one, zero, a in zip(t1, t0, (alice_x, alice_z)):
+                w = np.trace(a.effects, axis1=1, axis2=2).real / a.dim
+                assert zero.table.tobytes() == JointDistribution(np.outer(one.table.sum(axis=1), w)).table.tobytes()
+
+
+class TestTrustedBobMeasurements:
+    """The Bob measurements a scenario builds by its own formula are stored
+    unchecked; the public validators must pass each one bit for bit."""
+
+    @staticmethod
+    def assert_valid(bob):
+        assert Povm(bob.effects).effects.tobytes() == bob.effects.tobytes()
+        assert not bob.effects.flags.writeable
+        if bob.basis is not None:
+            assert Povm.from_basis(bob.basis).effects.tobytes() == bob.effects.tobytes()
+            assert not bob.basis.flags.writeable
+
+    @pytest.fixture
+    def bobs(self, monkeypatch):
+        seen, tables = [], scenarios._pipeline_tables
+
+        def recorded(*povms):
+            seen.extend(povms[2:])
+            return tables(*povms)
+
+        monkeypatch.setattr(scenarios, "_pipeline_tables", recorded)
+        return seen
+
+    def test_random_povm_check_bob_pairs(self, bobs):
+        # seeds 1..20, three cases each: one of every kind, biased ones searched
+        kinds = Counter()
+        for seed in range(1, 21):
+            kinds.update(case["kind"] for case in qubit_random_povm_check(3, seed, 1e-4).metadata["cases"])
+        assert len(bobs) == 120 and kinds == {k: 20 for k in ("unbiased-symmetric", "unbiased-asymmetric", "biased")}
+        for bob in bobs:
+            self.assert_valid(bob)
+
+    def test_angle_scan_pair(self, bobs):
+        qubit_angle_scan(np.linspace(0.0, 0.76, 5), 1e-4)
+        assert len(bobs) == 10 and all(b is bobs[0] for b in bobs[::2]) and all(b is bobs[1] for b in bobs[1::2])
+        self.assert_valid(bobs[0])
+        self.assert_valid(bobs[1])
+        assert bobs[0].effects.tobytes() == qubit_povm(0.0, (1.0, 0.0, 0.0)).effects.tobytes()
+        assert bobs[1].basis.tobytes() == Povm.from_basis(np.eye(2)).basis.tobytes()
+
+    def test_tilted_qubit(self):
+        (name, tilted, _), = [pair for pair in scenarios._bob_pairs(2) if pair[0] != "mub"]
+        assert name == "tilted-60deg"
+        self.assert_valid(tilted)
+        direction = (math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3))
+        assert tilted.effects.tobytes() == qubit_povm(0.0, direction).effects.tobytes()
+
+    def test_d3_conjugate_bases(self, bobs):
+        ts = np.sort(np.random.default_rng(2257).uniform(0.0, 0.5, size=40))
+        d3_family_scan(ts, 1e-3)
+        assert len(bobs) == 80
+        for t, pair in zip(ts, zip(bobs[::2], bobs[1::2])):
+            for bob, want in zip(pair, d3_measurements(t)[2:]):
+                self.assert_valid(bob)
+                assert bob.basis.tobytes() == want.basis.tobytes()
 
 
 class TestDualOrderAssignment:
@@ -1172,6 +1246,7 @@ class TestLhsFalsification:
                                 "d": d,
                                 "model_index": index,
                                 "stack_seed": stack_seed,
+                                "stack_size": count,
                                 "n_lambda": n_lambda,
                                 "alpha": alpha,
                                 "bob_pair": name,
@@ -1189,7 +1264,7 @@ class TestLhsFalsification:
     def test_one_sample_and_statistics_call_per_hidden_variable_count(self, monkeypatch):
         # each dimension's models form one ragged stack, and its tables two checked
         # stacks: one steering_lhs call an order; the sampled stacks are stored
-        # unchecked, and only the 7 Bob measurements (3 in d = 2, 4 in d = 3) are validated
+        # unchecked, and only the 6 Bob bases (2 in d = 2, 4 in d = 3) are validated; the tilted qubit is not
         calls = Counter()
         for name in ("sample_lhs_model", "lhs_statistics", "steering_lhs"):
             def counted(*args, _name=name, _fn=getattr(steering, name)):
@@ -1203,7 +1278,7 @@ class TestLhsFalsification:
                 _init(self, arg)
 
             monkeypatch.setattr(cls, "__init__", counted_init)
-        want = {"sample_lhs_model": 2, "lhs_statistics": 4, "steering_lhs": 10, "JointDistribution": 4, "Povm": 7}
+        want = {"sample_lhs_model": 2, "lhs_statistics": 4, "steering_lhs": 10, "JointDistribution": 4, "Povm": 6}
         lhs_falsification_suite(seed=5, n_models=40)  # 20 models a dimension, 4 counts, 2 Bob pairs
         assert calls == want and calls["DensityMatrix"] == 0
         calls.clear()
