@@ -40,7 +40,8 @@ def _result(number: int, name: str, started: float, passed: bool, detail: str) -
 
 def criterion_1_mub_tightness() -> CriterionResult:
     """The pipeline's symmetric thresholds and eta(chi) curves against the exact
-    boundary, and the joint-measurability condition switching on it."""
+    boundary, and the joint-measurability condition va <= exact_eta_of_chi(d, vx)
+    (``BOUNDARY`` of slack) switching within 1e-9 above the closed form."""
     t0 = time.perf_counter()
     dims = range(2, 11)
     worst_sym = max(abs(r.gap) for r in scenarios.fig1_scan(dims, [0.5], 1e-13).records)
@@ -48,8 +49,8 @@ def criterion_1_mub_tightness() -> CriterionResult:
     switch = True
     for d in dims:
         closed = jointmeas.mub_jm_threshold_symmetric(d)
-        switch &= jointmeas.mub_jm_holds(d, closed, closed)
-        switch &= not jointmeas.mub_jm_holds(d, closed + 1e-9, closed + 1e-9)
+        switch &= closed <= jointmeas.exact_eta_of_chi(d, closed) + entropy.BOUNDARY
+        switch &= not closed + 1e-9 <= jointmeas.exact_eta_of_chi(d, closed + 1e-9) + entropy.BOUNDARY
     passed = worst_sym <= 1e-12 and worst_asym <= 1e-12 and switch
     return _result(
         1,

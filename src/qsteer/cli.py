@@ -37,9 +37,9 @@ def emit_csv(result: ScanResult, path: str) -> None:
     name = result.metadata.get("parameter_name", "parameter")
     lines = [f"{name},alpha,beta,detected_visibility,exact_visibility,gap"]
     for rec in result.records:
-        beta = None if rec.alpha is None else dual_order(rec.alpha)
         gap = "" if rec.gap is None else f"{round(rec.gap, 12) + 0.0:.12f}"
-        lines.append(",".join([*map(_fmt, (rec.parameter, rec.alpha, beta, rec.detected, rec.exact)), gap]))
+        row = (rec.parameter, rec.alpha, dual_order(rec.alpha), rec.detected, rec.exact)
+        lines.append(",".join([*map(_fmt, row), gap]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -74,7 +74,7 @@ def emit_svg(result: ScanResult, path: str) -> None:
     def pts(pairs) -> str:
         return " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pairs)
 
-    series: dict[float | None, list[tuple[float, float]]] = {}
+    series: dict[float, list[tuple[float, float]]] = {}
     for rec in result.records:
         series.setdefault(rec.alpha, []).append((rec.parameter, rec.detected))
     exact_pts = [(r.parameter, r.exact) for r in result.records if r.exact is not None]
@@ -118,15 +118,14 @@ def emit_svg(result: ScanResult, path: str) -> None:
             f'<text x="{width - mr - 4}" y="{mt + 14}" font-size="11" '
             'text-anchor="end" fill="#555555">exact boundary</text>'
         )
-    for i, (alpha, pairs) in enumerate(sorted(series.items(), key=lambda kv: (kv[0] is None, kv[0]))):
+    for i, (alpha, pairs) in enumerate(sorted(series.items())):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         parts.append(
             f'<polyline points="{pts(pairs)}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
-        label = "detected" if alpha is None else f"alpha={alpha:g}"
         parts.append(
             f'<text x="{width - mr - 4}" y="{mt + 30 + 14 * i}" font-size="11" '
-            f'text-anchor="end" fill="{color}">{label}</text>'
+            f'text-anchor="end" fill="{color}">alpha={alpha:g}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -279,11 +278,12 @@ def _cmd_check(args) -> int:
     comp, four = mub_pair(args.d)
     noisy_x, noisy_z = depolarize(four, args.vx), depolarize(comp, args.va)
     jx, jz = joint_distribution(noisy_x, four), joint_distribution(noisy_z, comp)
-    cert = steering.evaluate(jx, jz, steering.overlap_bound(four, comp), args.alpha)
-    print(f"lhs       {cert.lhs:.9g} bits")
-    print(f"bound     {cert.bound:.9g} bits")
-    print(f"violation {cert.violation:.9g} bits")
-    print(f"steering  {'detected' if cert.detected else 'not detected'}")
+    bound, lhs = steering.overlap_bound(four, comp), steering.steering_lhs(jx, jz, args.alpha)
+    violation = bound - lhs  # steering.evaluate's value; bound - violation would round a tiny lhs away
+    print(f"lhs       {lhs:.9g} bits")
+    print(f"bound     {bound:.9g} bits")
+    print(f"violation {violation:.9g} bits")
+    print(f"steering  {'detected' if violation > 0.0 else 'not detected'}")
     return 0
 
 

@@ -1,9 +1,10 @@
 """The exact side of every boundary, and the threshold root-finder.
 
-Joint-measurability conditions and boundaries of noisy MUBs and unbiased
-qubit pairs give the scans their exact columns; ``bisect_threshold`` solves
-every threshold.  One entropic formula, ``renyi_mub_threshold_symmetric``,
-stays for d = 400, where the pipeline cannot yet build the bases.
+Joint-measurability boundaries of noisy MUBs (the condition va <=
+``exact_eta_of_chi(d, vx)``) and unbiased qubit pairs give the scans their
+exact columns; ``bisect_threshold`` solves every threshold.  One entropic
+formula, ``renyi_mub_threshold_symmetric``, stays for d = 400, where the
+pipeline cannot yet build the bases.
 
 All arguments named ``va``/``vx`` are visibilities: the coefficient of the
 sharp measurement in ``v * ideal + (1 - v) * white noise``.  Noise in the
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .entropy import (BOUNDARY, PROJECTIVE, SUFFICIENCY, check_int, check_numeric, check_tolerance,
-                      check_visibility)
+                      check_visibility, dual_order)
 
 
 class ThresholdSolution(NamedTuple):
@@ -30,7 +31,8 @@ class ThresholdSolution(NamedTuple):
 @dataclass(frozen=True)
 class ThresholdRecord:
     """One scan row: a finite real parameter, detected and exact visibility
-    thresholds, each one real number (``check_numeric``).
+    thresholds, each one real number (``check_numeric``), and the keyword-only
+    Renyi order ``alpha`` of the detection, with a dual order (``dual_order``).
 
     ``exact`` is None when the true boundary is not computable; the derived
     ``gap`` = detected - exact then stays None.  A detected threshold may
@@ -41,12 +43,13 @@ class ThresholdRecord:
     detected: float
     exact: float | None = None
     gap: float | None = field(default=None, init=False)
-    alpha: float | None = None
+    alpha: float = field(kw_only=True)
     saturated: bool = False
 
     def __post_init__(self):
         if not math.isfinite(check_numeric(self.parameter, "parameter", "number", real=True)):
             raise ValueError(f"parameter must be a finite real number, got {self.parameter!r}")
+        dual_order(self.alpha)
         check_numeric(self.detected, "detected threshold", "number", real=True)
         if not 0.0 <= self.detected <= 1.0:
             raise ValueError(f"detected threshold {self.detected!r} outside [0, 1]")
@@ -115,13 +118,6 @@ def bisect_threshold(margin: Callable, tol: float) -> ThresholdSolution:
             fb = g * fb if side == -1 else fb
             a, fa, side, flat = v, m, -1, fa == 0
     return ThresholdSolution(b)
-
-
-def mub_jm_holds(d: int, va: float, vx: float) -> bool:
-    """Joint measurability of two noisy mutually unbiased bases: va at most the
-    boundary ``exact_eta_of_chi(d, vx)``, with ``BOUNDARY`` of slack."""
-    eta = exact_eta_of_chi(d, vx)
-    return check_visibility(va, "va") <= eta + BOUNDARY
 
 
 def mub_jm_threshold_symmetric(d: int) -> float:

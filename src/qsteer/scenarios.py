@@ -110,13 +110,13 @@ def _pipeline_threshold(
 
     ``depolarize`` is affine in v and the Born rule linear, so the tables are
     T(v) = v T(1) + (1 - v) T(0): the solver's margin mixes the precomputed
-    ``tables`` at one visibility and returns the violation of one
-    ``steering.evaluate``, a real number continuous in v."""
+    ``tables`` at one visibility and returns one ``steering.evaluate``, the
+    violation, a real number continuous in v."""
     (x1, z1), (x0, z0), bound = tables
 
     def violation(v):
         jx, jz = JointDistribution.mixture(x1, x0, v), JointDistribution.mixture(z1, z0, v)
-        return steering.evaluate(jx, jz, bound, alpha).violation
+        return steering.evaluate(jx, jz, bound, alpha)
 
     if cutoff <= 0.0 or (cutoff < 1.0 and violation(cutoff) <= 0.0):
         return ThresholdSolution(cutoff)

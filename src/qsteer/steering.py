@@ -5,11 +5,11 @@ The criterion evaluated here is
 
     H_a(X_B | X_A) + H_b(Z_B | Z_A) >= q(X_B, Z_B),    1/a + 1/b = 2,
 
-with ``q`` the overlap bound of Bob's two measurements.  ``evaluate`` tests
-Bob-first tables against ``q``, from one of the two table builders: the Born
-rule on the maximally entangled state (``qobj.joint_distribution``, one
-setting a call) or a local-hidden-state model (``lhs_statistics``).  A
-positive violation (bound minus left-hand side) certifies steering;
+with ``q`` the overlap bound of Bob's two measurements.  ``evaluate`` returns
+the violation ``q`` minus the left-hand side of Bob-first tables, from one of
+the two table builders: the Born rule on the maximally entangled state
+(``qobj.joint_distribution``, one setting a call) or a local-hidden-state
+model (``lhs_statistics``).  A positive violation certifies steering;
 statistics produced by any local-hidden-state model can never violate it.  Bob's effects (``Povm.effects``)
 and a model's hidden states arrive as validated read-only stacks and are
 contracted as they are.  An ``LhsModel`` may itself be a stack of models:
@@ -71,21 +71,6 @@ def overlap_bound(x: Povm, z: Povm) -> float:
     return float(0.0 - np.log2(c2))  # 0.0, not -0.0, when c^2 clamps to 1
 
 
-@dataclass(frozen=True)
-class SteeringCertificate:
-    """Outcome of a steering test, all quantities in bits.  For a stack of
-    tables ``lhs`` and ``violation`` are arrays, one entry per pair of tables,
-    and ``detected`` is elementwise."""
-
-    lhs: float
-    bound: float
-    violation: float
-
-    @property
-    def detected(self) -> bool:
-        return self.violation > 0.0
-
-
 def steering_lhs(jx, jz, alpha: float):
     """Left-hand side H_a(X_B|X_A) + H_b(Z_B|Z_A) with b the dual order.
 
@@ -101,21 +86,21 @@ def steering_lhs(jx, jz, alpha: float):
     return conditional_renyi(jx, alpha) + conditional_renyi(jz, beta)
 
 
-def evaluate(
-    jx: JointDistribution, jz: JointDistribution, bound: float, alpha: float
-) -> SteeringCertificate:
-    """Steering test of Bob-first tables, from ``qobj.joint_distribution`` or ``lhs_statistics``.
+def evaluate(jx: JointDistribution, jz: JointDistribution, bound: float, alpha: float):
+    """Violation ``bound - steering_lhs(jx, jz, alpha)`` in bits of Bob-first
+    tables, from ``qobj.joint_distribution`` or ``lhs_statistics``; above 0
+    it witnesses steering.
 
     ``bound`` is ``overlap_bound(bob_x, bob_z)``: it depends on Bob's
     measurements only (Alice's devices stay uncharacterized); a finite one of
-    at least 0.  Plain tables are checked on entry; stacks give array values.
+    at least 0.  Plain tables are checked on entry.  One pair of tables gives
+    a float, a stack an array with one entry per pair.
     """
     if type(bound) is not float:  # a Python float, as every solver margin passes, needs no rule
         bound = float(check_numeric(bound, "bound", "number", real=True))
     if not 0.0 <= bound < np.inf:  # also rejects NaN
         raise ValueError(f"bound must be finite and nonnegative, got {bound!r}")
-    lhs = steering_lhs(jx, jz, alpha)
-    return SteeringCertificate(lhs=lhs, bound=bound, violation=bound - lhs)
+    return bound - steering_lhs(jx, jz, alpha)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,6 @@ def random_unitary(rng, d):
 
 
 def certify(alice_x, alice_z, bob_x, bob_z, alpha):
-    """The criterion on the Born-rule statistics of the maximally entangled state."""
+    """The criterion's violation on the Born-rule statistics of the maximally entangled state."""
     jx, jz = joint_distribution(alice_x, bob_x), joint_distribution(alice_z, bob_z)
     return evaluate(jx, jz, overlap_bound(bob_x, bob_z), alpha)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qsteer import acceptance, scenarios, steering
-from qsteer.qobj import DensityMatrix
+from qsteer.qobj import DensityMatrix, joint_distribution, mub_pair
 from qsteer.cli import emit_csv, emit_svg, run
 from qsteer.jointmeas import ThresholdRecord, mub_jm_threshold_symmetric
 from qsteer.scenarios import LhsFalsificationReport, ScanResult, fig1_scan
@@ -166,7 +166,26 @@ class TestRunExitCodes:
 
     def test_check_command_detects(self, capsys):
         assert run(["check", "--d", "2", "--alpha", "0.5", "--va", "0.8", "--vx", "0.8"]) == 0
-        assert "detected" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[-1] == "steering  detected"  # not "not detected"
+
+    def test_check_command_prints_its_four_lines(self, capsys):
+        assert run(["check", "--d", "3", "--va", "0.8", "--vx", "0.8"]) == 0
+        assert capsys.readouterr().out == (
+            "lhs       1.2732728 bits\n"
+            "bound     1.5849625 bits\n"
+            "violation 0.311689696 bits\n"
+            "steering  detected\n"
+        )
+
+    def test_check_command_prints_the_left_hand_side_itself(self, capsys):
+        # sharp bases: the left-hand side is rounding noise, which bound minus
+        # the violation would not give back
+        comp, four = mub_pair(5)
+        jx, jz = joint_distribution(four, four), joint_distribution(comp, comp)
+        lhs, bound = steering.steering_lhs(jx, jz, 2.0), steering.overlap_bound(four, comp)
+        assert abs(lhs) < 1e-12 and bound - (bound - lhs) != lhs
+        assert run(["check", "--d", "5", "--va", "1", "--vx", "1", "--alpha", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"lhs       {lhs:.9g} bits"
 
     def test_tightness_command(self, capsys):
         assert run(["tightness", "--d", "2..3", "--grid-points", "5", "--tol", "1e-8"]) == 0

@@ -4,11 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from qsteer.entropy import BOUNDARY
 from qsteer.jointmeas import (
     ThresholdRecord,
     bisect_threshold,
     exact_eta_of_chi,
-    mub_jm_holds,
     mub_jm_threshold_symmetric,
     qubit_exact_threshold,
     renyi_mub_threshold_symmetric,
@@ -48,7 +48,8 @@ def qubit_renyi_threshold(theta):
 
 
 def jm_margin(d, va, vx):
-    """The condition of ``mub_jm_holds`` as a margin without slack."""
+    """The joint-measurability condition of noisy MUBs, va <=
+    ``exact_eta_of_chi(d, vx)``, as its algebraic margin without slack."""
     if d == 2:
         return va * va + vx * vx - 1.0
     return ((d - 1) * (va + vx) - math.sqrt(max(d - (d - 1) * (va - vx) ** 2, 0.0))) / (d - 2) - 1.0
@@ -60,7 +61,7 @@ def pipeline_violation(d, va, vx):
     comp, four = mub_pair(d)
     jx = joint_distribution(depolarize(four, vx), four)
     jz = joint_distribution(depolarize(comp, va), comp)
-    return evaluate(jx, jz, overlap_bound(four, comp), 0.5).violation
+    return evaluate(jx, jz, overlap_bound(four, comp), 0.5)
 
 
 class TestBisect:
@@ -241,33 +242,33 @@ class TestBisect:
 
 
 class TestMubJm:
+    """Joint measurability of noisy MUBs: va <= ``exact_eta_of_chi(d, vx)``
+    with ``BOUNDARY`` of slack, as criterion 1 tests it."""
+
     def test_d2_boundary(self):
-        assert mub_jm_holds(2, SQRT2_INV, SQRT2_INV)
-        assert not mub_jm_holds(2, SQRT2_INV + 1e-6, SQRT2_INV)
+        assert SQRT2_INV <= exact_eta_of_chi(2, SQRT2_INV) + BOUNDARY
+        assert not SQRT2_INV + 1e-6 <= exact_eta_of_chi(2, SQRT2_INV) + BOUNDARY
 
     def test_d3_symmetric_boundary(self):
         v = (1 + math.sqrt(3)) / 4
-        assert mub_jm_holds(3, v, v)
-        assert not mub_jm_holds(3, v + 1e-9, v + 1e-9)
+        assert v <= exact_eta_of_chi(3, v) + BOUNDARY
+        assert not v + 1e-9 <= exact_eta_of_chi(3, v + 1e-9) + BOUNDARY
 
     def test_trivial_measurement_always_compatible(self):
         for d in (2, 3, 5, 9):
-            assert mub_jm_holds(d, 0.0, 1.0)
-            assert mub_jm_holds(d, 0.0, 0.4)
+            assert 0.0 <= exact_eta_of_chi(d, 1.0) + BOUNDARY
+            assert 0.0 <= exact_eta_of_chi(d, 0.4) + BOUNDARY
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            mub_jm_holds(1, 0.5, 0.5)
+            exact_eta_of_chi(1, 0.5)
         with pytest.raises(ValueError):
-            mub_jm_holds(3, 1.2, 0.5)
+            exact_eta_of_chi(3, 1.2)
 
     @pytest.mark.parametrize("value", [None, 1 + 0j, "0.5"])
     def test_visibility_that_is_no_number_rejected(self, value):
-        with pytest.raises(ValueError, match=re.escape(f"va must lie in [0, 1], got {value!r}")):
-            mub_jm_holds(3, value, 0.5)
-        for call in (lambda: mub_jm_holds(3, 0.5, value), lambda: exact_eta_of_chi(3, value)):
-            with pytest.raises(ValueError, match=re.escape(f"vx must lie in [0, 1], got {value!r}")):
-                call()
+        with pytest.raises(ValueError, match=re.escape(f"vx must lie in [0, 1], got {value!r}")):
+            exact_eta_of_chi(3, value)
 
 
 class TestSymmetricThresholds:
@@ -342,15 +343,15 @@ class TestEtaOfChi:
         # condition, which is quadratic in va there and admitted va up to 1e-6
         for chi in np.linspace(0.0, 1.0, 21).tolist():
             eta = exact_eta_of_chi(d, chi)
-            assert mub_jm_holds(d, eta, chi) and mub_jm_holds(d, chi, eta)
-            assert eta == 1.0 or not mub_jm_holds(d, eta + 1e-9, chi)  # no visibility above 1
+            assert eta <= exact_eta_of_chi(d, chi) + BOUNDARY and chi <= exact_eta_of_chi(d, eta) + BOUNDARY
+            assert eta == 1.0 or not eta + 1e-9 <= exact_eta_of_chi(d, chi) + BOUNDARY  # no visibility above 1
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 10, 50, 400])
     def test_joint_measurability_is_the_algebraic_condition(self, d):
         # the closed-form boundary agrees with the condition itself on random pairs
         rng = np.random.default_rng(d)
         for va, vx in rng.uniform(0.0, 1.0, size=(2000, 2)).tolist():
-            assert mub_jm_holds(d, va, vx) == (jm_margin(d, va, vx) <= 1e-12), (va, vx)
+            assert (va <= exact_eta_of_chi(d, vx) + BOUNDARY) == (jm_margin(d, va, vx) <= 1e-12), (va, vx)
 
     def test_symmetric_point_fixed(self):
         for d in (2, 4):
@@ -462,26 +463,26 @@ class TestQubitThresholds:
 
 class TestThresholdRecord:
     def test_gap_computed(self):
-        rec = ThresholdRecord(parameter=2.0, detected=0.75, exact=0.70)
+        rec = ThresholdRecord(parameter=2.0, detected=0.75, exact=0.70, alpha=0.5)
         assert rec.gap == pytest.approx(0.05)
 
     def test_sufficiency_enforced(self):
         with pytest.raises(ValueError):
-            ThresholdRecord(parameter=2.0, detected=0.69, exact=0.70)
+            ThresholdRecord(parameter=2.0, detected=0.69, exact=0.70, alpha=0.5)
 
     def test_gap_is_not_settable(self):
         with pytest.raises(TypeError):
-            ThresholdRecord(parameter=0.2, detected=0.9, gap=0.1)
+            ThresholdRecord(parameter=0.2, detected=0.9, gap=0.1, alpha=0.5)
 
     def test_unknown_exact_allowed(self):
-        rec = ThresholdRecord(parameter=0.2, detected=0.9)
+        rec = ThresholdRecord(parameter=0.2, detected=0.9, alpha=0.5)
         assert rec.exact is None and rec.gap is None
 
     @pytest.mark.parametrize("parameter", [math.nan, math.inf, -math.inf, "3"])
     def test_parameter_must_be_one_finite_real_number(self, parameter):
         # a NaN parameter passed ScanResult's sort check, which compares NaN by identity
         with pytest.raises(ValueError, match="parameter must be a"):
-            ThresholdRecord(parameter=parameter, detected=0.5)
+            ThresholdRecord(parameter=parameter, detected=0.5, alpha=0.5)
 
     @pytest.mark.parametrize("field, value", [
         *(("detected", v) for v in ("0.5", None, 0.5 + 0j, np.array([0.5]), np.complex128(0.4))),
@@ -490,10 +491,20 @@ class TestThresholdRecord:
     def test_thresholds_must_be_real_numbers(self, field, value):
         # each was a TypeError from the range comparison, or was stored as given
         with pytest.raises(ValueError, match=f"{field} threshold must be a real number, got"):
-            ThresholdRecord(parameter=0.0, **{"detected": 0.9, field: value})
+            ThresholdRecord(parameter=0.0, alpha=0.5, **{"detected": 0.9, field: value})
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            ThresholdRecord(parameter=0.0, detected=1.2)
+            ThresholdRecord(parameter=0.0, detected=1.2, alpha=0.5)
         with pytest.raises(ValueError, match=r"exact threshold 1\.5 outside \[0, 1\]"):
-            ThresholdRecord(parameter=0.0, detected=0.9, exact=1.5)
+            ThresholdRecord(parameter=0.0, detected=0.9, exact=1.5, alpha=0.5)
+
+    @pytest.mark.parametrize("alpha", ["x", 0.2, math.nan], ids=str)
+    def test_order_without_a_dual_rejected_at_construction(self, alpha):
+        # each was stored, to fail later in emit_csv or never
+        with pytest.raises(ValueError, match=re.escape(f"no dual order for alpha={alpha!r}")):
+            ThresholdRecord(parameter=0.0, detected=0.5, alpha=alpha)
+
+    def test_order_is_required(self):
+        with pytest.raises(TypeError, match="alpha"):
+            ThresholdRecord(parameter=0.0, detected=0.5)

@@ -257,21 +257,21 @@ class TestSteeringLhs:
 class TestEvaluate:
     def test_ideal_mubs_violate_by_one_bit(self):
         comp, four = mub_pair(2)
-        cert = certify(four, comp, four, comp, 0.5)
-        assert cert.violation == pytest.approx(1.0, abs=1e-10)
-        assert cert.detected
+        violation = certify(four, comp, four, comp, 0.5)
+        assert violation == pytest.approx(1.0, abs=1e-10)
+        assert violation > 0.0
 
     def test_zero_visibility_never_detects(self):
         comp, four = mub_pair(2)
-        cert = certify(depolarize(four, 0.0), depolarize(comp, 0.0), four, comp, 0.5)
-        assert cert.violation == pytest.approx(-1.0, abs=1e-10)
-        assert not cert.detected
+        violation = certify(depolarize(four, 0.0), depolarize(comp, 0.0), four, comp, 0.5)
+        assert violation == pytest.approx(-1.0, abs=1e-10)
+        assert not violation > 0.0
 
     def test_visibility_08_pipeline_matches_closed_form(self):
         comp, four = mub_pair(2)
-        cert = certify(depolarize(four, 0.8), depolarize(comp, 0.8), four, comp, 0.5)
-        assert cert.lhs == pytest.approx(LHS_V08_ORACLE, abs=1e-12)
-        assert cert.violation == pytest.approx(1.0 - LHS_V08_ORACLE, abs=1e-12)
+        jx, jz = joint_distribution(depolarize(four, 0.8), four), joint_distribution(depolarize(comp, 0.8), comp)
+        assert steering_lhs(jx, jz, 0.5) == pytest.approx(LHS_V08_ORACLE, abs=1e-12)
+        assert evaluate(jx, jz, overlap_bound(four, comp), 0.5) == pytest.approx(1.0 - LHS_V08_ORACLE, abs=1e-12)
 
     def test_separable_state_never_violates(self):
         # the statistics of the product state I/4: one hidden state I/2 and
@@ -283,7 +283,7 @@ class TestEvaluate:
         for alpha in (0.5, 1.0, 2.0, math.inf):
             for bx, bz in ((four, comp), (tilted, comp)):
                 jx, jz = lhs_statistics(model, bx, bz)
-                assert evaluate(jx, jz, overlap_bound(bx, bz), alpha).violation <= 0.0
+                assert evaluate(jx, jz, overlap_bound(bx, bz), alpha) <= 0.0
 
     @pytest.mark.parametrize("bound", [math.nan, -0.5, math.inf])
     def test_bound_that_is_nan_negative_or_infinite_rejected(self, bound):
@@ -303,22 +303,28 @@ class TestEvaluate:
     @pytest.mark.parametrize("bound", [1, np.float64(1.0), np.int64(1)])
     def test_real_bound_of_any_numeric_type_is_a_float(self, bound):
         j = JointDistribution(np.full((2, 2), 0.25))
-        cert = evaluate(j, j, bound, 0.5)
-        assert type(cert.bound) is float and cert.violation == evaluate(j, j, 1.0, 0.5).violation
+        violation = evaluate(j, j, bound, 0.5)
+        assert type(violation) is float and violation == evaluate(j, j, 1.0, 0.5)
 
     def test_certificate_consistency_bit_for_bit(self):
         comp, four = mub_pair(3)
-        cert = certify(depolarize(four, 0.71), depolarize(comp, 0.71), four, comp, 0.7)
-        assert cert.violation == cert.bound - cert.lhs
+        bound = overlap_bound(four, comp)
+        pairs = [(joint_distribution(depolarize(four, v), four), joint_distribution(depolarize(comp, v), comp))
+                 for v in (0.3, 0.71, 0.9)]
+        jx, jz = pairs[1]
+        assert evaluate(jx, jz, bound, 0.7) == bound - steering_lhs(jx, jz, 0.7)
+        jx, jz = (JointDistribution(np.stack([p[i].table for p in pairs])) for i in (0, 1))
+        assert jx.table.shape == (3, 3, 3)
+        assert np.array_equal(evaluate(jx, jz, bound, 0.7), bound - steering_lhs(jx, jz, 0.7))
 
     def test_monotone_in_visibility(self):
         comp, four = mub_pair(3)
         for alpha in (0.5, 1.0, 2.0):
             previous = -np.inf
             for v in np.linspace(0.0, 1.0, 9):
-                cert = certify(depolarize(four, v), depolarize(comp, v), four, comp, alpha)
-                assert cert.violation >= previous - 1e-12
-                previous = cert.violation
+                violation = certify(depolarize(four, v), depolarize(comp, v), four, comp, alpha)
+                assert violation >= previous - 1e-12
+                previous = violation
 
 
 class TestBornStatistics:
